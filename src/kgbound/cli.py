@@ -26,6 +26,7 @@ import argparse
 import configparser
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -341,6 +342,19 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, not {value!r}")
+    try:
+        cfg.physical_params()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for key, value in (("tol", cfg.tol), ("lambda", cfg.lam), ("rmax", cfg.rmax)):
+        if value is not None and value <= 0:
+            raise ConfigError(f"{key} must be positive, not {value!r}")
+    if cfg.n_max < 1:
+        raise ConfigError("n_max must be at least 1")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, not {cfg.format!r}")
     if cfg.command in ("solve", "convergence"):
@@ -353,8 +367,8 @@ def _validate_config(cfg: RunConfig) -> None:
             ) from exc
         if cfg.potential not in ("coulomb", "hulthen", "equal-coulomb", "equal-hulthen", "free"):
             raise ConfigError(f"unknown potential {cfg.potential!r}")
-    if cfg.grid_n < 16:
-        raise ConfigError("grid_n must be at least 16")
+    if min(cfg.grid_n, *cfg.sizes) < 16:
+        raise ConfigError("grid sizes must be at least 16")
     if cfg.samples < 2:
         raise ConfigError("samples must be at least 2")
 

@@ -6,10 +6,13 @@ Every mode solves an equation of the fixed shape
 
 on a uniform grid, where A and V_eff depend on the mode and, for the
 relativistic modes, on the system mass m = m0 + E'/c^2.  That circular
-dependence is resolved by fixed-point iteration: start from m = m0, solve,
-update m from the eigenvalue, repeat until the mass stops moving.  The
-update contracts fast (the correction is second order in the coupling), so
-plain iteration with a light damping safeguard is enough.
+dependence is resolved by root finding on g(m) = m0 + E'(m)/c^2 - m: start
+from m = m0, take one plain step m <- m0 + E'(m)/c^2, then secant steps
+built from the last two iterates until the mass stops moving.  Each step
+costs one eigenpair.  The first is found by index (the state with k nodes
+is eigenpair k of the tridiagonal operator); later ones refine the previous
+eigenvector by shifted inverse iteration, since one mass step changes the
+operator only slightly.
 
 Mode dictionary, writing msum = m0 + m, U for the vector part and S for
 the scalar part:
@@ -37,6 +40,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .core import (
     CoulombPart,
@@ -234,34 +238,70 @@ def _rayleigh_quotient(op: DiscretizedOperator, u: np.ndarray) -> float:
     return (kinetic + potential) / norm
 
 
-def inner_eigensolve(op: DiscretizedOperator, node_target: int) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair whose eigenvector has node_target interior nodes.
+def _checked_pair(
+    op: DiscretizedOperator, u: np.ndarray, node_target: int
+) -> tuple[float, np.ndarray]:
+    """Polish a candidate eigenvector of the node_target-node bound state.
 
-    Returns (E', u) with u normalized to sum(u^2) = 1 and its first
-    significant entry positive; E' is polished with a compensated Rayleigh
-    quotient so repeated solves at nearby potentials differ smoothly.
-    Raises StateNotFound when no such bound (E' < 0) state sits among the
-    lowest node_target + 4 eigenpairs.
+    Raises StateNotFound unless u has node_target interior nodes and a
+    negative Rayleigh quotient; otherwise returns (E', u) with u normalized
+    to sum(u^2) = 1 and its first significant entry positive.
+    """
+    nodes = _count_sign_changes(u)
+    if nodes != node_target:
+        raise StateNotFound(f"eigenpair {node_target} has {nodes} nodes, not {node_target}")
+    u = u / math.sqrt(float(np.sum(u ** 2)))
+    first = np.flatnonzero(np.abs(u) > 1e-9 * np.abs(u).max())[0]
+    if u[first] < 0:
+        u = -u
+    e = _rayleigh_quotient(op, u)
+    if e >= 0.0:
+        raise StateNotFound(f"the state with {node_target} nodes is not bound (E' = {e:.6g})")
+    return e, u
+
+
+def inner_eigensolve(op: DiscretizedOperator, node_target: int) -> tuple[float, np.ndarray]:
+    """Eigenpair of the bound state with node_target interior nodes.
+
+    The off-diagonal of the operator is negative, so by Sturm-sequence
+    theory eigenpair number node_target (counting from the lowest) is the
+    state with node_target nodes; only that pair is computed, and the node
+    count is checked rather than searched for.  Returns (E', u) with u
+    normalized to sum(u^2) = 1 and its first significant entry positive;
+    E' is polished with a compensated Rayleigh quotient so repeated solves
+    at nearby potentials differ smoothly.  Raises StateNotFound when the
+    grid has no such pair, its node count is off, or it is not bound
+    (E' >= 0).
     """
     n = op.diag.size
-    want = min(node_target + 4, n)
-    vals, vecs = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, want - 1))
-    for idx in range(vals.size):
-        u = vecs[:, idx]
-        if _count_sign_changes(u) != node_target:
-            continue
-        if vals[idx] >= 0.0:
-            raise StateNotFound(
-                f"the state with {node_target} nodes is not bound (E' = {vals[idx]:.6g})"
-            )
-        u = u / math.sqrt(float(np.sum(u ** 2)))
-        first = np.flatnonzero(np.abs(u) > 1e-9 * np.abs(u).max())[0]
-        if u[first] < 0:
-            u = -u
-        return _rayleigh_quotient(op, u), u
-    raise StateNotFound(
-        f"no eigenvector with {node_target} nodes among the lowest {want} eigenpairs"
+    if node_target >= n:
+        raise StateNotFound(f"a grid of {n} points holds no state with {node_target} nodes")
+    _, vecs = eigh_tridiagonal(
+        op.diag, op.offdiag, select="i", select_range=(node_target, node_target)
     )
+    return _checked_pair(op, vecs[:, 0], node_target)
+
+
+def _refine_eigenpair(
+    op: DiscretizedOperator, node_target: int, u: np.ndarray, shift: float
+) -> tuple[float, np.ndarray] | None:
+    """Two sweeps of inverse iteration on (T - shift) from a nearby eigenvector.
+
+    Returns the pair as inner_eigensolve would, or None when a tridiagonal
+    solve is singular or the result fails one of inner_eigensolve's checks,
+    in which case the caller solves from scratch.
+    """
+    d = op.diag - shift
+    for _ in range(2):
+        _, _, _, x, info = dgtsv(op.offdiag, d, op.offdiag, u[:, None])
+        norm = float(np.linalg.norm(x))
+        if info != 0 or not math.isfinite(norm):
+            return None
+        u = x[:, 0] / norm
+    try:
+        return _checked_pair(op, u, node_target)
+    except StateNotFound:
+        return None
 
 
 def default_solver_grid(
@@ -315,11 +355,16 @@ def solve_self_consistent(
     """Solve the requested state, iterating the system mass to a fixed point.
 
     The Schrodinger mode has no mass feedback and returns after a single
-    inner solve with residual 0.  Relativistic modes iterate
-    m <- m0 + E'(m)/c^2 from m = m0, damping the step by half whenever the
-    mass residual fails to shrink, until |dm|/m0 < sc_tolerance or
-    max_sc_iters is exhausted (NoConvergence, reporting the last residuals).
-    With with_trace=True the per-iteration residual history is returned
+    inner solve with residual 0.  Relativistic modes look for the root of
+    g(m) = m0 + E'(m)/c^2 - m from m = m0: a plain step m <- m + g(m)
+    first, then secant steps through the last two iterates.  A secant step
+    is replaced by the plain step when the previous step did not shrink
+    |g| or when it would leave m0 + m <= 0.  The iteration stops once
+    |g|/m0 < sc_tolerance, or raises NoConvergence (reporting the last
+    residuals) after max_sc_iters.  From the second iteration on, the
+    eigenpair is refined from the previous one (see _refine_eigenpair),
+    falling back to inner_eigensolve when that fails.  With
+    with_trace=True the per-iteration residual history |g|/m0 is returned
     alongside the state.
     """
     qn = QuantumNumbers(n=req.n, l=req.l)
@@ -336,10 +381,10 @@ def solve_self_consistent(
     s_origin = singular_exponent(req.mode, req.potential, p, req.l)
 
     m = p.rest_mass
+    m_prev = g_prev = None
     trace: list[float] = []
-    prev_resid = math.inf
     e = 0.0
-    u = np.zeros(grid.n_points)
+    u = None
     iterations = 0
     residual = 0.0
     max_iters = 1 if req.mode is SolveMode.SCHRODINGER else req.max_sc_iters
@@ -347,23 +392,26 @@ def solve_self_consistent(
     for k in range(1, max_iters + 1):
         A, v_eff = effective_radial_equation(req.mode, req.potential, p, m, req.l)
         op = discretize_operator(A, v_eff, grid, _mass_parameter(req.mode, p, m), s_origin)
-        e, u = inner_eigensolve(op, node_target)
+        pair = _refine_eigenpair(op, node_target, u, e) if u is not None else None
+        e, u = pair if pair is not None else inner_eigensolve(op, node_target)
         iterations = k
         if req.mode is SolveMode.SCHRODINGER:
             residual = 0.0
             converged = True
             break
-        m_new = p.rest_mass + e / p.c ** 2
-        residual = abs(m_new - m) / p.rest_mass
+        g = p.rest_mass + e / p.c ** 2 - m
+        residual = abs(g) / p.rest_mass
         trace.append(residual)
         if residual < req.sc_tolerance:
             converged = True
             break
-        if k >= 2 and residual >= prev_resid:
-            m = m + 0.5 * (m_new - m)
-        else:
-            m = m_new
-        prev_resid = residual
+        step = g
+        if g_prev is not None and abs(g) < abs(g_prev):
+            secant = -g * (m - m_prev) / (g - g_prev)
+            if p.rest_mass + m + secant > 0.0:
+                step = secant
+        m_prev, g_prev = m, g
+        m = m + step
     if not converged:
         raise NoConvergence(
             f"system mass not stationary after {max_iters} iterations; "

@@ -119,6 +119,27 @@ class TestOutputPlumbing:
         assert exc.value.code == 2
 
 
+class TestBadValuesExit2:
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--alpha", "nan"),
+        ("spectrum", "--z", "0"),
+        ("solve", "--rest-mass", "inf"),
+        ("wavefunction", "--rmax", "-5"),
+        ("solve", "--potential", "hulthen", "--lambda", "-1"),
+        ("solve", "--tol", "nan"),
+        ("solve", "--tol", "inf"),
+        ("solve", "--tol", "0"),
+        ("convergence", "--tol", "-1"),
+        ("spectrum", "--n-max", "0"),
+        ("convergence", "--sizes", "1,2,3"),
+        ("lorentz", "--e", "nan"),
+    ], ids=" ".join)
+    def test_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("kgbound: config error:")
+
+
 class TestConfigFile:
     def test_layering_and_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.ini"

@@ -11,6 +11,7 @@ from kgbound.errors import NoConvergence, StateNotFound, UnsupportedCombination
 from kgbound.solver import (
     SolveMode,
     SolveRequest,
+    _refine_eigenpair,
     convergence_study,
     default_solver_grid,
     discretize_operator,
@@ -157,6 +158,33 @@ class TestInnerEigensolve:
         first_big = u[np.flatnonzero(np.abs(u) > 1e-8 * np.abs(u).max())[0]]
         assert first_big > 0
 
+    def test_node_target_beyond_grid(self):
+        grid = RadialGrid.uniform(10.0, 5)
+        A, v_eff = effective_radial_equation(
+            SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, P_03.rest_mass, 0)
+        op = discretize_operator(A, v_eff, grid, 2.0 * P_03.rest_mass, 0.9)
+        for node_target in (5, 8):
+            with pytest.raises(StateNotFound):
+                inner_eigensolve(op, node_target)
+        with pytest.raises(StateNotFound):
+            solve_self_consistent(
+                SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.coulomb(),
+                             n=9, l=0, grid=grid), P_03)
+
+    def test_refinement_rejects_the_wrong_state(self):
+        # inverse iteration shifted onto the ground state cannot pass as the
+        # one-node state; the caller then solves from scratch
+        grid = RadialGrid.uniform(40.0 * P_01.bohr_radius(), 2000)
+        A, v_eff = effective_radial_equation(
+            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0)
+        op = discretize_operator(A, v_eff, grid, 2.0 * P_01.rest_mass, 1.0)
+        e0, _ = inner_eigensolve(op, 0)
+        e1, u1 = inner_eigensolve(op, 1)
+        assert _refine_eigenpair(op, 1, u1, e0) is None
+        e, u = _refine_eigenpair(op, 1, u1, e1)
+        assert e == pytest.approx(e1, rel=1e-12)
+        np.testing.assert_allclose(u, u1, atol=1e-10)
+
     def test_no_bound_state_in_free_potential(self):
         p = P_01
         grid = RadialGrid.uniform(50.0, 500)
@@ -204,6 +232,18 @@ class TestSolveSelfConsistent:
             coulomb_request(P_03, 1, 0, 2000), P_03, with_trace=True)
         assert len(trace) == state.iterations
         assert all(b < a for a, b in zip(trace[1:], trace[2:]))
+
+    def test_secant_update_iteration_count(self):
+        # the damped plain fixed point took 11 iterations here
+        state = solve_self_consistent(coulomb_request(P_03, 1, 0, 2000), P_03)
+        assert state.iterations <= 6
+
+    def test_cold_solves_give_the_same_state(self, monkeypatch):
+        warm = solve_self_consistent(coulomb_request(P_03, 2, 0, 2000), P_03)
+        monkeypatch.setattr("kgbound.solver._refine_eigenpair", lambda *args: None)
+        cold = solve_self_consistent(coulomb_request(P_03, 2, 0, 2000), P_03)
+        assert warm.e_prime == pytest.approx(cold.e_prime, rel=1e-12)
+        assert warm.iterations == cold.iterations
 
     def test_overtight_tolerance_converges_or_raises(self):
         req = coulomb_request(P_03, 1, 0, 2000, sc_tolerance=1e-15)

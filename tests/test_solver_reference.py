@@ -1,0 +1,155 @@
+"""Differential test: the solver against a reference copy of its earlier path.
+
+The reference below is the solver as it was before the hot-path rewrite:
+each iteration scans the lowest node_target + 4 eigenpairs for the one
+with the right node count, and the mass follows the plain fixed point
+m <- m0 + E'(m)/c^2, halving the step whenever the residual fails to
+shrink.  The current solver finds one pair by index, refines it by
+inverse iteration and updates the mass by secant steps; both must land on
+the same state with the same status, including near the supercritical
+bound, near Hulthen unbinding and at large n.
+"""
+import math
+
+import numpy as np
+import pytest
+from scipy.linalg import eigh_tridiagonal
+
+from kgbound.core import PhysicalParams, PotentialSpec, QuantumNumbers, validate_params
+from kgbound.errors import NoConvergence, StateNotFound, UnsupportedCombination
+from kgbound.solver import (
+    SolveMode,
+    SolveRequest,
+    _check_combination,
+    _count_sign_changes,
+    _mass_parameter,
+    _rayleigh_quotient,
+    default_solver_grid,
+    discretize_operator,
+    effective_radial_equation,
+    singular_exponent,
+    solve_self_consistent,
+)
+
+N_POINTS = 1000
+
+
+def reference_eigensolve(op, node_target):
+    n = op.diag.size
+    want = min(node_target + 4, n)
+    vals, vecs = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, want - 1))
+    for idx in range(vals.size):
+        u = vecs[:, idx]
+        if _count_sign_changes(u) != node_target:
+            continue
+        if vals[idx] >= 0.0:
+            raise StateNotFound(f"the state with {node_target} nodes is not bound")
+        u = u / math.sqrt(float(np.sum(u ** 2)))
+        first = np.flatnonzero(np.abs(u) > 1e-9 * np.abs(u).max())[0]
+        if u[first] < 0:
+            u = -u
+        return _rayleigh_quotient(op, u), u
+    raise StateNotFound(f"no eigenvector with {node_target} nodes among the lowest {want}")
+
+
+def reference_solve(req, p):
+    """(E', iterations) by the damped fixed point."""
+    qn = QuantumNumbers(n=req.n, l=req.l)
+    _check_combination(req.mode, req.potential)
+    if req.mode in (SolveMode.KG_VECTOR, SolveMode.KG_SCALAR_VECTOR) and (
+        req.potential.vector_part is not None
+    ):
+        validate_params(p, qn)
+    s_origin = singular_exponent(req.mode, req.potential, p, req.l)
+    m = p.rest_mass
+    prev_resid = math.inf
+    max_iters = 1 if req.mode is SolveMode.SCHRODINGER else req.max_sc_iters
+    for k in range(1, max_iters + 1):
+        A, v_eff = effective_radial_equation(req.mode, req.potential, p, m, req.l)
+        op = discretize_operator(A, v_eff, req.grid, _mass_parameter(req.mode, p, m), s_origin)
+        e, _ = reference_eigensolve(op, qn.radial_nodes)
+        if req.mode is SolveMode.SCHRODINGER:
+            return e, k
+        m_new = p.rest_mass + e / p.c ** 2
+        residual = abs(m_new - m) / p.rest_mass
+        if residual < req.sc_tolerance:
+            return e, k
+        if k >= 2 and residual >= prev_resid:
+            m = m + 0.5 * (m_new - m)
+        else:
+            m = m_new
+        prev_resid = residual
+    raise NoConvergence("reference fixed point did not converge")
+
+
+POTENTIALS = {
+    "coulomb": PotentialSpec.coulomb,
+    "hulthen": PotentialSpec.hulthen,
+    "equal-coulomb": PotentialSpec.equal_coulomb,
+    "equal-hulthen": PotentialSpec.equal_hulthen,
+    "free": PotentialSpec,
+}
+
+
+def build(name, lam):
+    return POTENTIALS[name](lam) if name.endswith("hulthen") else POTENTIALS[name]()
+
+
+def cases():
+    # every mode/potential pair the CLI accepts, at a strong coupling
+    for mode in SolveMode:
+        for pot in POTENTIALS:
+            for n, l in ((1, 0), (2, 0), (2, 1), (3, 1)):
+                yield mode, pot, 0.2, 0.3, n, l
+    # Zalpha close to the l = 0 supercritical bound 1/2
+    for za in (0.45, 0.49):
+        for n in (1, 2, 3):
+            yield SolveMode.KG_VECTOR, "coulomb", 0.2, za, n, 0
+    # Hulthen states just bound and just unbound: n = 2 unbinds at lam = 0.5
+    # in the single-strength modes and n = 2, 3 at lam = 1, 4/9 in kg-equal
+    for lam in (0.45, 0.55, 0.9):
+        for mode, pot in (
+            (SolveMode.SCHRODINGER, "hulthen"),
+            (SolveMode.KG_VECTOR, "hulthen"),
+            (SolveMode.KG_SCALAR_VECTOR, "equal-hulthen"),
+            (SolveMode.KG_EQUAL, "equal-hulthen"),
+        ):
+            for n, l in ((1, 0), (2, 0), (2, 1), (3, 0)):
+                yield mode, pot, lam, 0.1, n, l
+    # large n
+    for za in (0.1, 0.3):
+        for l in (0, 4, 7):
+            yield SolveMode.KG_VECTOR, "coulomb", 0.2, za, 8, l
+
+
+CASES = list(cases())
+
+
+def outcome(solve):
+    try:
+        return "ok", solve()
+    except (StateNotFound, UnsupportedCombination) as exc:
+        return type(exc).__name__, None
+
+
+@pytest.mark.parametrize(
+    "mode,pot,lam,za,n,l",
+    CASES,
+    ids=[f"{c[0].value}-{c[1]}-lam{c[2]}-za{c[3]}-{c[4]}{c[5]}" for c in CASES],
+)
+def test_matches_reference_path(mode, pot, lam, za, n, l):
+    p = PhysicalParams(alpha=za)
+    potential = build(pot, lam)
+    grid = default_solver_grid(mode, potential, p, n, l, n_points=N_POINTS)
+    req = SolveRequest(mode=mode, potential=potential, n=n, l=l, grid=grid)
+    ref_status, ref = outcome(lambda: reference_solve(req, p))
+    status, got = outcome(lambda: solve_self_consistent(req, p, with_trace=True))
+    assert status == ref_status
+    if status != "ok":
+        return
+    e_ref, iters_ref = ref
+    state, trace = got
+    assert abs(state.e_prime - e_ref) <= 1e-10 * abs(e_ref)
+    assert len(trace) == (0 if mode is SolveMode.SCHRODINGER else state.iterations)
+    assert all(b < a for a, b in zip(trace[1:], trace[2:]))
+    assert state.iterations <= iters_ref
