@@ -30,8 +30,8 @@ def main() -> None:
           f"final residual {state.residual:.1e}")
     print(f"  E'(numeric, single grid) = {state.e_prime:.12e}")
     print(f"  E'(closed form)          = {ref.e_prime:.12e}")
-    print("  the single-grid value carries the h^2 discretization error;")
-    print("  refinement below removes it\n")
+    print("  the single-grid value carries the discretization error;")
+    print("  refinement below reduces it\n")
 
     study = convergence_study(req, p, grid_sizes=(1000, 2000, 4000, 8000))
     print(f"Grid study over one fixed box (r_max = {study.r_max:.1f}):")
@@ -46,8 +46,10 @@ def main() -> None:
     print(f"\n  best estimate     {best:.15e}")
     print(f"  closed form       {ref.e_prime:.15e}")
     print(f"  relative mismatch {abs(best - ref.e_prime) / abs(ref.e_prime):.2e}")
-    print("  observed orders sit at 2, matching the stencil; each halving")
-    print("  of the step buys a factor 4, and extrapolation buys the rest")
+    print("  observed orders sit below 2: at l = 0 the origin power r^s has")
+    print("  s < 1, which the stencil resolves at a lower order (see the")
+    print("  README's numerical notes), so order-2 extrapolation leaves the")
+    print("  mismatch above")
 
 
 if __name__ == "__main__":

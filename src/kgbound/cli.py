@@ -369,8 +369,10 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"unknown potential {cfg.potential!r}")
     if min(cfg.grid_n, *cfg.sizes) < 16:
         raise ConfigError("grid sizes must be at least 16")
-    if cfg.samples < 2:
-        raise ConfigError("samples must be at least 2")
+    if len(set(cfg.sizes)) != len(cfg.sizes):
+        raise ConfigError("grid sizes must be distinct")
+    if cfg.samples < 3:
+        raise ConfigError("samples must be at least 3")
 
 
 def _build_potential(cfg: RunConfig) -> PotentialSpec:

@@ -29,6 +29,11 @@ holds entrywise in floating point, not just analytically.  The vector
 Coulomb U^2 term merges with the centrifugal barrier into an effective
 index l(l+1) - Z^2 alpha^2, which is why those modes inherit the
 supercritical-coupling bound Z alpha < l + 1/2.
+
+scipy is imported inside the functions that call it, so importing this
+module loads numpy only: eigh_tridiagonal below forwards to
+scipy.linalg.eigh_tridiagonal, imported on the first cold eigensolve, and
+_refine_eigenpair imports LAPACK dgtsv from scipy.linalg.lapack.
 """
 
 from __future__ import annotations
@@ -39,8 +44,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
 
 from .core import (
     CoulombPart,
@@ -260,6 +263,13 @@ def _checked_pair(
     return e, u
 
 
+def eigh_tridiagonal(*args, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, imported on the first cold eigensolve."""
+    import scipy.linalg
+
+    return scipy.linalg.eigh_tridiagonal(*args, **kwargs)
+
+
 def inner_eigensolve(op: DiscretizedOperator, node_target: int) -> tuple[float, np.ndarray]:
     """Eigenpair of the bound state with node_target interior nodes.
 
@@ -291,6 +301,8 @@ def _refine_eigenpair(
     solve is singular or the result fails one of inner_eigensolve's checks,
     in which case the caller solves from scratch.
     """
+    from scipy.linalg.lapack import dgtsv
+
     d = op.diag - shift
     for _ in range(2):
         _, _, _, x, info = dgtsv(op.offdiag, d, op.offdiag, u[:, None])
@@ -325,8 +337,10 @@ def default_solver_grid(
     (s = 2 when both channels act), asking for exp(-34) tail suppression;
     a floor of 10 screening lengths keeps shallow states resolvable.  An
     unbound estimate (kappa <= 0) falls back to a wide probe grid and lets
-    the eigensolver report StateNotFound.
+    the eigensolver report StateNotFound.  Raises InvalidQuantumNumbers for
+    an (n, l) that names no state, before n sizes the box.
     """
+    QuantumNumbers(n=n, l=l)
     if r_max is None:
         screened = [
             part

@@ -28,6 +28,11 @@ with the system mass m in the prefactor.  For a stationary psi_nlm only the
 azimuthal component survives, J_phi = 2*hbar*m_q*|psi|^2/((m0+m) r sin(theta)),
 and its divergence vanishes; both facts are checked numerically on a
 product grid (log radii, Gauss-Legendre colatitudes, uniform azimuths).
+
+scipy is imported only inside the two functions that need it: normalize
+(scipy.integrate.simpson) and spherical_harmonic (scipy.special.lpmv,
+reached by sample_state and the current checks).  Radial wavefunctions
+are built with numpy alone.
 """
 
 from __future__ import annotations
@@ -37,8 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import simpson
-from scipy.special import lpmv
 
 from .core import PhysicalParams, QuantumNumbers, RadialGrid, validate_params
 from .coulomb import energy_level, sigma_closed, system_mass
@@ -172,6 +175,8 @@ def normalize(grid: RadialGrid, samples: np.ndarray) -> float:
     requires the samples, as u = r*R, to have decayed below 1e-12 of their
     peak at the last grid point.
     """
+    from scipy.integrate import simpson
+
     r = grid.points
     samples = np.asarray(samples, dtype=float)
     if samples.shape != r.shape:
@@ -273,6 +278,8 @@ class SphericalHarmonic:
 
 def spherical_harmonic(l: int, m: int, theta, phi):
     """Y_lm(theta, phi), complex, Condon-Shortley phase."""
+    from scipy.special import lpmv
+
     if l < 0 or abs(m) > l:
         raise InvalidQuantumNumbers(f"need |m| <= l, l >= 0; got l={l}, m={m}")
     theta = np.asarray(theta, dtype=float)

@@ -1,9 +1,13 @@
 """Command-line interface: output formats, config layering, exit codes."""
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgbound import cli
 from kgbound.coulomb import energy_level
@@ -132,6 +136,8 @@ class TestBadValuesExit2:
         ("convergence", "--tol", "-1"),
         ("spectrum", "--n-max", "0"),
         ("convergence", "--sizes", "1,2,3"),
+        ("convergence", "--sizes", "100,100,200"),
+        ("wavefunction", "--samples", "2"),
         ("lorentz", "--e", "nan"),
     ], ids=" ".join)
     def test_config_error(self, capsys, argv):
@@ -224,6 +230,13 @@ class TestSolve:
         assert rows[0]["status"] == "ok"
         assert int(rows[0]["iterations"]) <= 20
 
+    def test_invalid_state_reported_per_row(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--states", "0,0; 1,0",
+                                 "--grid-n", "400")
+        assert code == 0 and err == ""
+        _, _, rows = parse_csv(out)
+        assert [r["status"] for r in rows] == ["InvalidQuantumNumbers", "ok"]
+
     def test_bad_mode_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--mode", "kg-tensor")
         assert code == 2
@@ -306,3 +319,68 @@ class TestConvergenceCommand:
         assert rows[1]["observed_order"] == ""
         assert 1.5 < float(rows[2]["observed_order"]) < 2.5
         assert float(meta["r_max"]) > 0
+
+    def test_invalid_state_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "convergence", "--n", "0",
+                                 "--sizes", "16,32,64")
+        assert code == 3 and out == ""
+        assert "InvalidQuantumNumbers" in err
+
+
+# argv fuzz vocabulary: each run gives some flags small valid values and at
+# most one flag a bad value, so most runs get past the config layer
+_BAD = ("nan", "inf", "-1", "0", "1e400", "abc", "")
+_SMALL_FLOATS = ("0.05", "0.3", "0.6", "1", "2")
+_FUZZ_VALUES = {
+    "--n": ("1", "2", "3"),
+    "--l": ("0", "1", "2"),
+    "--states": ("1,0", "2,1; 1,0", "3,0; 3,2", "0,0", "2,2", "1", "a,b"),
+    "--mode": ("schrodinger", "kg-vector", "kg-scalar-vector", "kg-equal"),
+    "--potential": ("coulomb", "hulthen", "equal-coulomb", "equal-hulthen", "free"),
+    "--format": ("csv", "json"),
+    # flags that size the work, capped and always given, so that no run
+    # falls back to the large defaults (8000 grid points, 2000 samples)
+    "--grid-n": ("16", "100", "400"),
+    "--samples": ("2", "3", "50", "200"),
+    "--n-max": ("1", "2", "4"),
+    "--sizes": ("16,32,64", "100,200,400", "400,100,200", "100,100,200", "16,32"),
+}
+_FUZZ_SIZES = ("--grid-n", "--samples", "--n-max", "--sizes")
+_FUZZ_FLAGS = {
+    "spectrum": ("--n-max", "--states"),
+    "wavefunction": ("--n", "--l", "--samples", "--rmax"),
+    "solve": ("--n", "--l", "--states", "--mode", "--potential", "--lambda",
+              "--grid-n", "--rmax", "--tol"),
+    "compare": ("--n-max", "--states", "--grid-n", "--tol"),
+    "lorentz": ("--e", "--px", "--py", "--pz", "--u", "--u-prime", "--beta"),
+    "convergence": ("--n", "--l", "--mode", "--potential", "--lambda", "--sizes",
+                    "--rmax", "--tol"),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    flags = [
+        flag
+        for flag in ("--z", "--alpha", "--rest-mass", "--format") + _FUZZ_FLAGS[command]
+        if flag in _FUZZ_SIZES or draw(st.booleans())
+    ]
+    bad = draw(st.sampled_from(flags)) if flags and draw(st.booleans()) else None
+    argv = [command]
+    for flag in flags:
+        values = _BAD if flag == bad else _FUZZ_VALUES.get(flag, _SMALL_FLOATS)
+        argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzz_argv())
+def test_argv_fuzz_exits_with_a_documented_code(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())

@@ -1,0 +1,64 @@
+"""Cold start: scipy loads only when a command reaches numerical code.
+
+Each test runs the CLI in a fresh interpreter, since scipy modules loaded
+by other tests in this process would hide what a real invocation loads.
+"""
+import json
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# run main() on each argv given as JSON, then report exit codes and scipy modules
+_PROBE = """
+import contextlib, io, json, sys
+import kgbound, kgbound.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(kgbound.cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def run_fresh(*argvs):
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    return report["codes"], set(report["scipy"])
+
+
+def test_import_loads_no_scipy():
+    codes, scipy = run_fresh()
+    assert codes == [] and scipy == set()
+
+
+def test_closed_form_commands_and_error_exits_load_no_scipy():
+    codes, scipy = run_fresh(
+        ["spectrum"],
+        ["lorentz"],
+        ["wavefunction", "--samples", "50"],
+        ["spectrum", "--alpha", "0.9"],
+        ["solve", "--mode", "bogus"],
+    )
+    assert codes == [0, 0, 0, 3, 2]
+    assert scipy == set()
+
+
+def test_solve_loads_linalg_only():
+    codes, scipy = run_fresh(["solve", "--grid-n", "400"])
+    assert codes == [0]
+    assert "scipy.linalg" in scipy
+    for name in ("scipy.integrate", "scipy.special"):
+        assert not any(m == name or m.startswith(name + ".") for m in scipy), name

@@ -5,12 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kgbound import solver
 from kgbound.core import PhysicalParams, PotentialSpec, RadialGrid
 from kgbound.coulomb import energy_level
-from kgbound.errors import NoConvergence, StateNotFound, UnsupportedCombination
+from kgbound.errors import (
+    InvalidQuantumNumbers,
+    NoConvergence,
+    StateNotFound,
+    UnsupportedCombination,
+)
 from kgbound.solver import (
     SolveMode,
     SolveRequest,
+    _count_sign_changes,
     _refine_eigenpair,
     convergence_study,
     default_solver_grid,
@@ -131,6 +138,26 @@ class TestDiscretizeOperator:
         assert shift[-1] < 1e-6 * shift[0]
 
 
+class TestCountSignChanges:
+    # entries with |u| <= 1e-9 * max|u| are dropped before signs are compared
+    def test_flips_below_the_cut_are_not_nodes(self):
+        u = np.array([0.3, 2.0, 0.5, 1.8e-9, -1.8e-9, 1.8e-9, 0.2, 0.1])
+        assert _count_sign_changes(u) == 0
+
+    def test_flips_just_above_the_cut_are_nodes(self):
+        u = np.array([0.3, 2.0, 0.5, 2.2e-9, -2.2e-9, 2.2e-9, 0.2, 0.1])
+        assert _count_sign_changes(u) == 2
+        assert _count_sign_changes(np.array([0.3, 2.0, 0.5, -2.2e-9, 1e-12, 0.1])) == 2
+
+    def test_flips_only_in_the_tail(self):
+        # a nodeless bulk whose decayed tail alternates at rounding level
+        r = np.linspace(0.01, 40.0, 400)
+        u = r * np.exp(-r)
+        u[-50:] = 1e-12 * (-1.0) ** np.arange(50)
+        assert np.count_nonzero(np.diff(np.sign(u))) == 49
+        assert _count_sign_changes(u) == 0
+
+
 class TestInnerEigensolve:
     def test_schrodinger_hydrogen_levels(self):
         p = P_01
@@ -184,6 +211,29 @@ class TestInnerEigensolve:
         e, u = _refine_eigenpair(op, 1, u1, e1)
         assert e == pytest.approx(e1, rel=1e-12)
         np.testing.assert_allclose(u, u1, atol=1e-10)
+
+    def test_cold_solve_goes_through_the_module_level_eigensolver(self, monkeypatch):
+        # outside tooling (perfbench/tracer.py) wraps solver.eigh_tridiagonal
+        # by name; every cold eigensolve must look it up there
+        calls = []
+        original = solver.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "eigh_tridiagonal", counting)
+        grid = RadialGrid.uniform(40.0 * P_01.bohr_radius(), 2000)
+        A, v_eff = effective_radial_equation(
+            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0)
+        op = discretize_operator(A, v_eff, grid, 2.0 * P_01.rest_mass, 1.0)
+        inner_eigensolve(op, 1)
+        assert len(calls) == 1
+        assert calls[0]["select"] == "i" and calls[0]["select_range"] == (1, 1)
+
+        calls.clear()
+        solve_self_consistent(coulomb_request(P_03, 1, 0, 2000), P_03)
+        assert len(calls) == 1  # later iterations refine the first pair
 
     def test_no_bound_state_in_free_potential(self):
         p = P_01
@@ -342,6 +392,12 @@ class TestGridsAndStudies:
             n_points=500, r_max=77.0)
         assert grid.points[-1] + grid.step == pytest.approx(77.0, rel=1e-12)
         assert grid.n_points == 500
+
+    def test_invalid_state_rejected_before_sizing(self):
+        for pot in (PotentialSpec.coulomb(), PotentialSpec.hulthen(0.2)):
+            for n, l in ((0, 0), (1, 1), (2, -1)):
+                with pytest.raises(InvalidQuantumNumbers):
+                    default_solver_grid(SolveMode.KG_VECTOR, pot, P_03, n, l)
 
     def test_screened_box_scales_inversely_with_lam(self):
         g1 = default_solver_grid(
