@@ -193,7 +193,7 @@ _COMMON_KEYS = frozenset({"z", "alpha", "rest_mass", "c", "hbar", "out", "format
 _SECTION_KEYS = {
     "common": _COMMON_KEYS,
     "spectrum": _COMMON_KEYS | {"n_max", "states"},
-    "wavefunction": _COMMON_KEYS | {"n", "l", "samples", "rmax", "grid_n"},
+    "wavefunction": _COMMON_KEYS | {"n", "l", "samples", "rmax"},
     "solve": _COMMON_KEYS
     | {"n", "l", "states", "mode", "potential", "lambda", "grid_n", "rmax", "tol"},
     "compare": _COMMON_KEYS | {"n_max", "states", "grid_n", "tol"},

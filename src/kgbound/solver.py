@@ -10,9 +10,12 @@ dependence is resolved by root finding on g(m) = m0 + E'(m)/c^2 - m: start
 from m = m0, take one plain step m <- m0 + E'(m)/c^2, then secant steps
 built from the last two iterates until the mass stops moving.  Each step
 costs one eigenpair.  The first is found by index (the state with k nodes
-is eigenpair k of the tridiagonal operator); later ones refine the previous
+is eigenpair k of the tridiagonal operator), on grids of 2000 points or
+more by way of a grid eight times coarser whose eigenvector is refined on
+the fine grid (see _coarse_start); later ones refine the previous
 eigenvector by shifted inverse iteration, since one mass step changes the
-operator only slightly.
+operator only slightly.  The origin correction of the stencil depends
+only on the grid and the exponent s, so a solve computes it once.
 
 Mode dictionary, writing msum = m0 + m, U for the vector part and S for
 the scalar part:
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -202,14 +205,19 @@ def discretize_operator(
     kin = A / h ** 2
     diag = 2.0 * kin + v_eff(grid.points)
     if singular_index is not None:
-        s = singular_index
-        i = np.arange(1, grid.n_points + 1, dtype=float)
-        stencil_error = ((i + 1.0) ** s - 2.0 * i ** s + (i - 1.0) ** s) / i ** s - s * (
-            s - 1.0
-        ) / i ** 2
-        diag = diag + kin * stencil_error
+        diag = diag + kin * _stencil_error(singular_index, grid.n_points)
     offdiag = np.full(grid.n_points - 1, -kin)
     return DiscretizedOperator(diag=diag, offdiag=offdiag, mass_parameter=mass_parameter, grid=grid)
+
+
+def _stencil_error(s: float, n: int) -> np.ndarray:
+    """Error of the unit-step stencil on r^s at indices 1..n, relative to r^s.
+
+    discretize_operator adds kin times this to the diagonal.  It depends
+    only on (s, n), so a solve computes it once for all its iterations.
+    """
+    i = np.arange(1, n + 1, dtype=float)
+    return ((i + 1.0) ** s - 2.0 * i ** s + (i - 1.0) ** s) / i ** s - s * (s - 1.0) / i ** 2
 
 
 def _count_sign_changes(u: np.ndarray) -> int:
@@ -227,17 +235,16 @@ def _rayleigh_quotient(op: DiscretizedOperator, u: np.ndarray) -> float:
     default tolerance on fine grids.  Rewriting the kinetic part of the
     quadratic as kin * (u_1^2 + u_N^2 + sum (u_{i+1}-u_i)^2) makes every
     summand small (the summed magnitudes are of binding-energy scale, not
-    kinetic scale), and math.fsum adds them without accumulation error, so
-    the quotient is smooth in the operator at the ~1e-13 level.
+    kinetic scale), and numpy's pairwise summation adds them with an error
+    of O(eps log N) relative to that scale, so the quotient is smooth in
+    the operator at the ~1e-14 level.
     """
     kin = -float(op.offdiag[0])
     v = op.diag - 2.0 * kin  # recovers the potential as rounded into diag
     diff = np.diff(u)
-    kinetic = kin * (
-        float(u[0]) ** 2 + float(u[-1]) ** 2 + math.fsum((diff * diff).tolist())
-    )
-    potential = math.fsum((v * u * u).tolist())
-    norm = math.fsum((u * u).tolist())
+    kinetic = kin * (float(u[0]) ** 2 + float(u[-1]) ** 2 + float(np.sum(diff * diff)))
+    potential = float(np.sum(v * u * u))
+    norm = float(np.sum(u * u))
     return (kinetic + potential) / norm
 
 
@@ -278,7 +285,7 @@ def inner_eigensolve(op: DiscretizedOperator, node_target: int) -> tuple[float, 
     state with node_target nodes; only that pair is computed, and the node
     count is checked rather than searched for.  Returns (E', u) with u
     normalized to sum(u^2) = 1 and its first significant entry positive;
-    E' is polished with a compensated Rayleigh quotient so repeated solves
+    E' is polished with a difference-form Rayleigh quotient so repeated solves
     at nearby potentials differ smoothly.  Raises StateNotFound when the
     grid has no such pair, its node count is off, or it is not bound
     (E' >= 0).
@@ -314,6 +321,64 @@ def _refine_eigenpair(
         return _checked_pair(op, u, node_target)
     except StateNotFound:
         return None
+
+
+# Fine grids of at least this many points take their first eigenpair from a
+# grid _COARSE_FACTOR times coarser (see _coarse_start), refined at most
+# _COARSE_REFINES times.
+_COARSE_START_POINTS = 2000
+_COARSE_FACTOR = 8
+_COARSE_REFINES = 3
+
+
+def _residual_norm(op: DiscretizedOperator, e: float, u: np.ndarray) -> float:
+    """||(T - e) u|| in units of the kinetic scale kin = A/h^2."""
+    r = (op.diag - e) * u
+    r[:-1] += op.offdiag * u[1:]
+    r[1:] += op.offdiag * u[:-1]
+    return float(np.linalg.norm(r)) / -float(op.offdiag[0])
+
+
+def _coarse_start(
+    op: DiscretizedOperator,
+    node_target: int,
+    A: float,
+    v_eff: Callable[[np.ndarray], np.ndarray],
+    singular_index: float,
+) -> tuple[float, np.ndarray] | None:
+    """First eigenpair of op, started from the same equation on a coarser grid.
+
+    The operator for A and v_eff on a grid _COARSE_FACTOR times coarser over
+    the same box is solved by index, so bisection runs on N/8 points
+    instead of N.  Its eigenvector, interpolated onto op's grid, is refined
+    by _refine_eigenpair with the coarse E' as shift, then with each
+    refined E', until ||(T - E')u|| / kin is at most eps * sqrt(N).  A
+    direct eigensolve leaves at most ~0.1 eps * sqrt(N) there (measured
+    for N = 2000..200000), so the accepted pair is as converged as the one
+    bisection on the fine grid would give.  One refinement usually does
+    it; a shallow state, whose coarse E' can be off by more than the
+    level spacing, takes more.  Returns None when the coarse grid holds no
+    such bound state, a refined pair fails a check or the residual is
+    still above that floor after _COARSE_REFINES refinements; the caller
+    then solves op from scratch.
+    """
+    fine = op.grid
+    coarse = RadialGrid.uniform((fine.n_points + 1) * fine.step, fine.n_points // _COARSE_FACTOR)
+    coarse_op = discretize_operator(A, v_eff, coarse, op.mass_parameter, singular_index)
+    try:
+        e, u = inner_eigensolve(coarse_op, node_target)
+    except StateNotFound:
+        return None
+    u = np.interp(fine.points, coarse.points, u)
+    floor = np.finfo(float).eps * math.sqrt(fine.n_points)
+    for _ in range(_COARSE_REFINES):
+        pair = _refine_eigenpair(op, node_target, u, e)
+        if pair is None:
+            return None
+        e, u = pair
+        if _residual_norm(op, e, u) <= floor:
+            return pair
+    return None
 
 
 def default_solver_grid(
@@ -375,11 +440,12 @@ def solve_self_consistent(
     is replaced by the plain step when the previous step did not shrink
     |g| or when it would leave m0 + m <= 0.  The iteration stops once
     |g|/m0 < sc_tolerance, or raises NoConvergence (reporting the last
-    residuals) after max_sc_iters.  From the second iteration on, the
-    eigenpair is refined from the previous one (see _refine_eigenpair),
-    falling back to inner_eigensolve when that fails.  With
-    with_trace=True the per-iteration residual history |g|/m0 is returned
-    alongside the state.
+    residuals) after max_sc_iters.  The first eigenpair comes from a
+    coarser grid when the grid is large (see _coarse_start), and from the
+    second iteration on it is refined from the previous one (see
+    _refine_eigenpair); either falls back to inner_eigensolve when it
+    fails.  With with_trace=True the per-iteration residual history |g|/m0
+    is returned alongside the state.
     """
     qn = QuantumNumbers(n=req.n, l=req.l)
     _check_combination(req.mode, req.potential)
@@ -393,6 +459,7 @@ def solve_self_consistent(
     )
     node_target = qn.radial_nodes
     s_origin = singular_exponent(req.mode, req.potential, p, req.l)
+    stencil_error = _stencil_error(s_origin, grid.n_points)
 
     m = p.rest_mass
     m_prev = g_prev = None
@@ -405,8 +472,14 @@ def solve_self_consistent(
     converged = False
     for k in range(1, max_iters + 1):
         A, v_eff = effective_radial_equation(req.mode, req.potential, p, m, req.l)
-        op = discretize_operator(A, v_eff, grid, _mass_parameter(req.mode, p, m), s_origin)
-        pair = _refine_eigenpair(op, node_target, u, e) if u is not None else None
+        op = discretize_operator(A, v_eff, grid, _mass_parameter(req.mode, p, m))
+        op = replace(op, diag=op.diag + (A / grid.step ** 2) * stencil_error)
+        if u is not None:
+            pair = _refine_eigenpair(op, node_target, u, e)
+        elif grid.n_points >= _COARSE_START_POINTS:
+            pair = _coarse_start(op, node_target, A, v_eff, s_origin)
+        else:
+            pair = None
         e, u = pair if pair is not None else inner_eigensolve(op, node_target)
         iterations = k
         if req.mode is SolveMode.SCHRODINGER:

@@ -176,6 +176,14 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "spectrum", "--config", str(cfg))
         assert code == 2 and "max_n" in err
 
+    def test_wavefunction_has_no_grid_key(self, capsys, tmp_path):
+        # wavefunction tabulates the closed form; no solver grid to size
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[wavefunction]\ngrid_n = 10\n")
+        code, out, err = run_cli(capsys, "wavefunction", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "unknown key 'grid_n' in section [wavefunction]" in err
+
     def test_unknown_section_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[spectral]\nn_max = 2\n")

@@ -219,7 +219,7 @@ class TestInnerEigensolve:
         original = solver.eigh_tridiagonal
 
         def counting(*args, **kwargs):
-            calls.append(kwargs)
+            calls.append((args, kwargs))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(solver, "eigh_tridiagonal", counting)
@@ -229,11 +229,14 @@ class TestInnerEigensolve:
         op = discretize_operator(A, v_eff, grid, 2.0 * P_01.rest_mass, 1.0)
         inner_eigensolve(op, 1)
         assert len(calls) == 1
-        assert calls[0]["select"] == "i" and calls[0]["select_range"] == (1, 1)
+        assert calls[0][1]["select"] == "i" and calls[0][1]["select_range"] == (1, 1)
 
-        calls.clear()
-        solve_self_consistent(coulomb_request(P_03, 1, 0, 2000), P_03)
-        assert len(calls) == 1  # later iterations refine the first pair
+        # a solve bisects once, on the coarse start grid of N // 8 points;
+        # every later eigenpair is refined on the fine grid
+        for n_points in (2000, 8000):
+            calls.clear()
+            solve_self_consistent(coulomb_request(P_03, 1, 0, n_points), P_03)
+            assert [call[0][0].size for call in calls] == [n_points // 8]
 
     def test_no_bound_state_in_free_potential(self):
         p = P_01
@@ -307,6 +310,42 @@ class TestSolveSelfConsistent:
         with pytest.raises(NoConvergence):
             solve_self_consistent(
                 coulomb_request(P_03, 1, 0, 1000, max_sc_iters=1), P_03)
+
+
+def fsum_rayleigh_quotient(op, u):
+    """The difference-form quotient summed exactly with math.fsum."""
+    kin = -float(op.offdiag[0])
+    v = op.diag - 2.0 * kin
+    diff = np.diff(u)
+    kinetic = kin * (
+        float(u[0]) ** 2 + float(u[-1]) ** 2 + math.fsum((diff * diff).tolist()))
+    potential = math.fsum((v * u * u).tolist())
+    norm = math.fsum((u * u).tolist())
+    return (kinetic + potential) / norm
+
+
+class TestRayleighQuotient:
+    @pytest.mark.parametrize("n_points,n,l", [
+        (8000, 1, 0), (8000, 2, 0), (8000, 2, 1), (8000, 4, 3),
+        (200000, 1, 0), (200000, 2, 1),
+    ])
+    def test_pairwise_sum_matches_exact_sum(self, n_points, n, l):
+        req = coulomb_request(P_03, n, l, n_points)
+        state = solve_self_consistent(req, P_03)
+        m = state.system_mass
+        A, v_eff = effective_radial_equation(req.mode, req.potential, P_03, m, l)
+        op = discretize_operator(A, v_eff, req.grid, P_03.rest_mass + m,
+                                 singular_exponent(req.mode, req.potential, P_03, l))
+        u = state.radial_samples[1] * math.sqrt(req.grid.step)
+        exact = fsum_rayleigh_quotient(op, u)
+        assert abs(solver._rayleigh_quotient(op, u) - exact) <= 1e-14 * abs(exact)
+
+    def test_tight_tolerance_iteration_count(self):
+        # the quotient must stay smooth in the mass down to ~1e-14, or the
+        # secant steps stall before the residual reaches the tolerance
+        state = solve_self_consistent(
+            coulomb_request(P_03, 1, 0, 64000, sc_tolerance=1e-14), P_03)
+        assert state.iterations == 7
 
 
 class TestEqualModeReduction:

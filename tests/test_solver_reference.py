@@ -1,4 +1,4 @@
-"""Differential test: the solver against a reference copy of its earlier path.
+"""Differential tests: the solver against reference copies of earlier paths.
 
 The reference below is the solver as it was before the hot-path rewrite:
 each iteration scans the lowest node_target + 4 eigenpairs for the one
@@ -8,6 +8,10 @@ shrink.  The current solver finds one pair by index, refines it by
 inverse iteration and updates the mass by secant steps; both must land on
 the same state with the same status, including near the supercritical
 bound, near Hulthen unbinding and at large n.
+
+On grids of 2000 points or more the first eigenpair comes from a grid
+eight times coarser, refined on the fine grid; over the same cases at
+N = 4000 that start must give what a direct first eigensolve gives.
 """
 import math
 
@@ -15,6 +19,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from kgbound import solver
 from kgbound.core import PhysicalParams, PotentialSpec, QuantumNumbers, validate_params
 from kgbound.errors import NoConvergence, StateNotFound, UnsupportedCombination
 from kgbound.solver import (
@@ -153,3 +158,38 @@ def test_matches_reference_path(mode, pot, lam, za, n, l):
     assert len(trace) == (0 if mode is SolveMode.SCHRODINGER else state.iterations)
     assert all(b < a for a, b in zip(trace[1:], trace[2:]))
     assert state.iterations <= iters_ref
+
+
+COARSE_START_N = 4000
+
+
+@pytest.mark.parametrize(
+    "mode,pot,lam,za,n,l",
+    CASES,
+    ids=[f"{c[0].value}-{c[1]}-lam{c[2]}-za{c[3]}-{c[4]}{c[5]}" for c in CASES],
+)
+def test_coarse_start_matches_direct_first_solve(monkeypatch, mode, pot, lam, za, n, l):
+    p = PhysicalParams(alpha=za)
+    potential = build(pot, lam)
+    grid = default_solver_grid(mode, potential, p, n, l, n_points=COARSE_START_N)
+    req = SolveRequest(mode=mode, potential=potential, n=n, l=l, grid=grid)
+    accepted = []
+    coarse_start = solver._coarse_start
+
+    def recording(*args):
+        pair = coarse_start(*args)
+        accepted.append(pair is not None)
+        return pair
+
+    monkeypatch.setattr(solver, "_coarse_start", recording)
+    status, got = outcome(lambda: solve_self_consistent(req, p))
+    monkeypatch.setattr(solver, "_coarse_start", lambda *args: None)
+    ref_status, ref = outcome(lambda: solve_self_consistent(req, p))
+    assert status == ref_status
+    if status != "ok":
+        return
+    assert abs(got.e_prime - ref.e_prime) <= 1e-12 * abs(ref.e_prime)
+    assert got.iterations == ref.iterations
+    if pot.endswith("coulomb"):
+        # only shallow Hulthen states may fall back to the direct solve
+        assert accepted == [True]
