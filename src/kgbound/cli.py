@@ -1,7 +1,10 @@
 """Command-line front end: tables and plot-ready data files.
 
 Subcommands: spectrum, wavefunction, solve, compare, lorentz, convergence.
-Settings merge in fixed precedence order
+Every setting is one entry of the `_SETTINGS` table, which gives its
+config key, parser, commands and flag help; the subcommand flags, the
+keys each config section accepts and the flag merge are all built from
+it.  Settings merge in fixed precedence order
 
     built-in defaults < [common] config section < [<command>] section < flags,
 
@@ -9,9 +12,7 @@ with strict parsing: an unknown config key or section is an error, never
 silently ignored.  Output goes to stdout or --out as CSV (12 significant
 digits) or JSON (17 significant digits, {"meta": ..., "rows": ...}); the
 files carry no timestamps, so identical configurations produce
-byte-identical bytes.  Independent per-state solves run in a thread pool
-sized by KGBOUND_THREADS (0 or unset picks the CPU count); row order is
-fixed by sorting, not completion order.
+byte-identical bytes.  Rows come out in (n, l) order.
 
 Exit codes: 0 success, 2 configuration error, 3 physics-domain error
 (supercritical coupling, invalid state, unbound, unsupported mode/channel
@@ -27,10 +28,9 @@ import configparser
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -80,7 +80,24 @@ _NUMERICAL_ERRORS = (
     DegenerateRecurrence,
 )
 
-_COMMANDS = ("spectrum", "wavefunction", "solve", "compare", "lorentz", "convergence")
+# command -> subcommand help
+_COMMANDS = {
+    "spectrum": "closed-form level table",
+    "wavefunction": "tabulate one radial wavefunction",
+    "solve": "numerical eigensolve, one row per state",
+    "compare": "closed form vs numeric vs Schrodinger",
+    "lorentz": "boost a character state",
+    "convergence": "grid-refinement study for one state",
+}
+
+# potential name -> PotentialSpec built from the screening parameter lambda
+_POTENTIALS: dict[str, Callable[[float], PotentialSpec]] = {
+    "coulomb": lambda lam: PotentialSpec.coulomb(),
+    "hulthen": PotentialSpec.hulthen,
+    "equal-coulomb": lambda lam: PotentialSpec.equal_coulomb(),
+    "equal-hulthen": PotentialSpec.equal_hulthen,
+    "free": lambda lam: PotentialSpec(),
+}
 
 
 @dataclass
@@ -146,6 +163,8 @@ def _parse_states(text: str) -> tuple[tuple[int, int], ...]:
             raise ConfigError(f"state {chunk!r} is not an integer pair") from exc
     if not out:
         raise ConfigError("states list is empty")
+    if len(set(out)) != len(out):
+        raise ConfigError("states must be distinct")
     return tuple(out)
 
 
@@ -159,59 +178,75 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-# key name -> (attribute, parser); shared by config files and flag merging
-_KEY_PARSERS = {
-    "z": ("z", float),
-    "alpha": ("alpha", float),
-    "rest_mass": ("rest_mass", float),
-    "c": ("c", float),
-    "hbar": ("hbar", float),
-    "n": ("n", int),
-    "l": ("l", int),
-    "n_max": ("n_max", int),
-    "states": ("states", _parse_states),
-    "mode": ("mode", str),
-    "potential": ("potential", str),
-    "lambda": ("lam", float),
-    "grid_n": ("grid_n", int),
-    "rmax": ("rmax", float),
-    "tol": ("tol", float),
-    "sizes": ("sizes", _parse_sizes),
-    "samples": ("samples", int),
-    "e": ("e", float),
-    "px": ("px", float),
-    "py": ("py", float),
-    "pz": ("pz", float),
-    "u": ("u", float),
-    "u_prime": ("u_prime", float),
-    "beta": ("beta", float),
-    "out": ("out", str),
-    "format": ("format", str),
-}
+def _one_of(key: str, choices) -> Callable[[str], str]:
+    """Parser that accepts exactly one of `choices`."""
 
-_COMMON_KEYS = frozenset({"z", "alpha", "rest_mass", "c", "hbar", "out", "format"})
-_SECTION_KEYS = {
-    "common": _COMMON_KEYS,
-    "spectrum": _COMMON_KEYS | {"n_max", "states"},
-    "wavefunction": _COMMON_KEYS | {"n", "l", "samples", "rmax"},
-    "solve": _COMMON_KEYS
-    | {"n", "l", "states", "mode", "potential", "lambda", "grid_n", "rmax", "tol"},
-    "compare": _COMMON_KEYS | {"n_max", "states", "grid_n", "tol"},
-    "lorentz": _COMMON_KEYS | {"e", "px", "py", "pz", "u", "u_prime", "beta"},
-    "convergence": _COMMON_KEYS
-    | {"n", "l", "mode", "potential", "lambda", "sizes", "rmax", "tol"},
-}
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ConfigError(f"unknown {key} {text!r}; choose from {', '.join(choices)}")
+        return text
+
+    return parse
 
 
-def _apply_key(cfg: RunConfig, key: str, raw: str, where: str) -> None:
-    attr, parse = _KEY_PARSERS[key]
-    try:
-        value = parse(raw)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: bad value {raw!r} for key {key!r}") from exc
-    setattr(cfg, attr, value)
+@dataclass(frozen=True)
+class _Setting:
+    """One settable value: config key, parser, commands and flag help."""
+
+    key: str
+    parse: Callable[[str], object]
+    commands: tuple[str, ...]  # ("common",): read by every command
+    help: str | None  # None: config file only, no flag
+    attr: str | None = None  # RunConfig attribute, when it is not the key
+
+    @property
+    def dest(self) -> str:
+        return self.attr or self.key
+
+
+_COMMON = ("common",)
+_ONE_STATE = ("wavefunction", "solve", "convergence")
+_SOLVERS = ("solve", "convergence")
+_MODES = tuple(m.value for m in SolveMode)
+
+# The flags of each subcommand follow this order, after --config.
+_SETTINGS = (
+    _Setting("z", float, _COMMON, "charge number Z"),
+    _Setting("alpha", float, _COMMON, "coupling constant alpha"),
+    _Setting("rest_mass", float, _COMMON, "rest mass m0"),
+    _Setting("c", float, _COMMON, None),
+    _Setting("hbar", float, _COMMON, None),
+    _Setting("out", str, _COMMON, "output file path (default: stdout)"),
+    _Setting("format", _one_of("format", ("csv", "json")), _COMMON, "output format: csv | json"),
+    _Setting("n", int, _ONE_STATE, "principal quantum number"),
+    _Setting("l", int, _ONE_STATE, "orbital quantum number"),
+    _Setting("n_max", int, ("spectrum", "compare"), "largest principal quantum number"),
+    _Setting(
+        "states", _parse_states, ("spectrum", "solve", "compare"), 'explicit states "n,l; n,l; ..."'
+    ),
+    _Setting("mode", _one_of("mode", _MODES), _SOLVERS, " | ".join(_MODES)),
+    _Setting("potential", _one_of("potential", _POTENTIALS), _SOLVERS, " | ".join(_POTENTIALS)),
+    _Setting("lambda", float, _SOLVERS, "screening parameter (units 1/a0)", attr="lam"),
+    _Setting("grid_n", int, ("solve", "compare"), "grid points (compare: the fine grid)"),
+    _Setting("sizes", _parse_sizes, ("convergence",), 'grid sizes "2000,4000,8000"'),
+    _Setting("samples", int, ("wavefunction",), "number of radial samples"),
+    _Setting("rmax", float, _ONE_STATE, "radial extent override"),
+    _Setting("tol", float, ("solve", "compare", "convergence"), "self-consistency tolerance"),
+    _Setting("e", float, ("lorentz",), "total energy E"),
+    _Setting("px", float, ("lorentz",), "momentum x component"),
+    _Setting("py", float, ("lorentz",), "momentum y component"),
+    _Setting("pz", float, ("lorentz",), "momentum z component"),
+    _Setting("u", float, ("lorentz",), "potential value U in the source frame"),
+    _Setting("u_prime", float, ("lorentz",), "potential value in the target frame"),
+    _Setting("beta", float, ("lorentz",), "boost speed v/c"),
+)
+
+
+def _section_settings(section: str) -> dict[str, _Setting]:
+    """Settings a config section accepts; for a command, also its flags."""
+    return {
+        s.key: s for s in _SETTINGS if "common" in s.commands or section in s.commands
+    }
 
 
 def _load_config_file(cfg: RunConfig, path: str) -> None:
@@ -224,28 +259,29 @@ def _load_config_file(cfg: RunConfig, path: str) -> None:
     except configparser.Error as exc:
         raise ConfigError(f"config file {path} is malformed: {exc}") from exc
 
+    # Every section is checked; only [common] and the active command's
+    # section are applied, in that order.
+    known = ("common", *_COMMANDS)
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in known:
             raise ConfigError(
-                f"{path}: unknown section [{section}]; known: {', '.join(sorted(_SECTION_KEYS))}"
+                f"{path}: unknown section [{section}]; known: {', '.join(sorted(known))}"
             )
-    # [common] first, then the section for the active command; sections for
-    # other commands are validated but not applied.
-    for section in ("common", cfg.command):
-        if not parser.has_section(section):
-            continue
-        allowed = _SECTION_KEYS[section]
-        for key, raw in parser.items(section):
-            if key not in allowed:
-                raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
-            _apply_key(cfg, key, raw, f"{path} [{section}]")
-    for section in parser.sections():
-        if section in ("common", cfg.command):
-            continue
-        allowed = _SECTION_KEYS[section]
+        allowed = _section_settings(section)
         for key, _raw in parser.items(section):
             if key not in allowed:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
+    for section in ("common", cfg.command):
+        if not parser.has_section(section):
+            continue
+        settings = _section_settings(section)
+        for key, raw in parser.items(section):
+            setting = settings[key]
+            try:
+                value = setting.parse(raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path} [{section}]: bad value {raw!r} for key {key!r}") from exc
+            setattr(cfg, setting.dest, value)
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -255,69 +291,14 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=f"kgbound {__version__}")
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
-
-    def common(sp: argparse.ArgumentParser) -> None:
+    for command, help_text in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", help="config file (sections [common] and [<command>])")
-        sp.add_argument("--z", type=float, help="charge number Z")
-        sp.add_argument("--alpha", type=float, help="coupling constant alpha")
-        sp.add_argument("--rest-mass", dest="rest_mass", type=float, help="rest mass m0")
-        sp.add_argument("--out", help="output file path (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), help="output format")
-
-    sp = sub.add_parser("spectrum", help="closed-form level table")
-    common(sp)
-    sp.add_argument("--n-max", dest="n_max", type=int, help="largest principal quantum number")
-    sp.add_argument("--states", type=str, help='explicit states "n,l; n,l; ..."')
-
-    sp = sub.add_parser("wavefunction", help="tabulate one radial wavefunction")
-    common(sp)
-    sp.add_argument("--n", type=int, help="principal quantum number")
-    sp.add_argument("--l", type=int, help="orbital quantum number")
-    sp.add_argument("--samples", type=int, help="number of radial samples")
-    sp.add_argument("--rmax", type=float, help="tabulation extent")
-
-    sp = sub.add_parser("solve", help="numerical eigensolve, one row per state")
-    common(sp)
-    sp.add_argument("--n", type=int, help="principal quantum number")
-    sp.add_argument("--l", type=int, help="orbital quantum number")
-    sp.add_argument("--states", type=str, help='explicit states "n,l; n,l; ..."')
-    sp.add_argument("--mode", type=str, help="schrodinger | kg-vector | kg-scalar-vector | kg-equal")
-    sp.add_argument(
-        "--potential", type=str, help="coulomb | hulthen | equal-coulomb | equal-hulthen | free"
-    )
-    sp.add_argument("--lambda", dest="lam", type=float, help="screening parameter (units 1/a0)")
-    sp.add_argument("--grid-n", dest="grid_n", type=int, help="grid points")
-    sp.add_argument("--rmax", type=float, help="grid extent override")
-    sp.add_argument("--tol", type=float, help="self-consistency tolerance")
-
-    sp = sub.add_parser("compare", help="closed form vs numeric vs Schrodinger")
-    common(sp)
-    sp.add_argument("--n-max", dest="n_max", type=int, help="largest principal quantum number")
-    sp.add_argument("--states", type=str, help='explicit states "n,l; n,l; ..."')
-    sp.add_argument("--grid-n", dest="grid_n", type=int, help="fine grid points")
-    sp.add_argument("--tol", type=float, help="self-consistency tolerance")
-
-    sp = sub.add_parser("lorentz", help="boost a character state")
-    common(sp)
-    sp.add_argument("--e", type=float, help="total energy E")
-    sp.add_argument("--px", type=float, help="momentum x component")
-    sp.add_argument("--py", type=float, help="momentum y component")
-    sp.add_argument("--pz", type=float, help="momentum z component")
-    sp.add_argument("--u", type=float, help="potential value U in the source frame")
-    sp.add_argument("--u-prime", dest="u_prime", type=float, help="potential value in the target frame")
-    sp.add_argument("--beta", type=float, help="boost speed v/c")
-
-    sp = sub.add_parser("convergence", help="grid-refinement study for one state")
-    common(sp)
-    sp.add_argument("--n", type=int, help="principal quantum number")
-    sp.add_argument("--l", type=int, help="orbital quantum number")
-    sp.add_argument("--mode", type=str, help="solver mode")
-    sp.add_argument("--potential", type=str, help="potential name")
-    sp.add_argument("--lambda", dest="lam", type=float, help="screening parameter (units 1/a0)")
-    sp.add_argument("--sizes", type=str, help='grid sizes "2000,4000,8000"')
-    sp.add_argument("--rmax", type=float, help="grid extent override")
-    sp.add_argument("--tol", type=float, help="self-consistency tolerance")
-
+        # parsers raise ConfigError for bad lists and names; argparse lets it through
+        for s in _section_settings(command).values():
+            if s.help is not None:
+                flag = "--" + s.key.replace("_", "-")
+                sp.add_argument(flag, dest=s.dest, type=s.parse, help=s.help)
     return top
 
 
@@ -325,18 +306,12 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
     """Parse flags and config file into a merged RunConfig."""
     args = _build_arg_parser().parse_args(argv)
     cfg = RunConfig(command=args.command)
-    if getattr(args, "config", None):
+    if args.config:
         _load_config_file(cfg, args.config)
-    flag_names = {f.name for f in fields(RunConfig)} - {"command"}
-    for name in flag_names:
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if name == "states" and isinstance(value, str):
-            value = _parse_states(value)
-        if name == "sizes" and isinstance(value, str):
-            value = _parse_sizes(value)
-        setattr(cfg, name, value)
+    for s in _section_settings(cfg.command).values():
+        value = getattr(args, s.dest, None)
+        if value is not None:
+            setattr(cfg, s.dest, value)
     _validate_config(cfg)
     return cfg
 
@@ -355,58 +330,12 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be positive, not {value!r}")
     if cfg.n_max < 1:
         raise ConfigError("n_max must be at least 1")
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, not {cfg.format!r}")
-    if cfg.command in ("solve", "convergence"):
-        try:
-            SolveMode(cfg.mode)
-        except ValueError as exc:
-            raise ConfigError(
-                f"unknown mode {cfg.mode!r}; choose from "
-                + ", ".join(m.value for m in SolveMode)
-            ) from exc
-        if cfg.potential not in ("coulomb", "hulthen", "equal-coulomb", "equal-hulthen", "free"):
-            raise ConfigError(f"unknown potential {cfg.potential!r}")
     if min(cfg.grid_n, *cfg.sizes) < 16:
         raise ConfigError("grid sizes must be at least 16")
     if len(set(cfg.sizes)) != len(cfg.sizes):
         raise ConfigError("grid sizes must be distinct")
     if cfg.samples < 3:
         raise ConfigError("samples must be at least 3")
-
-
-def _build_potential(cfg: RunConfig) -> PotentialSpec:
-    name = cfg.potential
-    if name == "coulomb":
-        return PotentialSpec.coulomb()
-    if name == "hulthen":
-        return PotentialSpec.hulthen(cfg.lam)
-    if name == "equal-coulomb":
-        return PotentialSpec.equal_coulomb()
-    if name == "equal-hulthen":
-        return PotentialSpec.equal_hulthen(cfg.lam)
-    if name == "free":
-        return PotentialSpec()
-    raise ConfigError(f"unknown potential {name!r}")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("KGBOUND_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"KGBOUND_THREADS must be an integer, not {raw!r}") from exc
-    if value < 0:
-        raise ConfigError("KGBOUND_THREADS must be >= 0")
-    return value if value > 0 else (os.cpu_count() or 1)
-
-
-def _map_states(func, states):
-    """func over states, threaded when it helps; order follows the input."""
-    if len(states) <= 1 or _thread_count() == 1:
-        return [func(s) for s in states]
-    with ThreadPoolExecutor(max_workers=min(_thread_count(), len(states))) as pool:
-        return list(pool.map(func, states))
 
 
 def _all_states(n_max: int) -> tuple[tuple[int, int], ...]:
@@ -450,8 +379,7 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[dict, list[dict]]:
             "closed_minus_expansion": abs(b.e_total - expansion),
         }
 
-    rows = _map_states(one, _requested_states(cfg))
-    rows.sort(key=lambda r: (r["n"], r["l"]))
+    rows = [one(state) for state in _requested_states(cfg)]
     return _common_meta(cfg), rows
 
 
@@ -490,7 +418,7 @@ def cmd_wavefunction(cfg: RunConfig) -> tuple[dict, list[dict]]:
 def cmd_solve(cfg: RunConfig) -> tuple[dict, list[dict]]:
     p = cfg.physical_params()
     mode = SolveMode(cfg.mode)
-    potential = _build_potential(cfg)
+    potential = _POTENTIALS[cfg.potential](cfg.lam)
     states = cfg.states if cfg.states is not None else ((cfg.n, cfg.l),)
     states = tuple(sorted(states))
 
@@ -537,8 +465,7 @@ def cmd_solve(cfg: RunConfig) -> tuple[dict, list[dict]]:
         )
         return row
 
-    rows = _map_states(one, states)
-    rows.sort(key=lambda r: (r["n"], r["l"]))
+    rows = [one(state) for state in states]
     meta = _common_meta(cfg)
     meta.update({"mode": mode.value, "potential": cfg.potential, "grid_n": cfg.grid_n})
     if cfg.potential in ("hulthen", "equal-hulthen"):
@@ -585,8 +512,7 @@ def cmd_compare(cfg: RunConfig) -> tuple[dict, list[dict]]:
             "delta_kg_schrodinger": abs(closed - schrodinger) / abs(schrodinger),
         }
 
-    rows = _map_states(one, _requested_states(cfg))
-    rows.sort(key=lambda r: (r["n"], r["l"]))
+    rows = [one(state) for state in _requested_states(cfg)]
     meta = _common_meta(cfg)
     meta.update({"grid_n": cfg.grid_n, "energies": "binding sector E' (rest energy excluded)"})
     return meta, rows
@@ -628,7 +554,7 @@ def cmd_lorentz(cfg: RunConfig) -> tuple[dict, list[dict]]:
 def cmd_convergence(cfg: RunConfig) -> tuple[dict, list[dict]]:
     p = cfg.physical_params()
     mode = SolveMode(cfg.mode)
-    potential = _build_potential(cfg)
+    potential = _POTENTIALS[cfg.potential](cfg.lam)
     grid = (
         RadialGrid.uniform(cfg.rmax, max(cfg.sizes)) if cfg.rmax is not None else None
     )

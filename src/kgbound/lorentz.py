@@ -95,13 +95,12 @@ def boost_forward(s: CharacterState, b: BoostSpec, u_prime: float = 0.0) -> Char
 
 
 def boost_backward(s: CharacterState, b: BoostSpec, u: float = 0.0) -> CharacterState:
-    """Inverse of boost_forward: back from K' to K, with K's potential value u."""
-    g = b.gamma
-    w = s.shifted_energy
-    px, py, pz = s.p
-    px_new = g * px + g * (b.v / b.c ** 2) * w
-    w_new = g * w + g * b.v * px
-    return CharacterState(e_total=w_new + u, p=(px_new, py, pz), u_potential=u)
+    """Inverse of boost_forward: back from K' to K, with K's potential value u.
+
+    The same boost with -v; negating v only flips the sign of each term,
+    so this is exact.
+    """
+    return boost_forward(s, BoostSpec(v=-b.v, c=b.c), u_prime=u)
 
 
 def invariant_mass_sq(s: CharacterState, c: float = 1.0) -> float:

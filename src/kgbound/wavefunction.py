@@ -55,7 +55,6 @@ __all__ = [
     "radial_ode_residual",
     "reference_residual_grid",
     "count_radial_nodes",
-    "SphericalHarmonic",
     "spherical_harmonic",
     "SphericalGrid3D",
     "current_check_grid",
@@ -261,23 +260,8 @@ def count_radial_nodes(R: RadialWavefunction) -> int:
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-@dataclass(frozen=True)
-class SphericalHarmonic:
-    """Orthonormal Y_lm with the exp(i m phi) azimuthal convention."""
-
-    l: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.l < 0 or abs(self.m) > self.l:
-            raise InvalidQuantumNumbers(f"need |m| <= l, l >= 0; got l={self.l}, m={self.m}")
-
-    def evaluate(self, theta, phi):
-        return spherical_harmonic(self.l, self.m, theta, phi)
-
-
 def spherical_harmonic(l: int, m: int, theta, phi):
-    """Y_lm(theta, phi), complex, Condon-Shortley phase."""
+    """Orthonormal Y_lm(theta, phi), complex: exp(i m phi), Condon-Shortley phase."""
     from scipy.special import lpmv
 
     if l < 0 or abs(m) > l:

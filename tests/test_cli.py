@@ -1,7 +1,10 @@
 """Command-line interface: output formats, config layering, exit codes."""
+import argparse
 import io
 import json
 import math
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -90,19 +93,6 @@ class TestOutputPlumbing:
         _, out2, _ = run_cli(capsys, "spectrum", "--n-max", "3")
         assert out1 == out2
 
-    def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
-        monkeypatch.setenv("KGBOUND_THREADS", "1")
-        _, out1, _ = run_cli(capsys, "spectrum", "--n-max", "3")
-        monkeypatch.setenv("KGBOUND_THREADS", "3")
-        _, out2, _ = run_cli(capsys, "spectrum", "--n-max", "3")
-        assert out1 == out2
-
-    def test_bad_thread_env_is_config_error(self, capsys, monkeypatch):
-        # needs more than one state: a single row never consults the pool
-        monkeypatch.setenv("KGBOUND_THREADS", "many")
-        code, _, err = run_cli(capsys, "spectrum", "--n-max", "2")
-        assert code == 2 and "KGBOUND_THREADS" in err
-
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "spec.csv"
         code, out, _ = run_cli(capsys, "spectrum", "--n-max", "1",
@@ -139,6 +129,8 @@ class TestBadValuesExit2:
         ("convergence", "--sizes", "100,100,200"),
         ("wavefunction", "--samples", "2"),
         ("lorentz", "--e", "nan"),
+        ("spectrum", "--states", "1,0; 1,0"),
+        ("solve", "--states", "2,1; 1,0; 2, 1", "--grid-n", "400"),
     ], ids=" ".join)
     def test_config_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -202,8 +194,9 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "solve", "--config", str(cfg),
                                "--alpha", "0.3")
         assert code == 0
-        _, _, rows = parse_csv(out)
+        meta, _, rows = parse_csv(out)
         assert rows[0]["status"] == "ok"
+        assert float(meta["lambda"]) == 0.5
 
 
 class TestSolve:
@@ -342,7 +335,7 @@ _SMALL_FLOATS = ("0.05", "0.3", "0.6", "1", "2")
 _FUZZ_VALUES = {
     "--n": ("1", "2", "3"),
     "--l": ("0", "1", "2"),
-    "--states": ("1,0", "2,1; 1,0", "3,0; 3,2", "0,0", "2,2", "1", "a,b"),
+    "--states": ("1,0", "2,1; 1,0", "3,0; 3,2", "0,0", "2,2", "1", "a,b", "1,0; 1,0"),
     "--mode": ("schrodinger", "kg-vector", "kg-scalar-vector", "kg-equal"),
     "--potential": ("coulomb", "hulthen", "equal-coulomb", "equal-hulthen", "free"),
     "--format": ("csv", "json"),
@@ -392,3 +385,87 @@ def test_argv_fuzz_exits_with_a_documented_code(argv):
         except SystemExit as exc:  # argparse rejects the flags
             code = exc.code
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
+
+
+def _run_main(argv):
+    """Exit code and stdout of one in-process run; argparse exits count too."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_argv())
+def test_config_section_matches_flags(argv):
+    # the same flag/value pairs as key = value lines in the command's section
+    command, pairs = argv[0], argv[1:]
+    lines = [f"[{command}]"] + [
+        f"{flag[2:].replace('-', '_')} = {value}"
+        for flag, value in zip(pairs[::2], pairs[1::2])
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        from_file = _run_main([command, "--config", path])
+    assert from_file == _run_main(argv), argv
+
+
+# Settable keys, written out so that no setting is added or dropped unseen.
+_FLAGS = {
+    "spectrum": {"--z", "--alpha", "--rest-mass", "--out", "--format", "--n-max", "--states"},
+    "wavefunction": {"--z", "--alpha", "--rest-mass", "--out", "--format",
+                     "--n", "--l", "--samples", "--rmax"},
+    "solve": {"--z", "--alpha", "--rest-mass", "--out", "--format", "--n", "--l", "--states",
+              "--mode", "--potential", "--lambda", "--grid-n", "--rmax", "--tol"},
+    "compare": {"--z", "--alpha", "--rest-mass", "--out", "--format",
+                "--n-max", "--states", "--grid-n", "--tol"},
+    "lorentz": {"--z", "--alpha", "--rest-mass", "--out", "--format",
+                "--e", "--px", "--py", "--pz", "--u", "--u-prime", "--beta"},
+    "convergence": {"--z", "--alpha", "--rest-mass", "--out", "--format", "--n", "--l",
+                    "--mode", "--potential", "--lambda", "--sizes", "--rmax", "--tol"},
+}
+# c and hbar are config-only: every section takes them, no command has a flag
+_CONFIG_KEYS = {
+    "common": {"z", "alpha", "rest_mass", "c", "hbar", "out", "format"},
+    "spectrum": {"z", "alpha", "rest_mass", "c", "hbar", "out", "format", "n_max", "states"},
+    "wavefunction": {"z", "alpha", "rest_mass", "c", "hbar", "out", "format",
+                     "n", "l", "samples", "rmax"},
+    "solve": {"z", "alpha", "rest_mass", "c", "hbar", "out", "format", "n", "l", "states",
+              "mode", "potential", "lambda", "grid_n", "rmax", "tol"},
+    "compare": {"z", "alpha", "rest_mass", "c", "hbar", "out", "format",
+                "n_max", "states", "grid_n", "tol"},
+    "lorentz": {"z", "alpha", "rest_mass", "c", "hbar", "out", "format",
+                "e", "px", "py", "pz", "u", "u_prime", "beta"},
+    "convergence": {"z", "alpha", "rest_mass", "c", "hbar", "out", "format", "n", "l",
+                    "mode", "potential", "lambda", "sizes", "rmax", "tol"},
+}
+
+
+class TestSettableKeys:
+    def test_flags_per_command(self):
+        top = cli._build_arg_parser()
+        sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            cmd: set(sp._option_string_actions) - {"-h", "--help", "--config"}
+            for cmd, sp in sub.choices.items()
+        }
+        assert got == _FLAGS
+
+    def test_config_keys_per_section(self):
+        got = {section: set(cli._section_settings(section)) for section in _CONFIG_KEYS}
+        assert got == _CONFIG_KEYS
+
+    def test_c_and_hbar_are_config_only(self, capsys, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[common]\nc = 2\nhbar = 1\n")
+        code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg), "--n-max", "1")
+        meta, _, _ = parse_csv(out)
+        assert code == 0 and float(meta["c"]) == 2.0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spectrum", "--hbar", "1"])
+        assert exc.value.code == 2
