@@ -288,11 +288,12 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="kgbound",
         description="Relativistic bound-state spectra, wavefunctions, and kinematics.",
+        allow_abbrev=False,
     )
     top.add_argument("--version", action="version", version=f"kgbound {__version__}")
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
     for command, help_text in _COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text)
+        sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
         sp.add_argument("--config", help="config file (sections [common] and [<command>])")
         # parsers raise ConfigError for bad lists and names; argparse lets it through
         for s in _section_settings(command).values():
@@ -360,26 +361,30 @@ def _common_meta(cfg: RunConfig) -> dict:
     }
 
 
+def _screening_meta(cfg: RunConfig) -> dict:
+    """The meta entry for lambda, given only for the screened potentials."""
+    return {"lambda": cfg.lam} if cfg.potential in ("hulthen", "equal-hulthen") else {}
+
+
 def cmd_spectrum(cfg: RunConfig) -> tuple[dict, list[dict]]:
     p = cfg.physical_params()
     rest = p.rest_energy
-
-    def one(state: tuple[int, int]) -> dict:
-        n, l = state
+    rows = []
+    for n, l in _requested_states(cfg):
         b = energy_level(p, n, l)
         expansion = energy_expansion(p, n, l)
-        return {
-            "n": n,
-            "l": l,
-            "sigma_l": sigma_closed(p, l).sigma_l,
-            "e_total_ratio": b.e_total / rest,
-            "e_prime_ratio": b.e_prime / rest,
-            "system_mass_ratio": b.system_mass / p.rest_mass,
-            "expansion_ratio": expansion / rest,
-            "closed_minus_expansion": abs(b.e_total - expansion),
-        }
-
-    rows = [one(state) for state in _requested_states(cfg)]
+        rows.append(
+            {
+                "n": n,
+                "l": l,
+                "sigma_l": sigma_closed(p, l).sigma_l,
+                "e_total_ratio": b.e_total / rest,
+                "e_prime_ratio": b.e_prime / rest,
+                "system_mass_ratio": b.system_mass / p.rest_mass,
+                "expansion_ratio": expansion / rest,
+                "closed_minus_expansion": abs(b.e_total - expansion),
+            }
+        )
     return _common_meta(cfg), rows
 
 
@@ -420,10 +425,8 @@ def cmd_solve(cfg: RunConfig) -> tuple[dict, list[dict]]:
     mode = SolveMode(cfg.mode)
     potential = _POTENTIALS[cfg.potential](cfg.lam)
     states = cfg.states if cfg.states is not None else ((cfg.n, cfg.l),)
-    states = tuple(sorted(states))
-
-    def one(state: tuple[int, int]) -> dict:
-        n, l = state
+    rows = []
+    for n, l in sorted(states):
         row = {
             "mode": mode.value,
             "potential": cfg.potential,
@@ -436,6 +439,7 @@ def cmd_solve(cfg: RunConfig) -> tuple[dict, list[dict]]:
             "node_count": None,
             "status": "ok",
         }
+        rows.append(row)
         try:
             grid = default_solver_grid(
                 mode, potential, p, n, l, n_points=cfg.grid_n, r_max=cfg.rmax
@@ -453,7 +457,7 @@ def cmd_solve(cfg: RunConfig) -> tuple[dict, list[dict]]:
             )
         except (_PHYSICS_ERRORS + _NUMERICAL_ERRORS) as exc:
             row["status"] = type(exc).__name__
-            return row
+            continue
         row.update(
             {
                 "e_prime": b.e_prime,
@@ -463,13 +467,9 @@ def cmd_solve(cfg: RunConfig) -> tuple[dict, list[dict]]:
                 "node_count": b.node_count,
             }
         )
-        return row
-
-    rows = [one(state) for state in states]
     meta = _common_meta(cfg)
     meta.update({"mode": mode.value, "potential": cfg.potential, "grid_n": cfg.grid_n})
-    if cfg.potential in ("hulthen", "equal-hulthen"):
-        meta["lambda"] = cfg.lam
+    meta.update(_screening_meta(cfg))
     return meta, rows
 
 
@@ -478,16 +478,15 @@ def cmd_compare(cfg: RunConfig) -> tuple[dict, list[dict]]:
     p = cfg.physical_params()
     potential = PotentialSpec.coulomb()
     rest = p.rest_energy
-
-    def one(state: tuple[int, int]) -> dict:
-        n, l = state
+    rows = []
+    for n, l in _requested_states(cfg):
         closed = energy_level(p, n, l).e_prime
-        coarse_grid = default_solver_grid(
-            SolveMode.KG_VECTOR, potential, p, n, l, n_points=cfg.grid_n // 2
+        coarse_grid, fine_grid = (
+            default_solver_grid(SolveMode.KG_VECTOR, potential, p, n, l, n_points=size)
+            for size in (cfg.grid_n // 2, cfg.grid_n)
         )
-        fine_grid = default_solver_grid(SolveMode.KG_VECTOR, potential, p, n, l, n_points=cfg.grid_n)
-        def solve(grid: RadialGrid) -> float:
-            return solve_self_consistent(
+        coarse, fine = (
+            solve_self_consistent(
                 SolveRequest(
                     mode=SolveMode.KG_VECTOR,
                     potential=potential,
@@ -498,21 +497,21 @@ def cmd_compare(cfg: RunConfig) -> tuple[dict, list[dict]]:
                 ),
                 p,
             ).e_prime
-
-        ratio = coarse_grid.step / fine_grid.step
-        numeric = richardson_extrapolate(solve(coarse_grid), solve(fine_grid), ratio)
+            for grid in (coarse_grid, fine_grid)
+        )
+        numeric = richardson_extrapolate(coarse, fine, coarse_grid.step / fine_grid.step)
         schrodinger = -p.z_alpha ** 2 * rest / (2.0 * n ** 2)
-        return {
-            "n": n,
-            "l": l,
-            "e_kg_closed": closed,
-            "e_kg_numeric": numeric,
-            "e_schrodinger": schrodinger,
-            "delta_closed_numeric": abs(closed - numeric) / abs(closed),
-            "delta_kg_schrodinger": abs(closed - schrodinger) / abs(schrodinger),
-        }
-
-    rows = [one(state) for state in _requested_states(cfg)]
+        rows.append(
+            {
+                "n": n,
+                "l": l,
+                "e_kg_closed": closed,
+                "e_kg_numeric": numeric,
+                "e_schrodinger": schrodinger,
+                "delta_closed_numeric": abs(closed - numeric) / abs(closed),
+                "delta_kg_schrodinger": abs(closed - schrodinger) / abs(schrodinger),
+            }
+        )
     meta = _common_meta(cfg)
     meta.update({"grid_n": cfg.grid_n, "energies": "binding sector E' (rest energy excluded)"})
     return meta, rows
@@ -578,8 +577,7 @@ def cmd_convergence(cfg: RunConfig) -> tuple[dict, list[dict]]:
             "r_max": study.r_max,
         }
     )
-    if cfg.potential in ("hulthen", "equal-hulthen"):
-        meta["lambda"] = cfg.lam
+    meta.update(_screening_meta(cfg))
     return meta, rows
 
 

@@ -138,6 +138,20 @@ class TestBadValuesExit2:
         assert err.startswith("kgbound: config error:")
 
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--n", "1"),  # would abbreviate --n-max
+        ("spectrum", "--c", "2"),  # would abbreviate --config
+        ("solve", "--grid", "400"),
+        ("--vers",),  # would abbreviate --version
+    ], ids=" ".join)
+    def test_abbreviated_flags_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "kgbound: error:" in captured.err
+
+
 class TestConfigFile:
     def test_layering_and_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.ini"

@@ -1,7 +1,8 @@
 """Cold start: scipy loads only when a command reaches numerical code.
 
-Each test runs the CLI in a fresh interpreter, since scipy modules loaded
-by other tests in this process would hide what a real invocation loads.
+Each test runs the CLI or the library in a fresh interpreter, since scipy
+modules loaded by other tests in this process would hide what a real
+invocation loads.
 """
 import json
 import os
@@ -25,18 +26,42 @@ scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
+# the 3D current diagnostics on a small grid, then the scipy modules loaded
+_CURRENT_PROBE = """
+import json, sys
+from kgbound.core import PhysicalParams
+from kgbound.coulomb import system_mass
+from kgbound.wavefunction import (
+    build_radial, continuity_check, current_check_grid, probability_current, sample_state)
+p = PhysicalParams(alpha=0.3)
+R = build_radial(p, 2, 1)
+grid = current_check_grid(R, n_r=20, n_theta=8, n_phi=8)
+J = probability_current(sample_state(p, R, 1, grid), grid, p, system_mass(p, 2, 1))
+continuity_check(J, grid)
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"scipy": scipy}))
+"""
 
-def run_fresh(*argvs):
+
+def _run_probe(probe, *args):
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", probe, *args],
         env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def run_fresh(*argvs):
+    report = _run_probe(_PROBE, json.dumps(argvs))
     return report["codes"], set(report["scipy"])
+
+
+def _loaded(scipy, name):
+    return any(m == name or m.startswith(name + ".") for m in scipy)
 
 
 def test_import_loads_no_scipy():
@@ -61,4 +86,11 @@ def test_solve_loads_linalg_only():
     assert codes == [0]
     assert "scipy.linalg" in scipy
     for name in ("scipy.integrate", "scipy.special"):
-        assert not any(m == name or m.startswith(name + ".") for m in scipy), name
+        assert not _loaded(scipy, name), name
+
+
+def test_current_diagnostics_load_special_only():
+    scipy = set(_run_probe(_CURRENT_PROBE)["scipy"])
+    assert "scipy.special" in scipy
+    for name in ("scipy.linalg", "scipy.integrate"):
+        assert not _loaded(scipy, name), name

@@ -8,6 +8,7 @@ from kgbound.core import PhysicalParams, QuantumNumbers, RadialGrid
 from kgbound.coulomb import sigma_closed, system_mass
 from kgbound.errors import InvalidQuantumNumbers, TailNotConverged
 from kgbound.wavefunction import (
+    SeparableField,
     build_radial,
     continuity_check,
     count_radial_nodes,
@@ -216,3 +217,149 @@ class TestProbabilityCurrent:
         grid = current_check_grid(R, n_r=10, n_theta=8, n_phi=6)
         psi = sample_state(P_03, R, -2, grid)
         assert psi.shape == grid.shape == (10, 8, 6)
+
+
+def _unit_current_scale(psi, grid, p, m_sys):
+    """max of 2 hbar/(m0 + m) |psi|^2/(r sin theta): J_phi of one unit of m."""
+    pref = 2.0 * p.hbar / (p.rest_mass + m_sys)
+    return pref * float(np.max(np.abs(np.asarray(psi)) ** 2 / (
+        grid.r[:, None, None] * np.sin(grid.theta)[None, :, None])))
+
+
+# (Zalpha, n, l, m, grid shape): every m of l = 0..3 at two couplings, then
+# odd n_phi, the Nyquist mode |m| = n_phi/2 and aliased modes |m| > n_phi/2
+_FACTORED_CASES = (
+    [(za, l + 1, l, m, (30, 10, 16))
+     for za in (0.1, 0.3) for l in range(4) for m in range(-l, l + 1)]
+    + [(0.3, 2, 1, 1, (30, 11, 15)), (0.3, 4, 3, -3, (30, 11, 7))]
+    + [(0.3, 4, 3, m, (30, 10, 6)) for m in (3, -3)]
+    + [(0.3, 4, 3, 3, (30, 10, 4)), (0.3, 3, 2, -2, (30, 10, 3))]
+)
+
+
+class TestFactoredCurrent:
+    """The factored path of a SeparableField against the dense path."""
+
+    @pytest.mark.parametrize("za, n, l, m, shape", _FACTORED_CASES)
+    def test_factored_matches_dense(self, za, n, l, m, shape):
+        p = PhysicalParams(alpha=za)
+        R = build_radial(p, n, l)
+        m_sys = system_mass(p, n, l)
+        grid = current_check_grid(R, *shape)
+        psi = sample_state(p, R, m, grid)
+        factored = probability_current(psi, grid, p, m_sys)
+        dense = probability_current(np.asarray(psi), grid, p, m_sys)
+        assert all(isinstance(c, SeparableField) for c in factored)
+        assert not any(isinstance(c, SeparableField) for c in dense)
+        if m == 0:
+            assert not any(c.any() for c in factored + dense)
+            return
+        # The Nyquist mode's J_phi is rounding noise on both paths, so the
+        # tolerance is set by the current one unit of m would carry.
+        scale = _unit_current_scale(psi, grid, p, m_sys)
+        for a, b in zip(factored, dense):
+            assert a.shape == b.shape == grid.shape
+            assert np.abs(a - b).max() <= 1e-12 * scale
+        if 2 * abs(m) == shape[2]:
+            assert np.abs(factored[2]).max() <= 1e-12 * scale
+        div_f = divergence_field(factored, grid)
+        div_d = divergence_field(dense, grid)
+        assert div_f.shape == div_d.shape == (shape[0] - 4, shape[1] - 2, shape[2])
+        assert np.abs(div_f - div_d).max() <= 1e-10 * scale
+
+    def test_factored_divergence_matches_dense_on_a_nonzero_field(self):
+        # Eigenstate divergences are rounding noise, so the divergence
+        # terms are compared on separable components with a real signal.
+        R = build_radial(P_03, 2, 1)
+        grid = current_check_grid(R, n_r=30, n_theta=10, n_phi=15)
+        s = grid.r / grid.r[-1]
+        th, ph = grid.theta[:, None], grid.phi[None, :]
+        J = (
+            SeparableField(s * np.exp(-s), np.cos(th) * (1.0 + np.sin(ph))),
+            SeparableField(np.exp(-2.0 * s), np.sin(2.0 * th) * np.cos(ph)),
+            SeparableField(s ** 2 * np.exp(-s), np.sin(th) * np.sin(2.0 * ph)),
+        )
+        div_f = divergence_field(J, grid)
+        div_d = divergence_field(tuple(np.asarray(c) for c in J), grid)
+        assert div_f.shape == div_d.shape == (26, 8, 15)
+        assert np.abs(div_f - div_d).max() <= 1e-12 * np.abs(div_d).max()
+
+    def test_mixed_components_take_the_dense_path(self):
+        R = build_radial(P_03, 2, 1)
+        m_sys = system_mass(P_03, 2, 1)
+        grid = current_check_grid(R, n_r=30, n_theta=10, n_phi=16)
+        J = probability_current(sample_state(P_03, R, 1, grid), grid, P_03, m_sys)
+        mixed = (np.asarray(J[0]), J[1], J[2])
+        div = divergence_field(mixed, grid)
+        assert type(div) is np.ndarray
+        np.testing.assert_allclose(
+            div, divergence_field(J, grid), rtol=0, atol=1e-10 * np.abs(J[2]).max())
+
+    def test_tiny_grids_raise_value_error(self):
+        R = build_radial(P_03, 2, 1)
+        m_sys = system_mass(P_03, 2, 1)
+        for shape in ((4, 8, 8), (5, 2, 8), (2, 3, 4)):
+            grid = current_check_grid(R, *shape)
+            psi = sample_state(P_03, R, 1, grid)
+            for field in (psi, np.asarray(psi)):
+                J = probability_current(field, grid, P_03, m_sys)
+                with pytest.raises(ValueError, match="n_r >= 5, n_theta >= 3"):
+                    continuity_check(J, grid)
+        # the smallest grid with an interior works on both paths
+        grid = current_check_grid(R, 5, 3, 1)
+        psi = sample_state(P_03, R, 1, grid)
+        for field in (psi, np.asarray(psi)):
+            J = probability_current(field, grid, P_03, m_sys)
+            assert divergence_field(J, grid).shape == (1, 1, 1)
+
+    def test_components_must_match_the_grid(self):
+        R = build_radial(P_03, 2, 1)
+        grid = current_check_grid(R, n_r=10, n_theta=6, n_phi=8)
+        J = (np.zeros((10, 6, 8)), np.zeros((10, 6, 8)), np.zeros((10, 6, 7)))
+        with pytest.raises(ValueError, match="match the grid"):
+            divergence_field(J, grid)
+
+
+class TestSeparableField:
+    def _psi(self, m=1):
+        R = build_radial(P_03, 3, 2)
+        grid = current_check_grid(R, n_r=12, n_theta=8, n_phi=6)
+        return R, grid, sample_state(P_03, R, m, grid)
+
+    def test_samples_are_the_broadcast_product(self):
+        for m in (-2, 0, 1):
+            R, grid, psi = self._psi(m)
+            radial = np.asarray(R.evaluate(grid.r))
+            angular = np.asarray(spherical_harmonic(
+                2, m, grid.theta[:, None], grid.phi[None, :]))
+            old = radial[:, None, None] * angular[None, :, :]
+            assert psi.dtype == old.dtype and psi.shape == old.shape
+            assert psi.tobytes() == old.tobytes()
+            assert np.array_equal(psi.radial, radial)
+            assert np.array_equal(psi.angular, angular)
+
+    def test_derived_arrays_carry_no_factors(self):
+        _, _, psi = self._psi()
+        for derived in (psi[1:], psi[:, 0], psi.T, psi * 1, np.conj(psi),
+                        psi.imag, psi.copy(), np.asarray(psi)):
+            assert getattr(derived, "radial", None) is None
+            assert getattr(derived, "angular", None) is None
+        assert type(np.asarray(psi)) is np.ndarray
+
+    def test_read_only(self):
+        _, _, psi = self._psi()
+        for target in (psi, psi.radial, psi.angular, psi[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            psi *= 2.0
+        writable = psi * 1
+        writable[0] = 0.0  # a derived field is an ordinary array
+
+    def test_factor_validation(self):
+        with pytest.raises(ValueError):
+            SeparableField(np.ones(3) + 1j, np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            SeparableField(np.ones((3, 1)), np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            SeparableField(np.ones(3), np.ones(2))
