@@ -11,156 +11,25 @@ here; the `kgbound` console script serves the same functionality as
 tables and data files.
 """
 
-from .core import (
-    ALPHA_FS,
-    BoundState,
-    CoulombPart,
-    HulthenPart,
-    PhysicalParams,
-    PotentialSpec,
-    QuantumNumbers,
-    RadialGrid,
-    binding_energy,
-    make_bound_state,
-    validate_params,
-)
-from .coulomb import (
-    DefectValue,
-    energy_expansion,
-    energy_level,
-    sigma_closed,
-    sigma_series,
-    system_mass,
-)
-from .errors import (
-    ConfigError,
-    DegenerateRecurrence,
-    InvalidQuantumNumbers,
-    KGBoundError,
-    NoConvergence,
-    NotBound,
-    PoleError,
-    QuadratureFailure,
-    StateNotFound,
-    SupercriticalCoupling,
-    SuperluminalBoost,
-    TailNotConverged,
-    UnsupportedCombination,
-)
-from .lorentz import (
-    BoostSpec,
-    CharacterState,
-    boost_backward,
-    boost_event,
-    boost_forward,
-    compose_boosts,
-    invariant_mass_sq,
-)
-from .solver import (
-    ConvergenceStudy,
-    DiscretizedOperator,
-    SolveMode,
-    SolveRequest,
-    convergence_study,
-    default_solver_grid,
-    discretize_operator,
-    effective_radial_equation,
-    inner_eigensolve,
-    richardson_extrapolate,
-    solve_self_consistent,
-)
-from .special import (
-    LaguerreRel,
-    eta_product,
-    gamma_fn,
-    laguerre_classical,
-    laguerre_rel,
-    series_coefficient_ratio,
-)
-from .wavefunction import (
-    RadialWavefunction,
-    SphericalGrid3D,
-    build_radial,
-    continuity_check,
-    divergence_field,
-    count_radial_nodes,
-    current_check_grid,
-    normalize,
-    probability_current,
-    radial_ode_residual,
-    reference_residual_grid,
-    sample_state,
-    spherical_harmonic,
-)
+from . import core, coulomb, errors, lorentz, solver, special, wavefunction
+from .core import *  # noqa: F403
+from .coulomb import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .lorentz import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .special import *  # noqa: F403
+from .wavefunction import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
-    "ALPHA_FS",
-    "BoundState",
-    "BoostSpec",
-    "CharacterState",
-    "ConfigError",
-    "ConvergenceStudy",
-    "CoulombPart",
-    "DefectValue",
-    "DegenerateRecurrence",
-    "DiscretizedOperator",
-    "HulthenPart",
-    "InvalidQuantumNumbers",
-    "KGBoundError",
-    "LaguerreRel",
-    "NoConvergence",
-    "NotBound",
-    "PhysicalParams",
-    "PoleError",
-    "PotentialSpec",
-    "QuadratureFailure",
-    "QuantumNumbers",
-    "RadialGrid",
-    "RadialWavefunction",
-    "SolveMode",
-    "SolveRequest",
-    "SphericalGrid3D",
-    "StateNotFound",
-    "SupercriticalCoupling",
-    "SuperluminalBoost",
-    "TailNotConverged",
-    "UnsupportedCombination",
-    "binding_energy",
-    "boost_backward",
-    "boost_event",
-    "boost_forward",
-    "build_radial",
-    "compose_boosts",
-    "continuity_check",
-    "divergence_field",
-    "convergence_study",
-    "count_radial_nodes",
-    "current_check_grid",
-    "default_solver_grid",
-    "discretize_operator",
-    "effective_radial_equation",
-    "energy_expansion",
-    "energy_level",
-    "eta_product",
-    "gamma_fn",
-    "inner_eigensolve",
-    "invariant_mass_sq",
-    "laguerre_classical",
-    "laguerre_rel",
-    "make_bound_state",
-    "normalize",
-    "probability_current",
-    "radial_ode_residual",
-    "reference_residual_grid",
-    "richardson_extrapolate",
-    "sample_state",
-    "sigma_closed",
-    "sigma_series",
-    "solve_self_consistent",
-    "spherical_harmonic",
-    "system_mass",
-    "validate_params",
+    *core.__all__,
+    *coulomb.__all__,
+    *errors.__all__,
+    *lorentz.__all__,
+    *solver.__all__,
+    *special.__all__,
+    *wavefunction.__all__,
     "__version__",
 ]

@@ -14,11 +14,13 @@ digits) or JSON (17 significant digits, {"meta": ..., "rows": ...}); the
 files carry no timestamps, so identical configurations produce
 byte-identical bytes.  Rows come out in (n, l) order.
 
-Exit codes: 0 success, 2 configuration error, 3 physics-domain error
-(supercritical coupling, invalid state, unbound, unsupported mode/channel
-combination, superluminal boost), 4 numerical failure (no convergence,
-quadrature or tail trouble).  The `solve` command instead reports per-state
-failures in a `status` column and exits 0 once the table is written.
+Exit codes: 0 success, 2 configuration error (ConfigError), 3
+physics-domain error (PhysicsError: supercritical coupling, invalid state,
+unbound, unsupported mode/channel combination, superluminal boost), 4
+numerical failure (NumericalError: no convergence, quadrature or tail
+trouble; or float overflow and division by zero, ArithmeticError).  The
+`solve` command instead reports per-state failures in a `status` column
+and exits 0 once the table is written.
 """
 
 from __future__ import annotations
@@ -37,20 +39,7 @@ import numpy as np
 from . import __version__
 from .core import ALPHA_FS, PhysicalParams, PotentialSpec, RadialGrid
 from .coulomb import energy_expansion, energy_level, sigma_closed
-from .errors import (
-    ConfigError,
-    DegenerateRecurrence,
-    InvalidQuantumNumbers,
-    NoConvergence,
-    NotBound,
-    PoleError,
-    QuadratureFailure,
-    StateNotFound,
-    SupercriticalCoupling,
-    SuperluminalBoost,
-    TailNotConverged,
-    UnsupportedCombination,
-)
+from .errors import ConfigError, NumericalError, PhysicsError
 from .lorentz import BoostSpec, CharacterState, boost_backward, boost_forward, invariant_mass_sq
 from .solver import (
     SolveMode,
@@ -63,22 +52,6 @@ from .solver import (
 from .wavefunction import build_radial, count_radial_nodes
 
 __all__ = ["RunConfig", "build_config", "main"]
-
-_PHYSICS_ERRORS = (
-    SupercriticalCoupling,
-    NotBound,
-    InvalidQuantumNumbers,
-    StateNotFound,
-    UnsupportedCombination,
-    SuperluminalBoost,
-)
-_NUMERICAL_ERRORS = (
-    NoConvergence,
-    QuadratureFailure,
-    TailNotConverged,
-    PoleError,
-    DegenerateRecurrence,
-)
 
 # command -> subcommand help
 _COMMANDS = {
@@ -455,7 +428,7 @@ def cmd_solve(cfg: RunConfig) -> tuple[dict, list[dict]]:
                 ),
                 p,
             )
-        except (_PHYSICS_ERRORS + _NUMERICAL_ERRORS) as exc:
+        except (PhysicsError, NumericalError, ArithmeticError) as exc:
             row["status"] = type(exc).__name__
             continue
         row.update(
@@ -655,10 +628,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"kgbound: config error: {exc}", file=sys.stderr)
         return 2
-    except _PHYSICS_ERRORS as exc:
+    except PhysicsError as exc:
         print(f"kgbound: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"kgbound: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     return 0

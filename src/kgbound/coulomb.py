@@ -101,25 +101,18 @@ def sigma_series(p: PhysicalParams, l: int, k_max: int) -> DefectValue:
     return DefectValue(sigma_l=total, l=l)
 
 
-def energy_level(p: PhysicalParams, n: int, l: int, branch: str = "positive") -> BoundState:
+def energy_level(p: PhysicalParams, n: int, l: int) -> BoundState:
     """Closed-form level as a BoundState (no radial samples).
 
-    The quadratic for the energy has two roots; the physical spectrum is the
-    positive one (default).  branch="negative" exposes the mirrored root
-    E_n -> -E_n for inspection; it carries no physical claims and its
-    system mass comes out negative.
+    The quadratic for the energy has two roots, +E_n and -E_n; this is the
+    positive one, the physical spectrum, with E' = E_n - m0 c^2.
     """
     _check_nl(n, l)
     validate_params(p, QuantumNumbers(n=n, l=l))
-    if branch not in ("positive", "negative"):
-        raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
     sigma = sigma_closed(p, l).sigma_l
     t = (p.z_alpha / (n - sigma)) ** 2
-    if branch == "positive":
-        # E' = m0 c^2 [(1+t)^(-1/2) - 1], kept exact for small t.
-        e_prime = p.rest_energy * math.expm1(-0.5 * math.log1p(t))
-    else:
-        e_prime = p.rest_energy * (-math.exp(-0.5 * math.log1p(t)) - 1.0)
+    # E' = m0 c^2 [(1+t)^(-1/2) - 1], kept exact for small t.
+    e_prime = p.rest_energy * math.expm1(-0.5 * math.log1p(t))
     return make_bound_state(QuantumNumbers(n=n, l=l), e_prime, p)
 
 

@@ -1,14 +1,21 @@
 """Exception taxonomy for kgbound.
 
-Physics-domain errors (invalid regime, no such state) are distinct from
-numerical failures (iteration or quadrature breakdown) so callers and the
-CLI can map them to different exit codes.
+Every error derives from KGBoundError through one of three bases, and the
+base fixes the CLI exit code:
+
+- ConfigError: malformed or unknown CLI/config input, exit 2;
+- PhysicsError: the request has no answer in the physics (invalid regime,
+  no such state), exit 3;
+- NumericalError: the computation broke down (iteration, quadrature or
+  recurrence failure), exit 4.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "KGBoundError",
+    "PhysicsError",
+    "NumericalError",
     "SupercriticalCoupling",
     "NotBound",
     "InvalidQuantumNumbers",
@@ -28,49 +35,57 @@ class KGBoundError(Exception):
     """Base class for all kgbound errors."""
 
 
-class SupercriticalCoupling(KGBoundError):
+class PhysicsError(KGBoundError):
+    """The requested state or regime does not exist (CLI exit 3)."""
+
+
+class NumericalError(KGBoundError):
+    """A numerical method failed on a valid request (CLI exit 4)."""
+
+
+class SupercriticalCoupling(PhysicsError):
     """Z*alpha >= l + 1/2: the quantum defect turns complex, no real bound level."""
 
 
-class NotBound(KGBoundError):
+class NotBound(PhysicsError):
     """Operation requires a bound state (E' < 0)."""
 
 
-class InvalidQuantumNumbers(KGBoundError):
+class InvalidQuantumNumbers(PhysicsError):
     """(n, l, m) outside 0 <= l <= n-1, |m| <= l."""
 
 
-class PoleError(KGBoundError):
+class PoleError(NumericalError):
     """Gamma function evaluated at a nonpositive integer."""
 
 
-class DegenerateRecurrence(KGBoundError):
+class DegenerateRecurrence(NumericalError):
     """Series recurrence denominator vanished."""
 
 
-class QuadratureFailure(KGBoundError):
+class QuadratureFailure(NumericalError):
     """Normalization integral did not converge."""
 
 
-class TailNotConverged(KGBoundError):
+class TailNotConverged(NumericalError):
     """Samples have not decayed at the grid edge; enlarge r_max."""
 
 
-class StateNotFound(KGBoundError):
+class StateNotFound(PhysicsError):
     """No bound eigenvalue with the requested node count on this grid."""
 
 
-class NoConvergence(KGBoundError):
+class NoConvergence(NumericalError):
     """Self-consistency iteration exhausted its budget."""
 
 
-class SuperluminalBoost(KGBoundError):
+class SuperluminalBoost(PhysicsError):
     """|v| >= c requested for a frame boost."""
 
 
-class UnsupportedCombination(KGBoundError):
+class UnsupportedCombination(PhysicsError):
     """Potential parts incompatible with the requested equation mode."""
 
 
 class ConfigError(KGBoundError):
-    """Malformed or unknown CLI/config input."""
+    """Malformed or unknown CLI/config input (CLI exit 2)."""

@@ -85,13 +85,16 @@ def boost_forward(s: CharacterState, b: BoostSpec, u_prime: float = 0.0) -> Char
 
     u_prime is the potential value at the particle's location as seen in
     K'; it is adopted verbatim and only shifts E' = (E' - U') + u_prime.
+    Raises OverflowError when finite inputs boost past the float range.
     """
     g = b.gamma
     w = s.shifted_energy
     px, py, pz = s.p
     px_new = g * px - g * (b.v / b.c ** 2) * w
-    w_new = g * w - g * b.v * px
-    return CharacterState(e_total=w_new + u_prime, p=(px_new, py, pz), u_potential=u_prime)
+    e_new = g * w - g * b.v * px + u_prime
+    if math.isfinite(u_prime) and not (math.isfinite(px_new) and math.isfinite(e_new)):
+        raise OverflowError(f"boost by gamma = {g:g} leaves the float range")
+    return CharacterState(e_total=e_new, p=(px_new, py, pz), u_potential=u_prime)
 
 
 def boost_backward(s: CharacterState, b: BoostSpec, u: float = 0.0) -> CharacterState:

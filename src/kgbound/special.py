@@ -1,6 +1,9 @@
 """Gamma function, the eta correction product, and the relativistic
 associated Laguerre polynomials.
 
+gamma_fn is math.gamma behind a pole check, and LaguerreRel.evaluate is
+numpy's polyval; this module supplies the coefficients.
+
 The polynomial family generalizes the classical associated Laguerre
 polynomials L^{2l+1}_{n+l} (in the older quantum-mechanics convention with
 squared-factorial prefactor) to non-integer order 2l+1-2*sigma_l: the
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .core import PhysicalParams
 from .coulomb import sigma_closed
@@ -35,37 +39,18 @@ __all__ = [
     "laguerre_classical",
 ]
 
-# Lanczos approximation, g = 7, 9 terms; relative error below 1e-14 for
-# positive arguments in double precision.
-_LANCZOS_G = 7.0
-_LANCZOS_P = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x that is not a nonpositive integer."""
+    """Gamma(x) for real x that is not a nonpositive integer.
+
+    math.gamma does the work; this wrapper rejects NaN with ValueError and
+    reports the poles as PoleError, which the CLI maps to a numerical failure.
+    """
     if math.isnan(x):
         raise ValueError("gamma_fn called with NaN")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"Gamma has a pole at {x:g}")
-    if x < 0.5:
-        # Reflection into the well-conditioned half line.
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_P[0]
-    for i in range(1, len(_LANCZOS_P)):
-        acc += _LANCZOS_P[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def eta_product(l: int, nu: int, z_alpha: float, sigma_l: float) -> float:
@@ -125,12 +110,9 @@ class LaguerreRel:
         return self.n - self.l - 1
 
     def evaluate(self, rho: np.ndarray | float) -> np.ndarray | float:
-        """Horner evaluation at rho (scalar or array)."""
-        rho = np.asarray(rho, dtype=float)
-        acc = np.full_like(rho, self.coefficients[-1])
-        for c in self.coefficients[-2::-1]:
-            acc = acc * rho + c
-        return acc if acc.ndim else float(acc)
+        """Horner evaluation at rho: an array for array input, else a float."""
+        acc = polyval(np.asarray(rho, dtype=float), self.coefficients)
+        return acc if np.ndim(acc) else float(acc)
 
 
 def laguerre_rel(p: PhysicalParams, n: int, l: int) -> LaguerreRel:

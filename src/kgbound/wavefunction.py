@@ -73,6 +73,7 @@ __all__ = [
     "SeparableField",
     "sample_state",
     "probability_current",
+    "divergence_field",
     "continuity_check",
 ]
 
@@ -92,9 +93,6 @@ class RadialWavefunction:
     poly: LaguerreRel
     exponent: float
     orientation: float
-
-    def rho(self, r: np.ndarray | float) -> np.ndarray | float:
-        return self.rho_scale * np.asarray(r, dtype=float)
 
     def evaluate(self, r: np.ndarray | float) -> np.ndarray | float:
         rho = self.rho_scale * np.asarray(r, dtype=float)

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgbound import cli
+from kgbound import cli, errors
 from kgbound.coulomb import energy_level
 from kgbound.core import PhysicalParams
-from kgbound.errors import NoConvergence, StateNotFound
 
 
 def run_cli(capsys, *args):
@@ -256,19 +255,65 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", "--mode", "kg-tensor")
         assert code == 2
 
-    def test_numerical_failure_exits_4(self, capsys, monkeypatch):
+    # the exit code of every error, written out so that none moves unseen
+    @pytest.mark.parametrize("error", [
+        errors.NoConvergence, errors.QuadratureFailure, errors.TailNotConverged,
+        errors.PoleError, errors.DegenerateRecurrence, OverflowError,
+    ], ids=lambda e: e.__name__)
+    def test_numerical_failure_exits_4(self, capsys, monkeypatch, error):
         def explode(cfg):
-            raise NoConvergence("stalled")
+            raise error("stalled")
         monkeypatch.setitem(cli._DISPATCH, "solve", explode)
         code, _, err = run_cli(capsys, "solve")
-        assert code == 4 and "NoConvergence" in err
+        assert code == 4 and err == f"kgbound: {error.__name__}: stalled\n"
 
-    def test_physics_failure_exits_3(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("error", [
+        errors.SupercriticalCoupling, errors.NotBound, errors.InvalidQuantumNumbers,
+        errors.StateNotFound, errors.UnsupportedCombination, errors.SuperluminalBoost,
+    ], ids=lambda e: e.__name__)
+    def test_physics_failure_exits_3(self, capsys, monkeypatch, error):
         def explode(cfg):
-            raise StateNotFound("no such level")
+            raise error("no such level")
         monkeypatch.setitem(cli._DISPATCH, "solve", explode)
         code, _, err = run_cli(capsys, "solve")
-        assert code == 3 and "StateNotFound" in err
+        assert code == 3 and err == f"kgbound: {error.__name__}: no such level\n"
+
+    def test_every_error_has_one_kind(self):
+        bases = {errors.KGBoundError, errors.PhysicsError, errors.NumericalError,
+                 errors.ConfigError}
+        kinds = (errors.PhysicsError, errors.NumericalError)
+        for name in errors.__all__:
+            error = getattr(errors, name)
+            if error not in bases:
+                assert sum(issubclass(error, k) for k in kinds) == 1, name
+
+
+class TestOverflowExits:
+    """Finite inputs whose arithmetic overflows or divides by zero: solve
+    reports the error per row and exits 0, the other commands exit 4."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (("solve", "--rest-mass", "1e-300", "--grid-n", "400"), "OverflowError"),
+        (("solve", "--rest-mass", "1e300", "--grid-n", "400"), "ZeroDivisionError"),
+        (("solve", "--alpha", "1e-300", "--grid-n", "400"), "OverflowError"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_solve_reports_per_row(self, capsys, argv, status):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        _, _, rows = parse_csv(out)
+        assert [r["status"] for r in rows] == [status]
+
+    @pytest.mark.parametrize("argv, error", [
+        (("compare", "--rest-mass", "1e300", "--grid-n", "400", "--n-max", "1"),
+         "ZeroDivisionError"),
+        (("convergence", "--sizes", "16,32,64", "--rmax", "1e-300"), "ZeroDivisionError"),
+        (("lorentz", "--e", "1e200", "--px", "1e200", "--beta", "0.5"), "OverflowError"),
+        (("lorentz", "--e", "1e308", "--beta", "0.9999"), "OverflowError"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_exit_4(self, capsys, argv, error):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith(f"kgbound: {error}: ") and err.count("\n") == 1
 
 
 class TestWavefunctionCommand:
@@ -344,7 +389,7 @@ class TestConvergenceCommand:
 
 # argv fuzz vocabulary: each run gives some flags small valid values and at
 # most one flag a bad value, so most runs get past the config layer
-_BAD = ("nan", "inf", "-1", "0", "1e400", "abc", "")
+_BAD = ("nan", "inf", "-1", "0", "1e400", "1e300", "1e-300", "abc", "")
 _SMALL_FLOATS = ("0.05", "0.3", "0.6", "1", "2")
 _FUZZ_VALUES = {
     "--n": ("1", "2", "3"),

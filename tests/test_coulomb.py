@@ -127,13 +127,6 @@ class TestEnergyLevel:
         assert b.e_total - P_FS.rest_energy == pytest.approx(
             b.e_prime, rel=0, abs=1.2e-16)
 
-    def test_negative_branch_mirrors(self):
-        pos = energy_level(P_03, 2, 1)
-        neg = energy_level(P_03, 2, 1, branch="negative")
-        assert neg.e_total == pytest.approx(-pos.e_total, rel=1e-14)
-        with pytest.raises(ValueError):
-            energy_level(P_03, 2, 1, branch="sideways")
-
     def test_ordering_in_n_and_l(self):
         energies_n = [energy_level(P_03, n, 0).e_total for n in range(1, 6)]
         assert all(b > a for a, b in zip(energies_n, energies_n[1:]))

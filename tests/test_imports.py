@@ -1,13 +1,16 @@
-"""Cold start: scipy loads only when a command reaches numerical code.
+"""Imports: the package namespace, and a cold start in which scipy loads
+only when a command reaches numerical code.
 
-Each test runs the CLI or the library in a fresh interpreter, since scipy
-modules loaded by other tests in this process would hide what a real
-invocation loads.
+Each cold-start test runs the CLI or the library in a fresh interpreter,
+since scipy modules loaded by other tests in this process would hide what
+a real invocation loads.
 """
 import json
 import os
 import subprocess
 import sys
+
+import kgbound
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -94,3 +97,12 @@ def test_current_diagnostics_load_special_only():
     assert "scipy.special" in scipy
     for name in ("scipy.linalg", "scipy.integrate"):
         assert not _loaded(scipy, name), name
+
+
+def test_package_namespace_is_the_module_lists():
+    modules = ("core", "coulomb", "errors", "lorentz", "solver", "special", "wavefunction")
+    expected = [n for m in modules for n in getattr(kgbound, m).__all__] + ["__version__"]
+    assert kgbound.__all__ == expected
+    assert len(set(kgbound.__all__)) == len(kgbound.__all__)
+    for name in kgbound.__all__:
+        assert hasattr(kgbound, name), name
