@@ -1,18 +1,20 @@
 """Command-line front end: tables and plot-ready data files.
 
 Subcommands: spectrum, wavefunction, solve, compare, lorentz, convergence.
-Every setting is one entry of the `_SETTINGS` table, which gives its
-config key, parser, commands and flag help; the subcommand flags, the
-keys each config section accepts and the flag merge are all built from
-it.  Settings merge in fixed precedence order
+`RunConfig` is the list of settings: each field after `command` carries
+its parser, commands and flag help; the subcommand flags, the keys each
+config section accepts and the flag merge are all built from those
+fields.  Settings merge in fixed precedence order
 
     built-in defaults < [common] config section < [<command>] section < flags,
 
 with strict parsing: an unknown config key or section is an error, never
-silently ignored.  Output goes to stdout or --out as CSV (12 significant
-digits) or JSON (17 significant digits, {"meta": ..., "rows": ...}); the
-files carry no timestamps, so identical configurations produce
-byte-identical bytes.  Rows come out in (n, l) order.
+silently ignored.  Each value is checked by its key's parser where it is
+read, so a bad value is an error even when a later layer overrides it.
+Output goes to stdout or --out as CSV (12 significant digits) or JSON (17
+significant digits, {"meta": ..., "rows": ...}); the files carry no
+timestamps, so identical configurations produce byte-identical bytes.
+Rows come out in (n, l) order.
 
 Exit codes: 0 success, 2 configuration error (ConfigError), 3
 physics-domain error (PhysicsError: supercritical coupling, invalid state,
@@ -31,7 +33,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -73,54 +75,6 @@ _POTENTIALS: dict[str, Callable[[float], PotentialSpec]] = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Fully merged settings for one CLI run."""
-
-    command: str
-    # physical parameters
-    z: float = 1.0
-    alpha: float = ALPHA_FS
-    rest_mass: float = 1.0
-    c: float = 1.0
-    hbar: float = 1.0
-    # state selection
-    n: int = 1
-    l: int = 0
-    n_max: int = 4
-    states: tuple[tuple[int, int], ...] | None = None
-    # solver
-    mode: str = "kg-vector"
-    potential: str = "coulomb"
-    lam: float = 0.2
-    grid_n: int = 8000
-    rmax: float | None = None
-    tol: float = 1e-12
-    sizes: tuple[int, ...] = (2000, 4000, 8000)
-    # wavefunction tabulation
-    samples: int = 2000
-    # lorentz inputs
-    e: float = 1.0
-    px: float = 0.0
-    py: float = 0.0
-    pz: float = 0.0
-    u: float = 0.0
-    u_prime: float = 0.0
-    beta: float = 0.5
-    # output
-    out: str | None = None
-    format: str = "csv"
-
-    def physical_params(self) -> PhysicalParams:
-        return PhysicalParams(
-            z_number=self.z,
-            alpha=self.alpha,
-            rest_mass=self.rest_mass,
-            c=self.c,
-            hbar=self.hbar,
-        )
-
-
 def _parse_states(text: str) -> tuple[tuple[int, int], ...]:
     out = []
     for chunk in text.split(";"):
@@ -141,84 +95,136 @@ def _parse_states(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    try:
-        sizes = tuple(int(s) for s in text.split(",") if s.strip())
-    except ValueError as exc:
-        raise ConfigError(f"sizes {text!r} must be comma-separated integers") from exc
-    if len(sizes) < 3:
-        raise ConfigError("need at least 3 grid sizes")
-    return sizes
+def _checked(key: str, convert: Callable, ok: Callable, rule: str) -> Callable:
+    """Parser that converts the text, then raises ConfigError unless ok(value)."""
 
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ConfigError(f"{key} must be {rule}, not {value!r}")
+        return value
 
-def _one_of(key: str, choices) -> Callable[[str], str]:
-    """Parser that accepts exactly one of `choices`."""
-
-    def parse(text: str) -> str:
-        if text not in choices:
-            raise ConfigError(f"unknown {key} {text!r}; choose from {', '.join(choices)}")
-        return text
-
+    parse.__name__ = convert.__name__  # argparse says "invalid float value: 'abc'"
     return parse
 
 
-@dataclass(frozen=True)
-class _Setting:
-    """One settable value: config key, parser, commands and flag help."""
+def _positive(key: str) -> Callable[[str], float]:
+    return _checked(key, float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
 
-    key: str
-    parse: Callable[[str], object]
-    commands: tuple[str, ...]  # ("common",): read by every command
-    help: str | None  # None: config file only, no flag
-    attr: str | None = None  # RunConfig attribute, when it is not the key
 
-    @property
-    def dest(self) -> str:
-        return self.attr or self.key
+def _finite(key: str) -> Callable[[str], float]:
+    return _checked(key, float, math.isfinite, "finite")
+
+
+def _at_least(key: str, k: int) -> Callable[[str], int]:
+    return _checked(key, int, lambda v: v >= k, f"at least {k}")
+
+
+def _one_of(key: str, choices) -> Callable[[str], str]:
+    return _checked(key, str, lambda v: v in choices, f"one of {', '.join(choices)}")
+
+
+def _parse_sizes(text: str) -> tuple[int, ...]:
+    size = _at_least("sizes", 16)
+    try:
+        sizes = tuple(size(s) for s in text.split(",") if s.strip())
+    except ValueError as exc:
+        raise ConfigError(f"sizes {text!r} must be comma-separated integers") from exc
+    if len(sizes) < 3:
+        raise ConfigError("sizes needs at least 3 grid sizes")
+    if len(set(sizes)) != len(sizes):
+        raise ConfigError(f"sizes must be distinct, not {text!r}")
+    return sizes
+
+
+def _setting(default, parse, commands: tuple[str, ...], help: str | None, key: str | None = None):
+    """A RunConfig field that is also a setting: its parser, the commands that
+    read it (("common",): all of them), its flag help (None: config only) and
+    its config key when that is not the field name.  Defaults are never parsed."""
+    return field(default=default, metadata=dict(parse=parse, commands=commands, help=help, key=key))
 
 
 _COMMON = ("common",)
 _ONE_STATE = ("wavefunction", "solve", "convergence")
 _SOLVERS = ("solve", "convergence")
+_LORENTZ = ("lorentz",)
 _MODES = tuple(m.value for m in SolveMode)
 
-# The flags of each subcommand follow this order, after --config.
-_SETTINGS = (
-    _Setting("z", float, _COMMON, "charge number Z"),
-    _Setting("alpha", float, _COMMON, "coupling constant alpha"),
-    _Setting("rest_mass", float, _COMMON, "rest mass m0"),
-    _Setting("c", float, _COMMON, None),
-    _Setting("hbar", float, _COMMON, None),
-    _Setting("out", str, _COMMON, "output file path (default: stdout)"),
-    _Setting("format", _one_of("format", ("csv", "json")), _COMMON, "output format: csv | json"),
-    _Setting("n", int, _ONE_STATE, "principal quantum number"),
-    _Setting("l", int, _ONE_STATE, "orbital quantum number"),
-    _Setting("n_max", int, ("spectrum", "compare"), "largest principal quantum number"),
-    _Setting(
-        "states", _parse_states, ("spectrum", "solve", "compare"), 'explicit states "n,l; n,l; ..."'
-    ),
-    _Setting("mode", _one_of("mode", _MODES), _SOLVERS, " | ".join(_MODES)),
-    _Setting("potential", _one_of("potential", _POTENTIALS), _SOLVERS, " | ".join(_POTENTIALS)),
-    _Setting("lambda", float, _SOLVERS, "screening parameter (units 1/a0)", attr="lam"),
-    _Setting("grid_n", int, ("solve", "compare"), "grid points (compare: the fine grid)"),
-    _Setting("sizes", _parse_sizes, ("convergence",), 'grid sizes "2000,4000,8000"'),
-    _Setting("samples", int, ("wavefunction",), "number of radial samples"),
-    _Setting("rmax", float, _ONE_STATE, "radial extent override"),
-    _Setting("tol", float, ("solve", "compare", "convergence"), "self-consistency tolerance"),
-    _Setting("e", float, ("lorentz",), "total energy E"),
-    _Setting("px", float, ("lorentz",), "momentum x component"),
-    _Setting("py", float, ("lorentz",), "momentum y component"),
-    _Setting("pz", float, ("lorentz",), "momentum z component"),
-    _Setting("u", float, ("lorentz",), "potential value U in the source frame"),
-    _Setting("u_prime", float, ("lorentz",), "potential value in the target frame"),
-    _Setting("beta", float, ("lorentz",), "boost speed v/c"),
-)
+
+@dataclass
+class RunConfig:
+    """Fully merged settings for one CLI run; the fields after `command` are
+    the settings (see `_setting`), in the flag order of each --help."""
+
+    command: str
+    # physical parameters; c and hbar are config-only
+    z: float = _setting(1.0, _positive("z"), _COMMON, "charge number Z")
+    alpha: float = _setting(ALPHA_FS, _positive("alpha"), _COMMON, "coupling constant alpha")
+    rest_mass: float = _setting(1.0, _positive("rest_mass"), _COMMON, "rest mass m0")
+    c: float = _setting(1.0, _positive("c"), _COMMON, None)
+    hbar: float = _setting(1.0, _positive("hbar"), _COMMON, None)
+    # output
+    out: str | None = _setting(None, str, _COMMON, "output file path (default: stdout)")
+    format: str = _setting(
+        "csv", _one_of("format", ("csv", "json")), _COMMON, "output format: csv | json"
+    )
+    # state selection
+    n: int = _setting(1, int, _ONE_STATE, "principal quantum number")
+    l: int = _setting(0, int, _ONE_STATE, "orbital quantum number")
+    n_max: int = _setting(
+        4, _at_least("n_max", 1), ("spectrum", "compare"), "largest principal quantum number"
+    )
+    states: tuple[tuple[int, int], ...] | None = _setting(
+        None, _parse_states, ("spectrum", "solve", "compare"), 'explicit states "n,l; n,l; ..."'
+    )
+    # solver grids and wavefunction tabulation
+    mode: str = _setting("kg-vector", _one_of("mode", _MODES), _SOLVERS, " | ".join(_MODES))
+    potential: str = _setting(
+        "coulomb", _one_of("potential", _POTENTIALS), _SOLVERS, " | ".join(_POTENTIALS)
+    )
+    lam: float = _setting(
+        0.2, _positive("lambda"), _SOLVERS, "screening parameter (units 1/a0)", key="lambda"
+    )
+    grid_n: int = _setting(
+        8000, _at_least("grid_n", 16), ("solve", "compare"), "grid points (compare: the fine grid)"
+    )
+    sizes: tuple[int, ...] = _setting(
+        (2000, 4000, 8000), _parse_sizes, ("convergence",), 'grid sizes "2000,4000,8000"'
+    )
+    samples: int = _setting(
+        2000, _at_least("samples", 3), ("wavefunction",), "number of radial samples"
+    )
+    rmax: float | None = _setting(None, _positive("rmax"), _ONE_STATE, "radial extent override")
+    tol: float = _setting(
+        1e-12, _positive("tol"), ("solve", "compare", "convergence"), "self-consistency tolerance"
+    )
+    # lorentz inputs
+    e: float = _setting(1.0, _finite("e"), _LORENTZ, "total energy E")
+    px: float = _setting(0.0, _finite("px"), _LORENTZ, "momentum x component")
+    py: float = _setting(0.0, _finite("py"), _LORENTZ, "momentum y component")
+    pz: float = _setting(0.0, _finite("pz"), _LORENTZ, "momentum z component")
+    u: float = _setting(0.0, _finite("u"), _LORENTZ, "potential value U in the source frame")
+    u_prime: float = _setting(
+        0.0, _finite("u_prime"), _LORENTZ, "potential value in the target frame"
+    )
+    beta: float = _setting(0.5, _finite("beta"), _LORENTZ, "boost speed v/c")
+
+    def physical_params(self) -> PhysicalParams:
+        return PhysicalParams(
+            z_number=self.z,
+            alpha=self.alpha,
+            rest_mass=self.rest_mass,
+            c=self.c,
+            hbar=self.hbar,
+        )
 
 
-def _section_settings(section: str) -> dict[str, _Setting]:
-    """Settings a config section accepts; for a command, also its flags."""
+def _section_settings(section: str) -> dict[str, Field]:
+    """Settings a config section accepts, by config key; for a command, also its flags."""
     return {
-        s.key: s for s in _SETTINGS if "common" in s.commands or section in s.commands
+        f.metadata["key"] or f.name: f
+        for f in fields(RunConfig)
+        if f.metadata and ("common" in f.metadata["commands"] or section in f.metadata["commands"])
     }
 
 
@@ -251,10 +257,12 @@ def _load_config_file(cfg: RunConfig, path: str) -> None:
         for key, raw in parser.items(section):
             setting = settings[key]
             try:
-                value = setting.parse(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path} [{section}]: bad value {raw!r} for key {key!r}") from exc
-            setattr(cfg, setting.dest, value)
+                value = setting.metadata["parse"](raw)
+            except (TypeError, ValueError, ConfigError) as exc:
+                raise ConfigError(
+                    f"{path} [{section}]: bad value {raw!r} for key {key!r}: {exc}"
+                ) from exc
+            setattr(cfg, setting.name, value)
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -268,11 +276,12 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     for command, help_text in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
         sp.add_argument("--config", help="config file (sections [common] and [<command>])")
-        # parsers raise ConfigError for bad lists and names; argparse lets it through
-        for s in _section_settings(command).values():
-            if s.help is not None:
-                flag = "--" + s.key.replace("_", "-")
-                sp.add_argument(flag, dest=s.dest, type=s.parse, help=s.help)
+        # parsers raise ConfigError for bad values; argparse lets it through
+        for key, setting in _section_settings(command).items():
+            meta = setting.metadata
+            if meta["help"] is not None:
+                flag = "--" + key.replace("_", "-")
+                sp.add_argument(flag, dest=setting.name, type=meta["parse"], help=meta["help"])
     return top
 
 
@@ -282,34 +291,11 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if args.config:
         _load_config_file(cfg, args.config)
-    for s in _section_settings(cfg.command).values():
-        value = getattr(args, s.dest, None)
+    for setting in _section_settings(cfg.command).values():
+        value = getattr(args, setting.name, None)
         if value is not None:
-            setattr(cfg, s.dest, value)
-    _validate_config(cfg)
+            setattr(cfg, setting.name, value)
     return cfg
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, not {value!r}")
-    try:
-        cfg.physical_params()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    for key, value in (("tol", cfg.tol), ("lambda", cfg.lam), ("rmax", cfg.rmax)):
-        if value is not None and value <= 0:
-            raise ConfigError(f"{key} must be positive, not {value!r}")
-    if cfg.n_max < 1:
-        raise ConfigError("n_max must be at least 1")
-    if min(cfg.grid_n, *cfg.sizes) < 16:
-        raise ConfigError("grid sizes must be at least 16")
-    if len(set(cfg.sizes)) != len(cfg.sizes):
-        raise ConfigError("grid sizes must be distinct")
-    if cfg.samples < 3:
-        raise ConfigError("samples must be at least 3")
 
 
 def _all_states(n_max: int) -> tuple[tuple[int, int], ...]:

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 from .core import BoundState, PhysicalParams, QuantumNumbers, make_bound_state, validate_params
-from .errors import InvalidQuantumNumbers
 
 __all__ = [
     "DefectValue",
@@ -55,11 +54,6 @@ class DefectValue:
             raise ValueError(f"sigma_l = {self.sigma_l} outside [0, l + 1/2)")
 
 
-def _check_nl(n: int, l: int) -> None:
-    if not (isinstance(n, int) and isinstance(l, int) and n >= 1 and 0 <= l <= n - 1):
-        raise InvalidQuantumNumbers(f"need integers n >= 1, 0 <= l <= n-1; got n={n}, l={l}")
-
-
 def sigma_closed(p: PhysicalParams, l: int) -> DefectValue:
     """Closed-form quantum defect.
 
@@ -67,8 +61,6 @@ def sigma_closed(p: PhysicalParams, l: int) -> DefectValue:
     which is algebraically identical to l + 1/2 - sqrt((l+1/2)^2 - (Z*alpha)^2)
     but free of the O(alpha^2)-vs-O(1) cancellation.
     """
-    if l < 0:
-        raise InvalidQuantumNumbers(f"l must be >= 0, got {l}")
     validate_params(p, QuantumNumbers(n=l + 1, l=l))
     half = l + 0.5
     x = (p.z_alpha / half) ** 2
@@ -88,8 +80,6 @@ def sigma_series(p: PhysicalParams, l: int, k_max: int) -> DefectValue:
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if l < 0:
-        raise InvalidQuantumNumbers(f"l must be >= 0, got {l}")
     validate_params(p, QuantumNumbers(n=l + 1, l=l))
     za2 = p.z_alpha ** 2
     ratio_base = za2 / (2 * l + 1) ** 2
@@ -107,7 +97,6 @@ def energy_level(p: PhysicalParams, n: int, l: int) -> BoundState:
     The quadratic for the energy has two roots, +E_n and -E_n; this is the
     positive one, the physical spectrum, with E' = E_n - m0 c^2.
     """
-    _check_nl(n, l)
     validate_params(p, QuantumNumbers(n=n, l=l))
     sigma = sigma_closed(p, l).sigma_l
     t = (p.z_alpha / (n - sigma)) ** 2
@@ -118,7 +107,7 @@ def energy_level(p: PhysicalParams, n: int, l: int) -> BoundState:
 
 def energy_expansion(p: PhysicalParams, n: int, l: int) -> float:
     """Low-coupling expansion of E_n through the alpha^4 term, verbatim."""
-    _check_nl(n, l)
+    QuantumNumbers(n=n, l=l)  # raises InvalidQuantumNumbers
     za2 = p.z_alpha ** 2
     nn = float(n)
     return p.rest_energy * (
@@ -128,7 +117,6 @@ def energy_expansion(p: PhysicalParams, n: int, l: int) -> float:
 
 def system_mass(p: PhysicalParams, n: int, l: int) -> float:
     """Quantized system mass m = m0 * [1 + Z^2 alpha^2/(n - sigma_l)^2]^(-1/2)."""
-    _check_nl(n, l)
     validate_params(p, QuantumNumbers(n=n, l=l))
     sigma = sigma_closed(p, l).sigma_l
     t = (p.z_alpha / (n - sigma)) ** 2

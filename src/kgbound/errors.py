@@ -64,7 +64,7 @@ class DegenerateRecurrence(NumericalError):
 
 
 class QuadratureFailure(NumericalError):
-    """Normalization integral did not converge."""
+    """Normalization integral did not converge, or the normalization is not finite and positive."""
 
 
 class TailNotConverged(NumericalError):
@@ -76,7 +76,7 @@ class StateNotFound(PhysicsError):
 
 
 class NoConvergence(NumericalError):
-    """Self-consistency iteration exhausted its budget."""
+    """Self-consistency iteration exhausted its budget, or the eigensolve failed."""
 
 
 class SuperluminalBoost(PhysicsError):

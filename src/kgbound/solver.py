@@ -288,14 +288,17 @@ def inner_eigensolve(op: DiscretizedOperator, node_target: int) -> tuple[float, 
     E' is polished with a difference-form Rayleigh quotient so repeated solves
     at nearby potentials differ smoothly.  Raises StateNotFound when the
     grid has no such pair, its node count is off, or it is not bound
-    (E' >= 0).
+    (E' >= 0), and NoConvergence when LAPACK fails on the operator.
     """
     n = op.diag.size
     if node_target >= n:
         raise StateNotFound(f"a grid of {n} points holds no state with {node_target} nodes")
-    _, vecs = eigh_tridiagonal(
-        op.diag, op.offdiag, select="i", select_range=(node_target, node_target)
-    )
+    try:
+        _, vecs = eigh_tridiagonal(
+            op.diag, op.offdiag, select="i", select_range=(node_target, node_target)
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
     return _checked_pair(op, vecs[:, 0], node_target)
 
 

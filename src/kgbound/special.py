@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .core import PhysicalParams
+from .core import PhysicalParams, QuantumNumbers
 from .coulomb import sigma_closed
-from .errors import DegenerateRecurrence, InvalidQuantumNumbers, PoleError
+from .errors import DegenerateRecurrence, PoleError
 
 __all__ = [
     "gamma_fn",
@@ -117,8 +117,7 @@ class LaguerreRel:
 
 def laguerre_rel(p: PhysicalParams, n: int, l: int) -> LaguerreRel:
     """Coefficients of L^{2l+1-sigma_l}_{n+l}(rho) per the defining formula."""
-    if not (n >= 1 and 0 <= l <= n - 1):
-        raise InvalidQuantumNumbers(f"need n >= 1, 0 <= l <= n-1; got n={n}, l={l}")
+    QuantumNumbers(n=n, l=l)  # raises InvalidQuantumNumbers
     sigma = sigma_closed(p, l).sigma_l
     za = p.z_alpha
     fac_nl_sq = gamma_fn(n + l + 1.0) ** 2
@@ -141,8 +140,7 @@ def laguerre_classical(n: int, l: int) -> np.ndarray:
     Deliberately a separate code path (math.factorial, no gamma calls) so it
     can serve as an independent cross-check of laguerre_rel.
     """
-    if not (n >= 1 and 0 <= l <= n - 1):
-        raise InvalidQuantumNumbers(f"need n >= 1, 0 <= l <= n-1; got n={n}, l={l}")
+    QuantumNumbers(n=n, l=l)  # raises InvalidQuantumNumbers
     fac_nl_sq = math.factorial(n + l) ** 2
     out = np.empty(n - l)
     for nu in range(n - l):

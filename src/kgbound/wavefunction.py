@@ -167,6 +167,11 @@ def build_radial(p: PhysicalParams, n: int, l: int) -> RadialWavefunction:
         raise QuadratureFailure(f"norm integral came out {value!r} for (n={n}, l={l})")
 
     norm = math.sqrt(rho_scale ** 3 / value)
+    if not (math.isfinite(norm) and norm > 0):
+        raise QuadratureFailure(
+            f"normalization constant came out {norm!r} at rho_scale = {rho_scale:g} "
+            f"for (n={n}, l={l})"
+        )
     orientation = -1.0 if poly.coefficients[0] < 0 else 1.0
     return RadialWavefunction(
         qn=qn,

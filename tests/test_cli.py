@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgbound import cli, errors
@@ -136,6 +136,30 @@ class TestBadValuesExit2:
         assert code == 2 and out == ""
         assert err.startswith("kgbound: config error:")
 
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("spectrum", "common", "z", "0"),
+        ("spectrum", "spectrum", "n_max", "0"),
+        ("wavefunction", "wavefunction", "samples", "2"),
+        ("convergence", "convergence", "sizes", "100,100,200"),
+        ("lorentz", "lorentz", "e", "nan"),
+    ], ids=lambda v: v)
+    def test_config_file_value(self, capsys, tmp_path, command, section, key, value):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("kgbound: config error:") and err.count("\n") == 1
+        assert f"for key {key!r}: {key} must be" in err
+
+    def test_config_value_overridden_by_flag(self, capsys, tmp_path):
+        # each value is checked where it is read, not only the merged one
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[solve]\ntol = -1\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg),
+                                 "--tol", "1e-10", "--grid-n", "400")
+        assert code == 2 and out == ""
+        assert "for key 'tol': tol must be finite and positive" in err
 
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--n", "1"),  # would abbreviate --n-max
@@ -289,13 +313,17 @@ class TestSolve:
 
 
 class TestOverflowExits:
-    """Finite inputs whose arithmetic overflows or divides by zero: solve
-    reports the error per row and exits 0, the other commands exit 4."""
+    """Finite inputs whose arithmetic overflows, underflows to zero, divides
+    by zero or defeats LAPACK: solve reports the error per row and exits 0,
+    the other commands exit 4."""
 
     @pytest.mark.parametrize("argv, status", [
         (("solve", "--rest-mass", "1e-300", "--grid-n", "400"), "OverflowError"),
         (("solve", "--rest-mass", "1e300", "--grid-n", "400"), "ZeroDivisionError"),
         (("solve", "--alpha", "1e-300", "--grid-n", "400"), "OverflowError"),
+        # operator entries near 1e305 make LAPACK's stebz fail
+        (("solve", "--rest-mass", "1e-300", "--grid-n", "16", "--rmax", "0.05"),
+         "NoConvergence"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_solve_reports_per_row(self, capsys, argv, status):
         code, out, err = run_cli(capsys, *argv)
@@ -309,6 +337,11 @@ class TestOverflowExits:
         (("convergence", "--sizes", "16,32,64", "--rmax", "1e-300"), "ZeroDivisionError"),
         (("lorentz", "--e", "1e200", "--px", "1e200", "--beta", "0.5"), "OverflowError"),
         (("lorentz", "--e", "1e308", "--beta", "0.9999"), "OverflowError"),
+        (("convergence", "--rest-mass", "1e-300", "--sizes", "16,32,64", "--rmax", "0.05"),
+         "NoConvergence"),
+        # rho_scale**3 underflows, so the normalization constant comes out 0
+        (("wavefunction", "--rest-mass", "1e-300", "--samples", "3"), "QuadratureFailure"),
+        (("wavefunction", "--rest-mass", "1e-120", "--samples", "3"), "QuadratureFailure"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_exit_4(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
@@ -436,6 +469,8 @@ def fuzz_argv(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(fuzz_argv())
+@example(["solve", "--rest-mass", "1e-300", "--grid-n", "16", "--rmax", "0.05"])
+@example(["wavefunction", "--rest-mass", "1e-300", "--samples", "3"])
 def test_argv_fuzz_exits_with_a_documented_code(argv):
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -474,19 +509,18 @@ def test_config_section_matches_flags(argv):
     assert from_file == _run_main(argv), argv
 
 
-# Settable keys, written out so that no setting is added or dropped unseen.
+# Settable flags in --help order, written out so that no setting is added,
+# dropped or moved unseen.
+_COMMON_FLAGS = ("--z", "--alpha", "--rest-mass", "--out", "--format")
 _FLAGS = {
-    "spectrum": {"--z", "--alpha", "--rest-mass", "--out", "--format", "--n-max", "--states"},
-    "wavefunction": {"--z", "--alpha", "--rest-mass", "--out", "--format",
-                     "--n", "--l", "--samples", "--rmax"},
-    "solve": {"--z", "--alpha", "--rest-mass", "--out", "--format", "--n", "--l", "--states",
-              "--mode", "--potential", "--lambda", "--grid-n", "--rmax", "--tol"},
-    "compare": {"--z", "--alpha", "--rest-mass", "--out", "--format",
-                "--n-max", "--states", "--grid-n", "--tol"},
-    "lorentz": {"--z", "--alpha", "--rest-mass", "--out", "--format",
-                "--e", "--px", "--py", "--pz", "--u", "--u-prime", "--beta"},
-    "convergence": {"--z", "--alpha", "--rest-mass", "--out", "--format", "--n", "--l",
-                    "--mode", "--potential", "--lambda", "--sizes", "--rmax", "--tol"},
+    "spectrum": _COMMON_FLAGS + ("--n-max", "--states"),
+    "wavefunction": _COMMON_FLAGS + ("--n", "--l", "--samples", "--rmax"),
+    "solve": _COMMON_FLAGS + ("--n", "--l", "--states", "--mode", "--potential", "--lambda",
+                              "--grid-n", "--rmax", "--tol"),
+    "compare": _COMMON_FLAGS + ("--n-max", "--states", "--grid-n", "--tol"),
+    "lorentz": _COMMON_FLAGS + ("--e", "--px", "--py", "--pz", "--u", "--u-prime", "--beta"),
+    "convergence": _COMMON_FLAGS + ("--n", "--l", "--mode", "--potential", "--lambda",
+                                    "--sizes", "--rmax", "--tol"),
 }
 # c and hbar are config-only: every section takes them, no command has a flag
 _CONFIG_KEYS = {
@@ -510,7 +544,7 @@ class TestSettableKeys:
         top = cli._build_arg_parser()
         sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
         got = {
-            cmd: set(sp._option_string_actions) - {"-h", "--help", "--config"}
+            cmd: tuple(o for o in sp._option_string_actions if o not in ("-h", "--help", "--config"))
             for cmd, sp in sub.choices.items()
         }
         assert got == _FLAGS
