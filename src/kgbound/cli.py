@@ -10,7 +10,8 @@ fields.  Settings merge in fixed precedence order
 
 with strict parsing: an unknown config key or section is an error, never
 silently ignored.  Each value is checked by its key's parser where it is
-read, so a bad value is an error even when a later layer overrides it.
+read, so a bad value is an error even when a later layer overrides it or
+it sits in another command's section.
 Output goes to stdout or --out as CSV (12 significant digits) or JSON (17
 significant digits, {"meta": ..., "rows": ...}); the files carry no
 timestamps, so identical configurations produce byte-identical bytes.
@@ -238,31 +239,30 @@ def _load_config_file(cfg: RunConfig, path: str) -> None:
     except configparser.Error as exc:
         raise ConfigError(f"config file {path} is malformed: {exc}") from exc
 
-    # Every section is checked; only [common] and the active command's
-    # section are applied, in that order.
+    # Every section's keys and values are checked; only [common] and the
+    # active command's section are applied, in that order.
     known = ("common", *_COMMANDS)
+    parsed = {}
     for section in parser.sections():
         if section not in known:
             raise ConfigError(
                 f"{path}: unknown section [{section}]; known: {', '.join(sorted(known))}"
             )
         allowed = _section_settings(section)
-        for key, _raw in parser.items(section):
+        parsed[section] = []
+        for key, raw in parser.items(section):
             if key not in allowed:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
-    for section in ("common", cfg.command):
-        if not parser.has_section(section):
-            continue
-        settings = _section_settings(section)
-        for key, raw in parser.items(section):
-            setting = settings[key]
             try:
-                value = setting.metadata["parse"](raw)
+                value = allowed[key].metadata["parse"](raw)
             except (TypeError, ValueError, ConfigError) as exc:
                 raise ConfigError(
                     f"{path} [{section}]: bad value {raw!r} for key {key!r}: {exc}"
                 ) from exc
-            setattr(cfg, setting.name, value)
+            parsed[section].append((allowed[key].name, value))
+    for section in ("common", cfg.command):
+        for name, value in parsed.get(section, ()):
+            setattr(cfg, name, value)
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -367,15 +367,11 @@ def cmd_wavefunction(cfg: RunConfig) -> tuple[dict, list[dict]]:
         }
     )
     rows = [
-        {
-            "r": float(ri),
-            "R": float(Ri),
-            "u": float(ri * Ri),
-            "rho": float(R.rho_scale * ri),
-            "density": float(ri * ri * Ri * Ri),
-        }
-        for ri, Ri in zip(r, vals)
+        {"r": ri, "R": Ri, "u": ri * Ri, "rho": R.rho_scale * ri, "density": ri * ri * Ri * Ri}
+        for ri, Ri in zip(r.tolist(), vals.tolist())
     ]
+    if not all(math.isfinite(v) for row in rows for v in row.values()):
+        raise OverflowError(f"the table overflows on a box of r_max = {r_max:.6g}")
     return meta, rows
 
 

@@ -180,10 +180,16 @@ class PotentialSpec:
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Discretization of r in (0, r_max]; the origin itself is never a point."""
+    """Discretization of r in (0, r_max]; the origin itself is never a point.
+
+    r_max is the box the grid was built for, kept as given: a uniform grid
+    ends one step short of it, and rebuilding it from the points can be off
+    by an ulp.
+    """
 
     points: np.ndarray
     spacing: str  # "uniform" | "log-uniform"
+    r_max: float
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -203,11 +209,11 @@ class RadialGrid:
     def uniform(r_max: float, n: int) -> "RadialGrid":
         """n interior points of [0, r_max] with Dirichlet ends excluded."""
         h = r_max / (n + 1)
-        return RadialGrid(h * np.arange(1, n + 1), "uniform")
+        return RadialGrid(h * np.arange(1, n + 1), "uniform", float(r_max))
 
     @staticmethod
     def log_uniform(r_min: float, r_max: float, n: int) -> "RadialGrid":
-        return RadialGrid(np.geomspace(r_min, r_max, n), "log-uniform")
+        return RadialGrid(np.geomspace(r_min, r_max, n), "log-uniform", float(r_max))
 
     @property
     def step(self) -> float:

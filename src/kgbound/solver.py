@@ -9,13 +9,15 @@ relativistic modes, on the system mass m = m0 + E'/c^2.  That circular
 dependence is resolved by root finding on g(m) = m0 + E'(m)/c^2 - m: start
 from m = m0, take one plain step m <- m0 + E'(m)/c^2, then secant steps
 built from the last two iterates until the mass stops moving.  Each step
-costs one eigenpair.  The first is found by index (the state with k nodes
-is eigenpair k of the tridiagonal operator), on grids of 2000 points or
-more by way of a grid eight times coarser whose eigenvector is refined on
+builds the operator at the current mass and costs one eigenpair.  The
+first is found by index (the state with k nodes is eigenpair k of the
+tridiagonal operator), on grids of 2000 points or more by way of the
+operator on a grid eight times coarser, whose eigenvector is refined on
 the fine grid (see _coarse_start); later ones refine the previous
 eigenvector by shifted inverse iteration, since one mass step changes the
 operator only slightly.  The origin correction of the stencil depends
-only on the grid and the exponent s, so a solve computes it once.
+only on the grid and the exponent s, so a solve computes it once, and
+one builder makes every operator of the solve, coarse and fine.
 
 Mode dictionary, writing msum = m0 + m, U for the vector part and S for
 the scalar part:
@@ -93,7 +95,6 @@ class SolveRequest:
     l: int
     grid: RadialGrid | None = None
     sc_tolerance: float = 1e-12
-    max_sc_iters: int = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,10 +329,12 @@ def _refine_eigenpair(
 
 # Fine grids of at least this many points take their first eigenpair from a
 # grid _COARSE_FACTOR times coarser (see _coarse_start), refined at most
-# _COARSE_REFINES times.
+# _COARSE_REFINES times.  A relativistic solve raises NoConvergence after
+# _MAX_SC_ITERS mass steps.
 _COARSE_START_POINTS = 2000
 _COARSE_FACTOR = 8
 _COARSE_REFINES = 3
+_MAX_SC_ITERS = 200
 
 
 def _residual_norm(op: DiscretizedOperator, e: float, u: np.ndarray) -> float:
@@ -343,16 +346,12 @@ def _residual_norm(op: DiscretizedOperator, e: float, u: np.ndarray) -> float:
 
 
 def _coarse_start(
-    op: DiscretizedOperator,
-    node_target: int,
-    A: float,
-    v_eff: Callable[[np.ndarray], np.ndarray],
-    singular_index: float,
+    coarse_op: DiscretizedOperator, op: DiscretizedOperator, node_target: int
 ) -> tuple[float, np.ndarray] | None:
-    """First eigenpair of op, started from the same equation on a coarser grid.
+    """First eigenpair of op, started from coarse_op, the same equation on a
+    grid _COARSE_FACTOR times coarser over the same box.
 
-    The operator for A and v_eff on a grid _COARSE_FACTOR times coarser over
-    the same box is solved by index, so bisection runs on N/8 points
+    coarse_op is solved by index, so bisection runs on N/8 points
     instead of N.  Its eigenvector, interpolated onto op's grid, is refined
     by _refine_eigenpair with the coarse E' as shift, then with each
     refined E', until ||(T - E')u|| / kin is at most eps * sqrt(N).  A
@@ -365,15 +364,12 @@ def _coarse_start(
     still above that floor after _COARSE_REFINES refinements; the caller
     then solves op from scratch.
     """
-    fine = op.grid
-    coarse = RadialGrid.uniform((fine.n_points + 1) * fine.step, fine.n_points // _COARSE_FACTOR)
-    coarse_op = discretize_operator(A, v_eff, coarse, op.mass_parameter, singular_index)
     try:
         e, u = inner_eigensolve(coarse_op, node_target)
     except StateNotFound:
         return None
-    u = np.interp(fine.points, coarse.points, u)
-    floor = np.finfo(float).eps * math.sqrt(fine.n_points)
+    u = np.interp(op.grid.points, coarse_op.grid.points, u)
+    floor = np.finfo(float).eps * math.sqrt(op.grid.n_points)
     for _ in range(_COARSE_REFINES):
         pair = _refine_eigenpair(op, node_target, u, e)
         if pair is None:
@@ -443,9 +439,10 @@ def solve_self_consistent(
     is replaced by the plain step when the previous step did not shrink
     |g| or when it would leave m0 + m <= 0.  The iteration stops once
     |g|/m0 < sc_tolerance, or raises NoConvergence (reporting the last
-    residuals) after max_sc_iters.  The first eigenpair comes from a
-    coarser grid when the grid is large (see _coarse_start), and from the
-    second iteration on it is refined from the previous one (see
+    residuals) after _MAX_SC_ITERS steps.  One nested builder makes every
+    operator of the solve.  The first eigenpair comes from a coarser grid
+    when the grid is large (see _coarse_start), and from the second
+    iteration on it is refined from the previous one (see
     _refine_eigenpair); either falls back to inner_eigensolve when it
     fails.  With with_trace=True the per-iteration residual history |g|/m0
     is returned alongside the state.
@@ -455,45 +452,39 @@ def solve_self_consistent(
     quadratic = req.mode in (SolveMode.KG_VECTOR, SolveMode.KG_SCALAR_VECTOR)
     if quadratic and req.potential.vector_part is not None:
         validate_params(p, qn)  # the U^2 term carries the supercritical bound
-    grid = (
-        req.grid
-        if req.grid is not None
-        else default_solver_grid(req.mode, req.potential, p, req.n, req.l)
-    )
+    grid = req.grid or default_solver_grid(req.mode, req.potential, p, req.n, req.l)
     node_target = qn.radial_nodes
     s_origin = singular_exponent(req.mode, req.potential, p, req.l)
-    stencil_error = _stencil_error(s_origin, grid.n_points)
+    correction = _stencil_error(s_origin, grid.n_points)
+
+    def operator(m: float, grid: RadialGrid = grid) -> DiscretizedOperator:
+        """The corrected operator at system mass m; the correction is
+        elementwise in the grid index, so a coarser grid takes its head."""
+        A, v_eff = effective_radial_equation(req.mode, req.potential, p, m, req.l)
+        op = discretize_operator(A, v_eff, grid, _mass_parameter(req.mode, p, m))
+        return replace(op, diag=op.diag + (A / grid.step ** 2) * correction[: grid.n_points])
 
     m = p.rest_mass
     m_prev = g_prev = None
     trace: list[float] = []
-    e = 0.0
     u = None
-    iterations = 0
-    residual = 0.0
-    max_iters = 1 if req.mode is SolveMode.SCHRODINGER else req.max_sc_iters
-    converged = False
-    for k in range(1, max_iters + 1):
-        A, v_eff = effective_radial_equation(req.mode, req.potential, p, m, req.l)
-        op = discretize_operator(A, v_eff, grid, _mass_parameter(req.mode, p, m))
-        op = replace(op, diag=op.diag + (A / grid.step ** 2) * stencil_error)
+    for iterations in range(1, _MAX_SC_ITERS + 1):
+        op = operator(m)
         if u is not None:
             pair = _refine_eigenpair(op, node_target, u, e)
         elif grid.n_points >= _COARSE_START_POINTS:
-            pair = _coarse_start(op, node_target, A, v_eff, s_origin)
+            coarse = RadialGrid.uniform(grid.r_max, grid.n_points // _COARSE_FACTOR)
+            pair = _coarse_start(operator(m, grid=coarse), op, node_target)
         else:
             pair = None
         e, u = pair if pair is not None else inner_eigensolve(op, node_target)
-        iterations = k
         if req.mode is SolveMode.SCHRODINGER:
             residual = 0.0
-            converged = True
             break
         g = p.rest_mass + e / p.c ** 2 - m
         residual = abs(g) / p.rest_mass
         trace.append(residual)
         if residual < req.sc_tolerance:
-            converged = True
             break
         step = g
         if g_prev is not None and abs(g) < abs(g_prev):
@@ -502,9 +493,9 @@ def solve_self_consistent(
                 step = secant
         m_prev, g_prev = m, g
         m = m + step
-    if not converged:
+    else:
         raise NoConvergence(
-            f"system mass not stationary after {max_iters} iterations; "
+            f"system mass not stationary after {_MAX_SC_ITERS} iterations; "
             f"last residuals {trace[-2:]}"
         )
 
@@ -559,29 +550,12 @@ def convergence_study(
     sizes = tuple(sorted(int(s) for s in grid_sizes))
     if len(set(sizes)) != len(sizes):
         raise ValueError("grid sizes must be distinct")
-    if req.grid is not None:
-        r_max = float(req.grid.points[-1] + req.grid.step)
-    else:
-        base = default_solver_grid(req.mode, req.potential, p, req.n, req.l)
-        r_max = float(base.points[-1] + base.step)
-
+    base = req.grid or default_solver_grid(req.mode, req.potential, p, req.n, req.l)
     energies = []
     steps = []
     for n_pts in sizes:
-        grid = RadialGrid.uniform(r_max, n_pts)
-        state = solve_self_consistent(
-            SolveRequest(
-                mode=req.mode,
-                potential=req.potential,
-                n=req.n,
-                l=req.l,
-                grid=grid,
-                sc_tolerance=req.sc_tolerance,
-                max_sc_iters=req.max_sc_iters,
-            ),
-            p,
-        )
-        energies.append(state.e_prime)
+        grid = RadialGrid.uniform(base.r_max, n_pts)
+        energies.append(solve_self_consistent(replace(req, grid=grid), p).e_prime)
         steps.append(grid.step)
 
     rows: list[tuple[int, float, float | None]] = [(sizes[0], energies[0], None)]
@@ -598,4 +572,4 @@ def convergence_study(
             orders.append(math.nan)
         else:
             orders.append(math.log(d1 / d2) / math.log(steps[i] / steps[i + 1]))
-    return ConvergenceStudy(rows=tuple(rows), observed_orders=tuple(orders), r_max=r_max)
+    return ConvergenceStudy(rows=tuple(rows), observed_orders=tuple(orders), r_max=base.r_max)

@@ -143,6 +143,9 @@ class TestBadValuesExit2:
         ("wavefunction", "wavefunction", "samples", "2"),
         ("convergence", "convergence", "sizes", "100,100,200"),
         ("lorentz", "lorentz", "e", "nan"),
+        # every section's values are checked, not only the ones applied
+        ("spectrum", "solve", "tol", "-1"),
+        ("spectrum", "solve", "grid_n", "3"),
     ], ids=lambda v: v)
     def test_config_file_value(self, capsys, tmp_path, command, section, key, value):
         cfg = tmp_path / "run.ini"
@@ -342,6 +345,8 @@ class TestOverflowExits:
         # rho_scale**3 underflows, so the normalization constant comes out 0
         (("wavefunction", "--rest-mass", "1e-300", "--samples", "3"), "QuadratureFailure"),
         (("wavefunction", "--rest-mass", "1e-120", "--samples", "3"), "QuadratureFailure"),
+        # r^2 overflows to inf where R underflows to 0, so the density is nan
+        (("wavefunction", "--rmax", "1e300", "--samples", "5"), "OverflowError"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_exit_4(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
@@ -412,6 +417,12 @@ class TestConvergenceCommand:
         assert rows[1]["observed_order"] == ""
         assert 1.5 < float(rows[2]["observed_order"]) < 2.5
         assert float(meta["r_max"]) > 0
+
+    def test_solves_on_the_given_box(self, capsys):
+        code, out, _ = run_cli(capsys, "convergence", "--alpha", "0.3", "--rmax", "100",
+                               "--sizes", "500,1000,2000", "--format", "json")
+        assert code == 0
+        assert '"r_max": 1.0000000000000000e+02' in out
 
     def test_invalid_state_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "convergence", "--n", "0",

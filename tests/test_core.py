@@ -175,6 +175,7 @@ class TestRadialGrid:
         g = RadialGrid.uniform(10.0, 9)
         # interior points only: h, 2h, ..., Nh with (N+1) h = r_max
         assert g.n_points == 9
+        assert g.r_max == 10.0
         assert g.step == pytest.approx(1.0, rel=1e-15)
         np.testing.assert_allclose(g.points, np.arange(1, 10) * 1.0, rtol=1e-14)
 
@@ -183,20 +184,28 @@ class TestRadialGrid:
         assert g.n_points == 50
         assert g.points[0] == pytest.approx(1e-3, rel=1e-12)
         assert g.points[-1] == pytest.approx(10.0, rel=1e-12)
+        assert g.r_max == 10.0
         ratios = g.points[1:] / g.points[:-1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
         with pytest.raises(ValueError):
             g.step  # not defined off the uniform lattice
 
+    @pytest.mark.parametrize("r_max, n", [(100.0, 2000), (77.0, 500), (1e-3, 500)])
+    def test_uniform_keeps_its_box(self, r_max, n):
+        # the box rebuilt from the points misses r_max by an ulp here
+        g = RadialGrid.uniform(r_max, n)
+        assert g.points[-1] + g.step != r_max
+        assert g.r_max == r_max
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            RadialGrid(np.array([1.0, 2.0]), "uniform")
+            RadialGrid(np.array([1.0, 2.0]), "uniform", 4.0)
         with pytest.raises(ValueError):
-            RadialGrid(np.array([0.0, 1.0, 2.0]), "uniform")
+            RadialGrid(np.array([0.0, 1.0, 2.0]), "uniform", 4.0)
         with pytest.raises(ValueError):
-            RadialGrid(np.array([1.0, 3.0, 2.0]), "uniform")
+            RadialGrid(np.array([1.0, 3.0, 2.0]), "uniform", 4.0)
         with pytest.raises(ValueError):
-            RadialGrid(np.array([1.0, 2.0, 3.0]), "chebyshev")
+            RadialGrid(np.array([1.0, 2.0, 3.0]), "chebyshev", 4.0)
 
 
 class TestBoundState:

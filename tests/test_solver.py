@@ -306,10 +306,48 @@ class TestSolveSelfConsistent:
             return
         assert state.residual <= 1e-15
 
-    def test_iteration_cap_enforced(self):
-        with pytest.raises(NoConvergence):
-            solve_self_consistent(
-                coulomb_request(P_03, 1, 0, 1000, max_sc_iters=1), P_03)
+    def test_iteration_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_SC_ITERS", 1)
+        with pytest.raises(NoConvergence, match="after 1 iterations"):
+            solve_self_consistent(coulomb_request(P_03, 1, 0, 1000), P_03)
+
+
+@pytest.mark.parametrize("mode, potential, p, n, l, n_points", [
+    (SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 2, 0, 2000),
+    (SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 2, 0, 8000),
+    (SolveMode.KG_EQUAL, PotentialSpec.equal_hulthen(0.2), P_01, 2, 0, 2000),
+], ids=["kg-vector-coulomb-2000", "kg-vector-coulomb-8000", "kg-equal-hulthen-2000"])
+def test_solve_operators_match_discretize_operator(monkeypatch, mode, potential, p, n, l,
+                                                   n_points):
+    # every operator a solve eigensolves or refines, on the coarse grid and
+    # the fine one, is the public corrected operator at that mass, bit for bit
+    grid = default_solver_grid(mode, potential, p, n, l, n_points=n_points)
+    masses, ops = {}, []
+
+    def recording(name):
+        original = getattr(solver, name)
+
+        def record(*args):
+            if name == "effective_radial_equation":
+                masses[solver._mass_parameter(mode, p, args[3])] = args[3]
+            else:
+                ops.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(solver, name, record)
+
+    for name in ("effective_radial_equation", "inner_eigensolve", "_refine_eigenpair"):
+        recording(name)
+    state = solve_self_consistent(
+        SolveRequest(mode=mode, potential=potential, n=n, l=l, grid=grid), p)
+    assert {op.grid.n_points for op in ops} == {n_points, n_points // 8}
+    assert len(ops) >= state.iterations + 1
+    s = singular_exponent(mode, potential, p, l)
+    for op in ops:
+        A, v_eff = effective_radial_equation(mode, potential, p, masses[op.mass_parameter], l)
+        ref = discretize_operator(A, v_eff, op.grid, op.mass_parameter, s)
+        assert np.array_equal(op.diag, ref.diag)
+        assert np.array_equal(op.offdiag, ref.offdiag)
 
 
 def fsum_rayleigh_quotient(op, u):
@@ -467,6 +505,16 @@ class TestGridsAndStudies:
         coarse_err = abs(study.rows[0][1] - ref)
         best_err = abs(study.best_estimate - ref)
         assert best_err < 0.05 * coarse_err
+
+    def test_convergence_study_keeps_the_box_and_the_request(self):
+        # (100, 2000) is a box that points[-1] + step misses by an ulp
+        req = SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.coulomb(),
+                           n=1, l=0, grid=RadialGrid.uniform(100.0, 2000), sc_tolerance=1e-9)
+        study = convergence_study(req, P_03, (500, 1000, 2000))
+        assert study.r_max == 100.0
+        for n_pts, e_prime, _ in study.rows:
+            grid = RadialGrid.uniform(100.0, n_pts)
+            assert e_prime == solve_self_consistent(replace(req, grid=grid), P_03).e_prime
 
     def test_convergence_study_validation(self):
         req = SolveRequest(mode=SolveMode.KG_VECTOR,

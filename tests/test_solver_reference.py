@@ -68,7 +68,7 @@ def reference_solve(req, p):
     s_origin = singular_exponent(req.mode, req.potential, p, req.l)
     m = p.rest_mass
     prev_resid = math.inf
-    max_iters = 1 if req.mode is SolveMode.SCHRODINGER else req.max_sc_iters
+    max_iters = 1 if req.mode is SolveMode.SCHRODINGER else solver._MAX_SC_ITERS
     for k in range(1, max_iters + 1):
         A, v_eff = effective_radial_equation(req.mode, req.potential, p, m, req.l)
         op = discretize_operator(A, v_eff, req.grid, _mass_parameter(req.mode, p, m), s_origin)
