@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidQuantumNumbers, NotBound, SupercriticalCoupling
+from .errors import InvalidQuantumNumbers, SupercriticalCoupling
 
 __all__ = [
     "ALPHA_FS",
@@ -34,7 +34,6 @@ __all__ = [
     "BoundState",
     "RadialGrid",
     "validate_params",
-    "binding_energy",
     "make_bound_state",
 ]
 
@@ -69,10 +68,6 @@ class PhysicalParams:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-
-    @property
-    def is_natural(self) -> bool:
-        return self.hbar == 1.0 and self.c == 1.0 and self.rest_mass == 1.0
 
     @property
     def e_squared(self) -> float:
@@ -173,10 +168,6 @@ class PotentialSpec:
     def equal_hulthen(lam: float) -> "PotentialSpec":
         return PotentialSpec(vector_part=HulthenPart(lam), scalar_part=HulthenPart(lam))
 
-    @property
-    def is_free(self) -> bool:
-        return self.vector_part is None and self.scalar_part is None
-
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
@@ -252,10 +243,6 @@ class BoundState:
             if np.shape(r) != np.shape(u):
                 raise ValueError("radial_samples arrays must be paired")
 
-    @property
-    def is_bound(self) -> bool:
-        return self.e_prime < 0
-
 
 def make_bound_state(
     qn: QuantumNumbers,
@@ -278,7 +265,7 @@ def make_bound_state(
     )
 
 
-def validate_params(p: PhysicalParams, qn: QuantumNumbers) -> tuple[PhysicalParams, QuantumNumbers]:
+def validate_params(p: PhysicalParams, qn: QuantumNumbers) -> None:
     """Enforce the reality condition Z*alpha < l + 1/2 of the quantum defect.
 
     Beyond it the defect turns complex and no real bound level exists in
@@ -289,11 +276,3 @@ def validate_params(p: PhysicalParams, qn: QuantumNumbers) -> tuple[PhysicalPara
             f"Z*alpha = {p.z_alpha:.6g} >= l + 1/2 = {qn.l + 0.5}: "
             "no real bound level for this (Z, l)"
         )
-    return p, qn
-
-
-def binding_energy(b: BoundState, p: PhysicalParams) -> float:
-    """|E'| = (m0 - m)*c^2, the mass defect times c^2."""
-    if b.e_prime >= 0:
-        raise NotBound(f"e_prime = {b.e_prime} is not negative; state is not bound")
-    return -b.e_prime

@@ -6,8 +6,8 @@ base fixes the CLI exit code:
 - ConfigError: malformed or unknown CLI/config input, exit 2;
 - PhysicsError: the request has no answer in the physics (invalid regime,
   no such state), exit 3;
-- NumericalError: the computation broke down (iteration, quadrature or
-  recurrence failure), exit 4.
+- NumericalError: the computation broke down (iteration or quadrature
+  failure, a Gamma pole), exit 4.
 """
 
 from __future__ import annotations
@@ -17,12 +17,9 @@ __all__ = [
     "PhysicsError",
     "NumericalError",
     "SupercriticalCoupling",
-    "NotBound",
     "InvalidQuantumNumbers",
     "PoleError",
-    "DegenerateRecurrence",
     "QuadratureFailure",
-    "TailNotConverged",
     "StateNotFound",
     "NoConvergence",
     "SuperluminalBoost",
@@ -47,10 +44,6 @@ class SupercriticalCoupling(PhysicsError):
     """Z*alpha >= l + 1/2: the quantum defect turns complex, no real bound level."""
 
 
-class NotBound(PhysicsError):
-    """Operation requires a bound state (E' < 0)."""
-
-
 class InvalidQuantumNumbers(PhysicsError):
     """(n, l, m) outside 0 <= l <= n-1, |m| <= l."""
 
@@ -59,16 +52,8 @@ class PoleError(NumericalError):
     """Gamma function evaluated at a nonpositive integer."""
 
 
-class DegenerateRecurrence(NumericalError):
-    """Series recurrence denominator vanished."""
-
-
 class QuadratureFailure(NumericalError):
     """Normalization integral did not converge, or the normalization is not finite and positive."""
-
-
-class TailNotConverged(NumericalError):
-    """Samples have not decayed at the grid edge; enlarge r_max."""
 
 
 class StateNotFound(PhysicsError):

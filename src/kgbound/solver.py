@@ -289,11 +289,16 @@ def inner_eigensolve(op: DiscretizedOperator, node_target: int) -> tuple[float, 
     E' is polished with a difference-form Rayleigh quotient so repeated solves
     at nearby potentials differ smoothly.  Raises StateNotFound when the
     grid has no such pair, its node count is off, or it is not bound
-    (E' >= 0), and NoConvergence when LAPACK fails on the operator.
+    (E' >= 0), and NoConvergence when the operator is not finite or LAPACK
+    fails on it.
     """
     n = op.diag.size
     if node_target >= n:
         raise StateNotFound(f"a grid of {n} points holds no state with {node_target} nodes")
+    if not (np.isfinite(op.diag).all() and np.isfinite(op.offdiag).all()):
+        raise NoConvergence(
+            "the operator has non-finite entries; the mass or the grid is out of float range"
+        )
     try:
         _, vecs = eigh_tridiagonal(
             op.diag, op.offdiag, select="i", select_range=(node_target, node_target)
@@ -523,10 +528,6 @@ class ConvergenceStudy:
     rows: tuple[tuple[int, float, float | None], ...]
     observed_orders: tuple[float, ...]
     r_max: float
-
-    @property
-    def final_order(self) -> float:
-        return self.observed_orders[-1]
 
     @property
     def best_estimate(self) -> float:

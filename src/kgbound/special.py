@@ -28,12 +28,11 @@ from numpy.polynomial.polynomial import polyval
 
 from .core import PhysicalParams, QuantumNumbers
 from .coulomb import sigma_closed
-from .errors import DegenerateRecurrence, PoleError
+from .errors import PoleError
 
 __all__ = [
     "gamma_fn",
     "eta_product",
-    "series_coefficient_ratio",
     "LaguerreRel",
     "laguerre_rel",
     "laguerre_classical",
@@ -68,22 +67,6 @@ def eta_product(l: int, nu: int, z_alpha: float, sigma_l: float) -> float:
     return out
 
 
-def series_coefficient_ratio(s: float, nu: int, beta: float, l: int, z_alpha: float) -> float:
-    """Ratio b_{nu+1}/b_nu of the power-series coefficients of u(r).
-
-    b_{nu+1}/b_nu = (s + nu - beta) / ((s + nu)(s + nu + 1) - l(l+1) + Z^2 alpha^2).
-
-    The numerator vanishing at nu = beta - s is what terminates the series
-    and quantizes the spectrum.
-    """
-    denom = (s + nu) * (s + nu + 1.0) - l * (l + 1.0) + z_alpha ** 2
-    if denom == 0.0:
-        raise DegenerateRecurrence(
-            f"recurrence denominator vanished at (s={s}, nu={nu}, l={l}, z_alpha={z_alpha})"
-        )
-    return (s + nu - beta) / denom
-
-
 @dataclass(frozen=True, eq=False)
 class LaguerreRel:
     """Dense coefficient array of a relativistic associated Laguerre polynomial.
@@ -104,10 +87,6 @@ class LaguerreRel:
         object.__setattr__(self, "coefficients", coeff)
         if coeff.size != self.n - self.l:
             raise ValueError(f"expected {self.n - self.l} coefficients, got {coeff.size}")
-
-    @property
-    def degree(self) -> int:
-        return self.n - self.l - 1
 
     def evaluate(self, rho: np.ndarray | float) -> np.ndarray | float:
         """Horner evaluation at rho: an array for array input, else a float."""

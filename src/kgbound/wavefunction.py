@@ -33,16 +33,14 @@ sample_state returns a read-only SeparableField: the dense samples
 R(r) Y(theta, phi) together with the factors R and Y.  The finite
 differences are linear, so probability_current and divergence_field work
 on the 1-D radial and 2-D angular factors; only their results are
-broadcast to the full grid.  Any other array, including a slice or an
-arithmetic result of a SeparableField, goes through the dense
-differences.  The two paths agree to rounding.  For the (2,1,+-1) states
-on grids up to 400x128x128, J_phi differs by at most 3e-14 of its peak;
-J_r, zero up to rounding, is 2e-17 of J_phi on the factored path and
-7e-15 on the dense one; the continuity floor max|div J|/max|J_phi| is
-3.4e-13 against 6.0e-13.
+broadcast to the full grid.  Both take SeparableFields that still hold
+their factors and nothing else: a plain array, or a slice or arithmetic
+result of a field, raises TypeError.  A separable field built by hand
+goes through SeparableField(radial, angular).  For the (2,1,+-1) states
+the continuity floor max|div J|/max|J_phi| is 3.4e-13 on grids up to
+400x128x128.
 
-scipy is imported only inside the two functions that need it: normalize
-(scipy.integrate.simpson) and spherical_harmonic (scipy.special.lpmv,
+scipy is imported only inside spherical_harmonic (scipy.special.lpmv,
 reached by sample_state and the current checks).  Radial wavefunctions
 are built with numpy alone.
 """
@@ -57,13 +55,12 @@ from numpy.polynomial.legendre import leggauss
 
 from .core import PhysicalParams, QuantumNumbers, RadialGrid, validate_params
 from .coulomb import energy_level, sigma_closed, system_mass
-from .errors import InvalidQuantumNumbers, QuadratureFailure, TailNotConverged
+from .errors import InvalidQuantumNumbers, QuadratureFailure
 from .special import LaguerreRel, laguerre_rel
 
 __all__ = [
     "RadialWavefunction",
     "build_radial",
-    "normalize",
     "radial_ode_residual",
     "reference_residual_grid",
     "count_radial_nodes",
@@ -105,12 +102,6 @@ class RadialWavefunction:
         )
         return out if np.ndim(out) else float(out)
 
-    def evaluate_u(self, r: np.ndarray | float) -> np.ndarray | float:
-        """u = r*R, finite at the origin for every l."""
-        r = np.asarray(r, dtype=float)
-        out = r * self.evaluate(r)
-        return out if np.ndim(out) else float(out)
-
     def tail_radius(self, threshold: float = 1e-10) -> float:
         """Radius past which |u| stays below threshold * max|u|."""
         rho_hi = 80.0 * self.qn.n ** 2
@@ -129,8 +120,9 @@ def _norm_integral(exponent: float, poly: LaguerreRel, rho_max: float, n_panels:
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     rho = (mid + half * nodes[None, :]).ravel()
     w = (half * weights[None, :]).ravel()
-    f = np.exp(-rho) * rho ** (2.0 * exponent + 2.0) * poly.evaluate(rho) ** 2
-    return float(np.sum(w * f))
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the result
+        f = np.exp(-rho) * rho ** (2.0 * exponent + 2.0) * poly.evaluate(rho) ** 2
+        return float(np.sum(w * f))
 
 
 def build_radial(p: PhysicalParams, n: int, l: int) -> RadialWavefunction:
@@ -147,7 +139,12 @@ def build_radial(p: PhysicalParams, n: int, l: int) -> RadialWavefunction:
     rho_max = 80.0 * n ** 2
     # Tail check on the integrand itself, then panel doubling to stability.
     probe = np.geomspace(1e-6, rho_max, 512)
-    integrand = np.exp(-probe) * probe ** (2.0 * exponent + 2.0) * poly.evaluate(probe) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = np.exp(-probe) * probe ** (2.0 * exponent + 2.0) * poly.evaluate(probe) ** 2
+    if not np.isfinite(integrand).all():
+        raise QuadratureFailure(
+            f"norm integrand overflows float64 on rho <= {rho_max:g} for (n={n}, l={l})"
+        )
     if integrand[-1] > 1e-12 * integrand.max():
         raise QuadratureFailure(
             f"norm integrand has not decayed at rho = {rho_max:g} for (n={n}, l={l})"
@@ -181,30 +178,6 @@ def build_radial(p: PhysicalParams, n: int, l: int) -> RadialWavefunction:
         exponent=exponent,
         orientation=orientation,
     )
-
-
-def normalize(grid: RadialGrid, samples: np.ndarray) -> float:
-    """Constant N making the sampled radial function unit-normalized.
-
-    Integrates samples^2 * r^2 over the grid (Simpson, handles log grids);
-    requires the samples, as u = r*R, to have decayed below 1e-12 of their
-    peak at the last grid point.
-    """
-    from scipy.integrate import simpson
-
-    r = grid.points
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != r.shape:
-        raise ValueError("samples must match the grid")
-    u = np.abs(samples * r)
-    if u[-1] > 1e-12 * u.max():
-        raise TailNotConverged(
-            f"|r*R| at r_max is {u[-1] / u.max():.3e} of its peak; enlarge r_max"
-        )
-    integral = float(simpson(samples ** 2 * r ** 2, x=r))
-    if not (math.isfinite(integral) and integral > 0):
-        raise QuadratureFailure(f"norm quadrature returned {integral!r}")
-    return 1.0 / math.sqrt(integral)
 
 
 def _second_derivative(u: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -335,11 +308,11 @@ class SeparableField(np.ndarray):
     """Read-only dense field radial[:, None, None] * angular[None, :, :].
 
     Besides the samples it keeps its factors: `radial`, real, shape
-    (n_r,), and `angular`, shape (n_theta, n_phi).  The current
-    diagnostics work on the factors when they are set.  Any slice, view,
-    copy or ufunc result is a plain field whose factors are None, since
-    nothing ties them to the new values; and neither the samples nor the
-    factors can be written, so the factors never go stale.
+    (n_r,), and `angular`, shape (n_theta, n_phi), which the current
+    diagnostics difference.  Any slice, view, copy or ufunc result is a
+    plain field whose factors are None, since nothing ties them to the new
+    values; and neither the samples nor the factors can be written, so the
+    factors never go stale.
     """
 
     radial: np.ndarray | None
@@ -372,9 +345,17 @@ def sample_state(
     return SeparableField(radial, angular)
 
 
-def _factors(field) -> tuple[np.ndarray, np.ndarray] | None:
-    radial = getattr(field, "radial", None)
-    return None if radial is None else (radial, field.angular)
+def _factors_on(grid: SphericalGrid3D, field) -> tuple[np.ndarray, np.ndarray]:
+    """(radial, angular) of a SeparableField sampled on grid."""
+    if not isinstance(field, SeparableField) or field.radial is None:
+        raise TypeError(
+            f"need a SeparableField that holds its factors, got {type(field).__name__} "
+            "with none: build it with sample_state or SeparableField(radial, angular); "
+            "slices and arithmetic results of a field drop the factors"
+        )
+    if field.shape != grid.shape:
+        raise ValueError(f"field shape {field.shape} does not match the grid {grid.shape}")
+    return field.radial, field.angular
 
 
 def _phi_spectral_derivative(f: np.ndarray) -> np.ndarray:
@@ -387,48 +368,28 @@ def _phi_spectral_derivative(f: np.ndarray) -> np.ndarray:
 
 
 def probability_current(
-    psi: np.ndarray, grid: SphericalGrid3D, p: PhysicalParams, m_sys: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J_r, J_theta, J_phi) of the sampled state.
-
-    J = 2*hbar/(m0 + m) * Im(psi* grad psi).  A strictly real field has
-    identically zero current and is short-circuited to exact zeros, which
-    covers every m = 0 eigenstate.  Angular gradient components use
-    second-order differences; the azimuthal one is spectral (the grid is
-    periodic and uniform), so single-mode phases e^(i m phi) are
-    differentiated to machine accuracy.
-
-    A SeparableField psi = R (x) Y is differentiated through its factors:
-    the differences are linear, so the r and theta gradients of R (x) Y
-    are R' (x) Y and R (x) dY/dtheta, and the phi derivative acts on Y
-    alone.  Each component then comes back as a SeparableField.
-    """
-    if np.shape(psi) != grid.shape:
-        raise ValueError(f"psi shape {np.shape(psi)} does not match grid {grid.shape}")
-    pref = 2.0 * p.hbar / (p.rest_mass + m_sys)
-    factors = _factors(psi)
-    if factors is not None:
-        return _factored_current(*factors, grid, pref)
-    psi = np.asarray(psi, dtype=complex)
-    if not psi.imag.any():
-        zeros = np.zeros(grid.shape)
-        return zeros, zeros.copy(), zeros.copy()
-    r = grid.r[:, None, None]
-    sin_t = np.sin(grid.theta)[None, :, None]
-    conj = np.conj(psi)
-    j_r = pref * np.imag(conj * np.gradient(psi, grid.r, axis=0))
-    j_theta = pref * np.imag(conj * np.gradient(psi, grid.theta, axis=1)) / r
-    j_phi = pref * np.imag(conj * _phi_spectral_derivative(psi)) / (r * sin_t)
-    return j_r, j_theta, j_phi
-
-
-def _factored_current(
-    R: np.ndarray, Y: np.ndarray, grid: SphericalGrid3D, pref: float
+    psi: SeparableField, grid: SphericalGrid3D, p: PhysicalParams, m_sys: float
 ) -> tuple[SeparableField, SeparableField, SeparableField]:
-    """probability_current of R (x) Y, each component an outer product."""
+    """(J_r, J_theta, J_phi) of the sampled state psi = R (x) Y.
+
+    J = 2*hbar/(m0 + m) * Im(psi* grad psi).  The differences are linear,
+    so the r and theta gradients of R (x) Y are R' (x) Y and
+    R (x) dY/dtheta, and the phi derivative acts on Y alone; each
+    component comes back as a SeparableField.  The r and theta gradients
+    are second-order differences; the phi one is spectral (the grid is
+    periodic and uniform), so single-mode phases e^(i m phi) are
+    differentiated to machine accuracy.  A real Y has identically zero
+    current and is short-circuited to exact zeros, which covers every
+    m = 0 eigenstate.
+
+    psi must be a SeparableField that holds its factors; anything else
+    raises TypeError.
+    """
+    R, Y = _factors_on(grid, psi)
     if not Y.imag.any():
         zeros = SeparableField(np.zeros(grid.r.size), np.zeros(Y.shape))
         return zeros, zeros, zeros  # read-only, so sharing one is safe
+    pref = 2.0 * p.hbar / (p.rest_mass + m_sys)
     conj = np.conj(Y)
     tangential = pref * R ** 2 / grid.r
     return (
@@ -442,7 +403,7 @@ def _factored_current(
 
 
 def divergence_field(
-    J: tuple[np.ndarray, np.ndarray, np.ndarray], grid: SphericalGrid3D
+    J: tuple[SeparableField, SeparableField, SeparableField], grid: SphericalGrid3D
 ) -> np.ndarray:
     """div J on the grid interior, by second-order differences.
 
@@ -452,34 +413,19 @@ def divergence_field(
     periodic, so every phi sample survives.  Grids smaller than
     5 x 3 x 1 have no interior and raise ValueError.
 
-    When all three components are SeparableFields, each term is the outer
-    product of a radial and an angular difference, taken on the interior
-    rows only.
+    Each component must be a SeparableField that holds its factors, as
+    probability_current returns; anything else raises TypeError.  Each
+    term of div J is then the outer product of a radial and an angular
+    difference, so the sum is one (n_r-4, 3) @ (3, interior angles)
+    product.
     """
     n_r, n_theta, n_phi = grid.shape
     if n_r < 5 or n_theta < 3 or n_phi < 1:
         raise ValueError(
             f"div J needs n_r >= 5, n_theta >= 3 and n_phi >= 1; the grid is {grid.shape}"
         )
-    if any(np.shape(comp) != grid.shape for comp in J):
-        raise ValueError(f"current components must match the grid {grid.shape}")
+    (a_r, b_r), (a_theta, b_theta), (a_phi, b_phi) = (_factors_on(grid, c) for c in J)
     d_phi = 2.0 * math.pi / n_phi
-    factors = [_factors(comp) for comp in J]
-    if None not in factors:
-        return _factored_divergence(factors, grid, d_phi)
-    j_r, j_theta, j_phi = (np.asarray(comp) for comp in J)
-    r = grid.r[:, None, None]
-    sin_t = np.sin(grid.theta)[None, :, None]
-
-    term_r = np.gradient(r ** 2 * j_r, grid.r, axis=0) / r ** 2
-    term_theta = np.gradient(sin_t * j_theta, grid.theta, axis=1) / (r * sin_t)
-    term_phi = (np.roll(j_phi, -1, axis=2) - np.roll(j_phi, 1, axis=2)) / (2.0 * d_phi * r * sin_t)
-    return (term_r + term_theta + term_phi)[2:-2, 1:-1, :]
-
-
-def _factored_divergence(factors, grid: SphericalGrid3D, d_phi: float) -> np.ndarray:
-    """Sum of three outer products, as one (n_r-4, 3) @ (3, interior angles) product."""
-    (a_r, b_r), (a_theta, b_theta), (a_phi, b_phi) = factors
     r = grid.r
     sin_t = np.sin(grid.theta)[:, None]
     radial = np.stack(
@@ -494,7 +440,7 @@ def _factored_divergence(factors, grid: SphericalGrid3D, d_phi: float) -> np.nda
 
 
 def continuity_check(
-    J: tuple[np.ndarray, np.ndarray, np.ndarray], grid: SphericalGrid3D
+    J: tuple[SeparableField, SeparableField, SeparableField], grid: SphericalGrid3D
 ) -> float:
     """max |div J| over the grid interior.
 

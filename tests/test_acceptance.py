@@ -41,6 +41,7 @@ from kgbound.solver import (
 )
 from kgbound.special import laguerre_classical, laguerre_rel
 from kgbound.wavefunction import (
+    SeparableField,
     build_radial,
     continuity_check,
     count_radial_nodes,
@@ -242,9 +243,9 @@ def test_criterion_6_probability_current():
     residuals = []
     for n_r, n_t, n_p in resolutions:
         grid = current_check_grid(R, n_r=n_r, n_theta=n_t, n_phi=n_p)
-        f = (R.evaluate(grid.r)[:, None, None]
-             * np.sin(grid.theta)[None, :, None])
-        psi = f * np.exp(1j * np.sin(grid.phi))[None, None, :]
+        psi = SeparableField(
+            R.evaluate(grid.r),
+            np.sin(grid.theta)[:, None] * np.exp(1j * np.sin(grid.phi))[None, :])
         J = probability_current(psi, grid, p, m_sys)
         div_num = divergence_field(J, grid)
         div_exact = (-pref

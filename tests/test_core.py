@@ -15,15 +15,10 @@ from kgbound.core import (
     PotentialSpec,
     QuantumNumbers,
     RadialGrid,
-    binding_energy,
     make_bound_state,
     validate_params,
 )
-from kgbound.errors import (
-    InvalidQuantumNumbers,
-    NotBound,
-    SupercriticalCoupling,
-)
+from kgbound.errors import InvalidQuantumNumbers, SupercriticalCoupling
 
 
 def test_fine_structure_constant_value():
@@ -33,7 +28,6 @@ def test_fine_structure_constant_value():
 class TestPhysicalParams:
     def test_defaults_are_natural_units(self):
         p = PhysicalParams()
-        assert p.is_natural
         assert p.rest_mass == 1.0 and p.c == 1.0 and p.hbar == 1.0
         assert p.alpha == ALPHA_FS
 
@@ -122,7 +116,7 @@ class TestValidateParams:
             with pytest.raises(SupercriticalCoupling):
                 validate_params(p, qn)
         else:
-            assert validate_params(p, qn) == (p, qn)
+            assert validate_params(p, qn) is None
 
 
 class TestPotentials:
@@ -165,9 +159,6 @@ class TestPotentials:
         eq = PotentialSpec.equal_hulthen(0.2)
         assert eq.vector_part is not None and eq.scalar_part is not None
         assert eq.vector_part.lam == eq.scalar_part.lam == 0.2
-        free = PotentialSpec(None, None)
-        assert free.is_free
-        assert not PotentialSpec.hulthen(0.1).is_free
 
 
 class TestRadialGrid:
@@ -216,8 +207,6 @@ class TestBoundState:
         assert st_.e_total == pytest.approx(p.rest_energy - 0.05, rel=1e-15)
         assert st_.system_mass == pytest.approx(p.rest_mass - 0.05, rel=1e-15)
         assert st_.node_count == qn.radial_nodes == 0
-        assert st_.is_bound
-        assert binding_energy(st_, p) == pytest.approx(0.05, rel=1e-15)
 
     def test_node_count_must_match(self):
         p = PhysicalParams()
@@ -243,18 +232,3 @@ class TestBoundState:
                 node_count=0,
                 radial_samples=(grid, np.zeros(4)),
             )
-
-    def test_not_bound(self):
-        p = PhysicalParams()
-        st_ = make_bound_state(QuantumNumbers(1, 0), -0.01, p)
-        assert binding_energy(st_, p) > 0
-        unbound = BoundState(
-            qn=QuantumNumbers(1, 0),
-            e_prime=0.02,
-            e_total=p.rest_energy + 0.02,
-            system_mass=p.rest_mass + 0.02,
-            node_count=0,
-        )
-        assert not unbound.is_bound
-        with pytest.raises(NotBound):
-            binding_energy(unbound, p)

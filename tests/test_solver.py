@@ -499,7 +499,7 @@ class TestGridsAndStudies:
                            potential=PotentialSpec.coulomb(), n=1, l=0)
         study = convergence_study(req, P_01, (500, 1000, 2000))
         assert len(study.rows) == 3
-        assert 1.7 < study.final_order < 2.3
+        assert 1.7 < study.observed_orders[-1] < 2.3
         ref = energy_level(P_01, 1, 0).e_prime
         assert study.rows[0][2] is None  # nothing to extrapolate yet
         coarse_err = abs(study.rows[0][1] - ref)

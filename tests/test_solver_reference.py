@@ -11,7 +11,8 @@ bound, near Hulthen unbinding and at large n.
 
 On grids of 2000 points or more the first eigenpair comes from a grid
 eight times coarser, refined on the fine grid; over the same cases at
-N = 4000 that start must give what a direct first eigensolve gives.
+N = 4000 that start must give what a direct first eigensolve gives, and
+a state the coarse grid does not bind must still be found on the fine one.
 """
 import math
 
@@ -32,6 +33,7 @@ from kgbound.solver import (
     default_solver_grid,
     discretize_operator,
     effective_radial_equation,
+    inner_eigensolve,
     singular_exponent,
     solve_self_consistent,
 )
@@ -193,3 +195,47 @@ def test_coarse_start_matches_direct_first_solve(monkeypatch, mode, pot, lam, za
     if pot.endswith("coulomb"):
         # only shallow Hulthen states may fall back to the direct solve
         assert accepted == [True]
+
+
+# States that the N // 8 coarse grid does not bind at m = m0 while the
+# 2000-point grid does, with the fine solve's E' and iterations.  A scan of
+# lam = 0.02..2.0 at Zalpha 0.1 and 0.3, n <= 4, in the three Hulthen modes
+# found 169 such cases (and 22 the other way round), so a solve must not
+# stop at StateNotFound from the coarse grid alone.
+COARSE_UNBOUND = [
+    (SolveMode.KG_VECTOR, "hulthen", 1.69, 0.1, 1, 0, -1.2992e-4, 3),
+    (SolveMode.SCHRODINGER, "hulthen", 1.8, 0.3, 1, 0, -3.7608e-4, 1),
+    (SolveMode.KG_EQUAL, "equal-hulthen", 0.85, 0.1, 2, 0, -1.0701e-4, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "mode,pot,lam,za,n,l,e_prime,iterations",
+    COARSE_UNBOUND,
+    ids=[f"{c[0].value}-{c[1]}-lam{c[2]}-za{c[3]}-{c[4]}{c[5]}" for c in COARSE_UNBOUND],
+)
+def test_state_bound_only_on_the_fine_grid(monkeypatch, mode, pot, lam, za, n, l,
+                                           e_prime, iterations):
+    p = PhysicalParams(alpha=za)
+    potential = build(pot, lam)
+    grid = default_solver_grid(mode, potential, p, n, l, n_points=2000)
+    req = SolveRequest(mode=mode, potential=potential, n=n, l=l, grid=grid)
+    coarse_ops = []
+    coarse_start = solver._coarse_start
+
+    def recording(coarse_op, *args):
+        coarse_ops.append(coarse_op)
+        return coarse_start(coarse_op, *args)
+
+    monkeypatch.setattr(solver, "_coarse_start", recording)
+    got = solve_self_consistent(req, p)
+    (coarse_op,) = coarse_ops
+    assert coarse_op.grid.n_points == 250
+    assert coarse_op.mass_parameter == _mass_parameter(mode, p, p.rest_mass)
+    with pytest.raises(StateNotFound):
+        inner_eigensolve(coarse_op, n - l - 1)
+    monkeypatch.setattr(solver, "_coarse_start", lambda *args: None)
+    ref = solve_self_consistent(req, p)
+    assert abs(got.e_prime - ref.e_prime) <= 1e-12 * abs(ref.e_prime)
+    assert got.iterations == ref.iterations == iterations
+    assert got.e_prime == pytest.approx(e_prime, rel=5e-5)

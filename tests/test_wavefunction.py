@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from kgbound.core import PhysicalParams, QuantumNumbers, RadialGrid
+from kgbound.core import PhysicalParams
 from kgbound.coulomb import sigma_closed, system_mass
-from kgbound.errors import InvalidQuantumNumbers, TailNotConverged
+from kgbound.errors import InvalidQuantumNumbers, QuadratureFailure
 from kgbound.wavefunction import (
     SeparableField,
     build_radial,
@@ -14,7 +14,6 @@ from kgbound.wavefunction import (
     count_radial_nodes,
     current_check_grid,
     divergence_field,
-    normalize,
     probability_current,
     radial_ode_residual,
     reference_residual_grid,
@@ -59,19 +58,13 @@ class TestBuildRadial:
             integ = np.trapezoid((r * R.evaluate(r)) ** 2, r)
             assert integ == pytest.approx(1.0, rel=1e-8), (n, l)
 
-    def test_evaluate_u_relation(self):
-        R = build_radial(P_FS, 2, 0)
-        r = np.linspace(0.5, 20.0, 11) * (1.0 / R.rho_scale)
-        np.testing.assert_allclose(
-            R.evaluate_u(r), r * R.evaluate(r), rtol=1e-14)
-
     def test_tail_radius_threshold(self):
         R = build_radial(P_03, 3, 0)
         r_t = R.tail_radius(1e-10)
         r_probe = np.linspace(r_t, 3.0 * r_t, 200)
-        u_max = np.abs(R.evaluate_u(
-            np.geomspace(1e-4 / R.rho_scale, r_t, 2000))).max()
-        assert np.abs(R.evaluate_u(r_probe)).max() <= 1e-10 * u_max * 1.5
+        r_body = np.geomspace(1e-4 / R.rho_scale, r_t, 2000)
+        u_max = np.abs(r_body * R.evaluate(r_body)).max()
+        assert np.abs(r_probe * R.evaluate(r_probe)).max() <= 1e-10 * u_max * 1.5
 
     def test_supercritical_and_bad_qn(self):
         from kgbound.errors import SupercriticalCoupling
@@ -79,6 +72,10 @@ class TestBuildRadial:
             build_radial(PhysicalParams(alpha=0.6), 1, 0)
         with pytest.raises(InvalidQuantumNumbers):
             build_radial(P_03, 0, 0)
+        # rho^(2l+2) or P(rho)^2 passes 1e308 before exp(-rho) damps it
+        for n, l in ((35, 34), (40, 0)):
+            with pytest.raises(QuadratureFailure, match="integrand overflows float64"):
+                build_radial(P_FS, n, l)
 
 
 class TestNodesAndNormalize:
@@ -87,25 +84,6 @@ class TestNodesAndNormalize:
             for l in range(n):
                 R = build_radial(P_03, n, l)
                 assert count_radial_nodes(R) == n - l - 1, (n, l)
-
-    def test_normalize_recovers_unity(self):
-        # on an already unit-normalized R the correction constant is 1
-        R = build_radial(P_03, 2, 1)
-        grid = RadialGrid.uniform(R.tail_radius(1e-13), 60_000)
-        val = normalize(grid, np.asarray(R.evaluate(grid.points)))
-        assert val == pytest.approx(1.0, rel=1e-8)
-
-    def test_normalize_rescales(self):
-        R = build_radial(P_03, 1, 0)
-        grid = RadialGrid.uniform(R.tail_radius(1e-13), 60_000)
-        val = normalize(grid, 7.0 * np.asarray(R.evaluate(grid.points)))
-        assert val == pytest.approx(1.0 / 7.0, rel=1e-8)
-
-    def test_normalize_flags_short_grid(self):
-        R = build_radial(P_03, 2, 1)
-        grid = RadialGrid.uniform(0.3 * R.tail_radius(1e-10), 4000)
-        with pytest.raises(TailNotConverged):
-            normalize(grid, np.asarray(R.evaluate(grid.points)))
 
 
 class TestOdeResidual:
@@ -219,6 +197,43 @@ class TestProbabilityCurrent:
         assert psi.shape == grid.shape == (10, 8, 6)
 
 
+def _dense_phi_derivative(f):
+    """Spectral d/dphi along the last axis; the unpaired Nyquist mode gets 0."""
+    n_phi = f.shape[-1]
+    k = np.fft.fftfreq(n_phi, d=1.0 / n_phi)
+    if n_phi % 2 == 0:
+        k[n_phi // 2] = 0.0
+    return np.fft.ifft(1j * k * np.fft.fft(f, axis=-1), axis=-1)
+
+
+def _dense_current(psi, grid, p, m_sys):
+    """probability_current by differences of the dense 3D field: the oracle."""
+    psi = np.asarray(psi, dtype=complex)
+    if not psi.imag.any():
+        zeros = np.zeros(grid.shape)
+        return zeros, zeros.copy(), zeros.copy()
+    pref = 2.0 * p.hbar / (p.rest_mass + m_sys)
+    r = grid.r[:, None, None]
+    sin_t = np.sin(grid.theta)[None, :, None]
+    conj = np.conj(psi)
+    j_r = pref * np.imag(conj * np.gradient(psi, grid.r, axis=0))
+    j_theta = pref * np.imag(conj * np.gradient(psi, grid.theta, axis=1)) / r
+    j_phi = pref * np.imag(conj * _dense_phi_derivative(psi)) / (r * sin_t)
+    return j_r, j_theta, j_phi
+
+
+def _dense_divergence(J, grid):
+    """divergence_field by differences of the dense 3D components: the oracle."""
+    j_r, j_theta, j_phi = (np.asarray(comp) for comp in J)
+    r = grid.r[:, None, None]
+    sin_t = np.sin(grid.theta)[None, :, None]
+    d_phi = 2.0 * math.pi / grid.phi.size
+    term_r = np.gradient(r ** 2 * j_r, grid.r, axis=0) / r ** 2
+    term_theta = np.gradient(sin_t * j_theta, grid.theta, axis=1) / (r * sin_t)
+    term_phi = (np.roll(j_phi, -1, axis=2) - np.roll(j_phi, 1, axis=2)) / (2.0 * d_phi * r * sin_t)
+    return (term_r + term_theta + term_phi)[2:-2, 1:-1, :]
+
+
 def _unit_current_scale(psi, grid, p, m_sys):
     """max of 2 hbar/(m0 + m) |psi|^2/(r sin theta): J_phi of one unit of m."""
     pref = 2.0 * p.hbar / (p.rest_mass + m_sys)
@@ -238,7 +253,7 @@ _FACTORED_CASES = (
 
 
 class TestFactoredCurrent:
-    """The factored path of a SeparableField against the dense path."""
+    """The factored current and divergence against dense differences."""
 
     @pytest.mark.parametrize("za, n, l, m, shape", _FACTORED_CASES)
     def test_factored_matches_dense(self, za, n, l, m, shape):
@@ -248,9 +263,8 @@ class TestFactoredCurrent:
         grid = current_check_grid(R, *shape)
         psi = sample_state(p, R, m, grid)
         factored = probability_current(psi, grid, p, m_sys)
-        dense = probability_current(np.asarray(psi), grid, p, m_sys)
+        dense = _dense_current(psi, grid, p, m_sys)
         assert all(isinstance(c, SeparableField) for c in factored)
-        assert not any(isinstance(c, SeparableField) for c in dense)
         if m == 0:
             assert not any(c.any() for c in factored + dense)
             return
@@ -263,7 +277,7 @@ class TestFactoredCurrent:
         if 2 * abs(m) == shape[2]:
             assert np.abs(factored[2]).max() <= 1e-12 * scale
         div_f = divergence_field(factored, grid)
-        div_d = divergence_field(dense, grid)
+        div_d = _dense_divergence(dense, grid)
         assert div_f.shape == div_d.shape == (shape[0] - 4, shape[1] - 2, shape[2])
         assert np.abs(div_f - div_d).max() <= 1e-10 * scale
 
@@ -280,44 +294,50 @@ class TestFactoredCurrent:
             SeparableField(s ** 2 * np.exp(-s), np.sin(th) * np.sin(2.0 * ph)),
         )
         div_f = divergence_field(J, grid)
-        div_d = divergence_field(tuple(np.asarray(c) for c in J), grid)
+        div_d = _dense_divergence(J, grid)
         assert div_f.shape == div_d.shape == (26, 8, 15)
         assert np.abs(div_f - div_d).max() <= 1e-12 * np.abs(div_d).max()
 
-    def test_mixed_components_take_the_dense_path(self):
+    def test_fields_without_factors_raise_type_error(self):
         R = build_radial(P_03, 2, 1)
         m_sys = system_mass(P_03, 2, 1)
         grid = current_check_grid(R, n_r=30, n_theta=10, n_phi=16)
-        J = probability_current(sample_state(P_03, R, 1, grid), grid, P_03, m_sys)
-        mixed = (np.asarray(J[0]), J[1], J[2])
-        div = divergence_field(mixed, grid)
-        assert type(div) is np.ndarray
-        np.testing.assert_allclose(
-            div, divergence_field(J, grid), rtol=0, atol=1e-10 * np.abs(J[2]).max())
+        psi = sample_state(P_03, R, 1, grid)
+        J = probability_current(psi, grid, P_03, m_sys)
+        # a plain array, a full slice and an arithmetic result, all grid-shaped
+        for field in (np.asarray(psi), psi[:], psi * 1):
+            with pytest.raises(TypeError, match="sample_state or SeparableField"):
+                probability_current(field, grid, P_03, m_sys)
+        for bad in (tuple(np.asarray(c) for c in J), (np.asarray(J[0]), J[1], J[2]),
+                    (J[0], J[1][:], J[2]), (J[0], J[1], J[2] * 1)):
+            with pytest.raises(TypeError, match="sample_state or SeparableField"):
+                divergence_field(bad, grid)
+            with pytest.raises(TypeError, match="sample_state or SeparableField"):
+                continuity_check(bad, grid)
 
     def test_tiny_grids_raise_value_error(self):
         R = build_radial(P_03, 2, 1)
         m_sys = system_mass(P_03, 2, 1)
         for shape in ((4, 8, 8), (5, 2, 8), (2, 3, 4)):
             grid = current_check_grid(R, *shape)
-            psi = sample_state(P_03, R, 1, grid)
-            for field in (psi, np.asarray(psi)):
-                J = probability_current(field, grid, P_03, m_sys)
-                with pytest.raises(ValueError, match="n_r >= 5, n_theta >= 3"):
-                    continuity_check(J, grid)
-        # the smallest grid with an interior works on both paths
+            J = probability_current(sample_state(P_03, R, 1, grid), grid, P_03, m_sys)
+            with pytest.raises(ValueError, match="n_r >= 5, n_theta >= 3"):
+                continuity_check(J, grid)
+        # the smallest grid with an interior works
         grid = current_check_grid(R, 5, 3, 1)
-        psi = sample_state(P_03, R, 1, grid)
-        for field in (psi, np.asarray(psi)):
-            J = probability_current(field, grid, P_03, m_sys)
-            assert divergence_field(J, grid).shape == (1, 1, 1)
+        J = probability_current(sample_state(P_03, R, 1, grid), grid, P_03, m_sys)
+        assert divergence_field(J, grid).shape == (1, 1, 1)
 
     def test_components_must_match_the_grid(self):
         R = build_radial(P_03, 2, 1)
         grid = current_check_grid(R, n_r=10, n_theta=6, n_phi=8)
-        J = (np.zeros((10, 6, 8)), np.zeros((10, 6, 8)), np.zeros((10, 6, 7)))
+        J = (SeparableField(np.zeros(10), np.zeros((6, 8))),) * 2 + (
+            SeparableField(np.zeros(10), np.zeros((6, 7))),)
         with pytest.raises(ValueError, match="match the grid"):
             divergence_field(J, grid)
+        psi = sample_state(P_03, R, 1, current_check_grid(R, n_r=11, n_theta=6, n_phi=8))
+        with pytest.raises(ValueError, match="match the grid"):
+            probability_current(psi, grid, P_03, system_mass(P_03, 2, 1))
 
 
 class TestSeparableField:
