@@ -327,6 +327,9 @@ class TestOverflowExits:
         # operator entries near 1e305 make LAPACK's stebz fail
         (("solve", "--rest-mass", "1e-300", "--grid-n", "16", "--rmax", "0.05"),
          "NoConvergence"),
+        # the centrifugal term overflows to inf in the operator
+        (("solve", "--rest-mass", "1e-300", "--n", "3", "--l", "2", "--grid-n", "400",
+          "--rmax", "0.05"), "NoConvergence"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_solve_reports_per_row(self, capsys, argv, status):
         code, out, err = run_cli(capsys, *argv)

@@ -238,6 +238,20 @@ class TestInnerEigensolve:
             solve_self_consistent(coulomb_request(P_03, 1, 0, n_points), P_03)
             assert [call[0][0].size for call in calls] == [n_points // 8]
 
+    @pytest.mark.parametrize("field, value", [
+        ("diag", np.inf), ("diag", np.nan), ("offdiag", np.nan),
+    ], ids=lambda v: v if isinstance(v, str) else repr(v))
+    def test_non_finite_operator_raises_no_convergence(self, field, value):
+        # LAPACK would reject the arrays with a bare ValueError
+        grid = RadialGrid.uniform(40.0 * P_01.bohr_radius(), 400)
+        A, v_eff = effective_radial_equation(
+            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0)
+        op = discretize_operator(A, v_eff, grid, 2.0 * P_01.rest_mass, 1.0)
+        entries = getattr(op, field).copy()
+        entries[7] = value
+        with pytest.raises(NoConvergence, match="non-finite entries"):
+            inner_eigensolve(replace(op, **{field: entries}), 0)
+
     def test_no_bound_state_in_free_potential(self):
         p = P_01
         grid = RadialGrid.uniform(50.0, 500)
