@@ -15,9 +15,11 @@ tridiagonal operator), on grids of 2000 points or more by way of the
 operator on a grid eight times coarser, whose eigenvector is refined on
 the fine grid (see _coarse_start); later ones refine the previous
 eigenvector by shifted inverse iteration, since one mass step changes the
-operator only slightly.  The origin correction of the stencil depends
-only on the grid and the exponent s, so a solve computes it once, and
-one builder makes every operator of the solve, coarse and fine.
+operator only slightly.  discretize_operator is the one builder: it takes
+the mode, the potential, the parameters, the mass, l and the grid, and
+makes every operator of a solve, coarse and fine.  The origin correction
+of the stencil depends only on the exponent s and the number of points,
+so it is cached and a solve computes it once per grid.
 
 Mode dictionary, writing msum = m0 + m, U for the vector part and S for
 the scalar part:
@@ -44,8 +46,9 @@ _refine_eigenpair imports LAPACK dgtsv from scipy.linalg.lapack.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -101,14 +104,19 @@ class SolveRequest:
 class DiscretizedOperator:
     """Symmetric tridiagonal matrix of the radial operator on a uniform grid.
 
-    mass_parameter is hbar^2/A, i.e. 2*m0 for the Schrodinger mode and
-    m0 + m for the relativistic ones, frozen at this inner iteration's mass.
+    Raises NoConvergence when an entry is not finite, so neither eigen path
+    ever sees such an operator.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
-    mass_parameter: float
     grid: RadialGrid
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.offdiag).all()):
+            raise NoConvergence(
+                "the operator has non-finite entries; the mass or the grid is out of float range"
+            )
 
 
 def _check_combination(mode: SolveMode, potential: PotentialSpec) -> None:
@@ -133,7 +141,7 @@ def effective_radial_equation(
 ) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
     """Kinetic coefficient A and effective potential V_eff(r) for u = r*R."""
     _check_combination(mode, potential)
-    mass_param = _mass_parameter(mode, p, m_sys)
+    mass_param = 2.0 * p.rest_mass if mode is SolveMode.SCHRODINGER else p.rest_mass + m_sys
     A = p.hbar ** 2 / mass_param
     cent_coef = l * (l + 1) * p.hbar ** 2 / mass_param
 
@@ -157,13 +165,6 @@ def effective_radial_equation(
     return A, v_eff
 
 
-def _mass_parameter(mode: SolveMode, p: PhysicalParams, m_sys: float) -> float:
-    """hbar^2 / A: 2*m0 for the Schrodinger mode, m0 + m for the others."""
-    if mode is SolveMode.SCHRODINGER:
-        return 2.0 * p.rest_mass
-    return p.rest_mass + m_sys
-
-
 def singular_exponent(mode: SolveMode, potential: PotentialSpec, p: PhysicalParams, l: int) -> float:
     """Origin exponent s of the regular solution, u ~ r^s.
 
@@ -185,40 +186,47 @@ def singular_exponent(mode: SolveMode, potential: PotentialSpec, p: PhysicalPara
 
 
 def discretize_operator(
-    A: float,
-    v_eff: Callable[[np.ndarray], np.ndarray],
+    mode: SolveMode,
+    potential: PotentialSpec,
+    p: PhysicalParams,
+    m_sys: float,
+    l: int,
     grid: RadialGrid,
-    mass_parameter: float,
-    singular_index: float | None = None,
 ) -> DiscretizedOperator:
-    """Second-order central-difference matrix with Dirichlet ends.
+    """The radial equation at system mass m_sys as a second-order
+    central-difference matrix with Dirichlet ends.
 
-    With singular_index = s given, the diagonal is corrected so the
-    stencil differentiates r^s without error.  Near the origin the regular
-    solution behaves like r^s with fractional s in the relativistic
-    Coulomb modes, and the plain stencil's truncation error on that power
-    (largest at the first interior point, where r ~ h) degrades eigenvalue
-    convergence below second order; the correction restores it.  For
-    integer s <= 3 the stencil is already exact and the correction is
-    identically zero, so non-singular modes are untouched.
+    The diagonal is corrected so the stencil differentiates r^s without
+    error, s being singular_exponent's origin exponent.  Near the origin
+    the regular solution behaves like r^s with fractional s in the
+    relativistic Coulomb modes, and the plain stencil's truncation error on
+    that power (largest at the first interior point, where r ~ h) degrades
+    eigenvalue convergence below second order; the correction restores
+    it.  For integer s <= 3 the stencil is already exact and the correction
+    is identically zero, so non-singular modes are untouched.  An entry
+    that overflows raises NoConvergence (see DiscretizedOperator).
     """
-    h = grid.step  # raises for non-uniform grids; the stencil needs constant h
-    kin = A / h ** 2
-    diag = 2.0 * kin + v_eff(grid.points)
-    if singular_index is not None:
-        diag = diag + kin * _stencil_error(singular_index, grid.n_points)
-    offdiag = np.full(grid.n_points - 1, -kin)
-    return DiscretizedOperator(diag=diag, offdiag=offdiag, mass_parameter=mass_parameter, grid=grid)
+    correction = _stencil_error(singular_exponent(mode, potential, p, l), grid.n_points)
+    A, v_eff = effective_radial_equation(mode, potential, p, m_sys, l)
+    kin = A / grid.step ** 2  # step raises for non-uniform grids
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        diag = 2.0 * kin + v_eff(grid.points) + kin * correction
+    return DiscretizedOperator(diag=diag, offdiag=np.full(grid.n_points - 1, -kin), grid=grid)
 
 
+@functools.lru_cache(maxsize=4)
 def _stencil_error(s: float, n: int) -> np.ndarray:
     """Error of the unit-step stencil on r^s at indices 1..n, relative to r^s.
 
     discretize_operator adds kin times this to the diagonal.  It depends
-    only on (s, n), so a solve computes it once for all its iterations.
+    only on (s, n), so it is cached: a solve uses two keys, its grid and the
+    coarse start's, and computes each once.  The array is read-only.
     """
+    powers = np.arange(n + 2, dtype=float) ** s  # i^s for i = 0..n+1
     i = np.arange(1, n + 1, dtype=float)
-    return ((i + 1.0) ** s - 2.0 * i ** s + (i - 1.0) ** s) / i ** s - s * (s - 1.0) / i ** 2
+    error = (powers[2:] - 2.0 * powers[1:-1] + powers[:-2]) / powers[1:-1] - s * (s - 1.0) / i ** 2
+    error.flags.writeable = False
+    return error
 
 
 def _count_sign_changes(u: np.ndarray) -> int:
@@ -289,16 +297,11 @@ def inner_eigensolve(op: DiscretizedOperator, node_target: int) -> tuple[float, 
     E' is polished with a difference-form Rayleigh quotient so repeated solves
     at nearby potentials differ smoothly.  Raises StateNotFound when the
     grid has no such pair, its node count is off, or it is not bound
-    (E' >= 0), and NoConvergence when the operator is not finite or LAPACK
-    fails on it.
+    (E' >= 0), and NoConvergence when LAPACK fails on it.
     """
     n = op.diag.size
     if node_target >= n:
         raise StateNotFound(f"a grid of {n} points holds no state with {node_target} nodes")
-    if not (np.isfinite(op.diag).all() and np.isfinite(op.offdiag).all()):
-        raise NoConvergence(
-            "the operator has non-finite entries; the mass or the grid is out of float range"
-        )
     try:
         _, vecs = eigh_tridiagonal(
             op.diag, op.offdiag, select="i", select_range=(node_target, node_target)
@@ -444,7 +447,7 @@ def solve_self_consistent(
     is replaced by the plain step when the previous step did not shrink
     |g| or when it would leave m0 + m <= 0.  The iteration stops once
     |g|/m0 < sc_tolerance, or raises NoConvergence (reporting the last
-    residuals) after _MAX_SC_ITERS steps.  One nested builder makes every
+    residuals) after _MAX_SC_ITERS steps.  discretize_operator makes every
     operator of the solve.  The first eigenpair comes from a coarser grid
     when the grid is large (see _coarse_start), and from the second
     iteration on it is refined from the previous one (see
@@ -459,27 +462,18 @@ def solve_self_consistent(
         validate_params(p, qn)  # the U^2 term carries the supercritical bound
     grid = req.grid or default_solver_grid(req.mode, req.potential, p, req.n, req.l)
     node_target = qn.radial_nodes
-    s_origin = singular_exponent(req.mode, req.potential, p, req.l)
-    correction = _stencil_error(s_origin, grid.n_points)
-
-    def operator(m: float, grid: RadialGrid = grid) -> DiscretizedOperator:
-        """The corrected operator at system mass m; the correction is
-        elementwise in the grid index, so a coarser grid takes its head."""
-        A, v_eff = effective_radial_equation(req.mode, req.potential, p, m, req.l)
-        op = discretize_operator(A, v_eff, grid, _mass_parameter(req.mode, p, m))
-        return replace(op, diag=op.diag + (A / grid.step ** 2) * correction[: grid.n_points])
-
     m = p.rest_mass
     m_prev = g_prev = None
     trace: list[float] = []
     u = None
     for iterations in range(1, _MAX_SC_ITERS + 1):
-        op = operator(m)
+        op = discretize_operator(req.mode, req.potential, p, m, req.l, grid)
         if u is not None:
             pair = _refine_eigenpair(op, node_target, u, e)
         elif grid.n_points >= _COARSE_START_POINTS:
             coarse = RadialGrid.uniform(grid.r_max, grid.n_points // _COARSE_FACTOR)
-            pair = _coarse_start(operator(m, grid=coarse), op, node_target)
+            coarse_op = discretize_operator(req.mode, req.potential, p, m, req.l, coarse)
+            pair = _coarse_start(coarse_op, op, node_target)
         else:
             pair = None
         e, u = pair if pair is not None else inner_eigensolve(op, node_target)

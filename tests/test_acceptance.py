@@ -36,7 +36,6 @@ from kgbound.solver import (
     discretize_operator,
     effective_radial_equation,
     richardson_extrapolate,
-    singular_exponent,
     solve_self_consistent,
 )
 from kgbound.special import laguerre_classical, laguerre_rel
@@ -278,11 +277,8 @@ def test_criterion_7_equal_mode_reduction():
         SolveRequest(mode=SolveMode.KG_EQUAL, potential=pot, n=1, l=0), p)
     m = state.system_mass
     grid = default_solver_grid(SolveMode.KG_EQUAL, pot, p, 1, 0)
-    A_eq, v_eq = effective_radial_equation(
-        SolveMode.KG_EQUAL, pot, p, m, 0)
-    op_eq = discretize_operator(
-        A_eq, v_eq, grid, p.rest_mass + m,
-        singular_exponent(SolveMode.KG_EQUAL, pot, p, 0))
+    A_eq, _ = effective_radial_equation(SolveMode.KG_EQUAL, pot, p, m, 0)
+    op_eq = discretize_operator(SolveMode.KG_EQUAL, pot, p, m, 0, grid)
 
     class DoubledPart:
         # 2U with U frozen at the original parameter set: the screening
@@ -296,12 +292,10 @@ def test_criterion_7_equal_mode_reduction():
 
     p_half = replace(p, rest_mass=0.5 * (p.rest_mass + m))
     pot_s = PotentialSpec(DoubledPart(pot.vector_part, p), None)
-    A_s, v_s = effective_radial_equation(
+    A_s, _ = effective_radial_equation(
         SolveMode.SCHRODINGER, pot_s, p_half, p_half.rest_mass, 0)
-    op_s = discretize_operator(
-        A_s, v_s, grid, 2.0 * p_half.rest_mass,
-        singular_exponent(SolveMode.SCHRODINGER, pot_s, p_half, 0))
-    entry_exact = (op_eq.mass_parameter == op_s.mass_parameter
+    op_s = discretize_operator(SolveMode.SCHRODINGER, pot_s, p_half, p_half.rest_mass, 0, grid)
+    entry_exact = (A_eq == A_s
                    and np.array_equal(op_eq.diag, op_s.diag)
                    and np.array_equal(op_eq.offdiag, op_s.offdiag))
 

@@ -320,22 +320,29 @@ class TestOverflowExits:
     by zero or defeats LAPACK: solve reports the error per row and exits 0,
     the other commands exit 4."""
 
-    @pytest.mark.parametrize("argv, status", [
-        (("solve", "--rest-mass", "1e-300", "--grid-n", "400"), "OverflowError"),
-        (("solve", "--rest-mass", "1e300", "--grid-n", "400"), "ZeroDivisionError"),
-        (("solve", "--alpha", "1e-300", "--grid-n", "400"), "OverflowError"),
+    @pytest.mark.parametrize("argv, statuses", [
+        (("solve", "--rest-mass", "1e-300", "--grid-n", "400"), ["OverflowError"]),
+        (("solve", "--rest-mass", "1e300", "--grid-n", "400"), ["ZeroDivisionError"]),
+        (("solve", "--alpha", "1e-300", "--grid-n", "400"), ["OverflowError"]),
         # operator entries near 1e305 make LAPACK's stebz fail
         (("solve", "--rest-mass", "1e-300", "--grid-n", "16", "--rmax", "0.05"),
-         "NoConvergence"),
+         ["NoConvergence"]),
         # the centrifugal term overflows to inf in the operator
         (("solve", "--rest-mass", "1e-300", "--n", "3", "--l", "2", "--grid-n", "400",
-          "--rmax", "0.05"), "NoConvergence"),
-    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
-    def test_solve_reports_per_row(self, capsys, argv, status):
-        code, out, err = run_cli(capsys, *argv)
+          "--rmax", "0.05"), ["NoConvergence"]),
+        (("solve", "--rest-mass", "1e-300", "--l", "0", "--states", "3,0; 3,2",
+          "--lambda", "0.05", "--grid-n", "400", "--rmax", "0.05"),
+         ["NoConvergence", "NoConvergence"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "-".join(v))
+    def test_solve_reports_per_row(self, capsys, argv, statuses):
+        # pytest keeps warnings off stderr, so they are recorded here instead
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         _, _, rows = parse_csv(out)
-        assert [r["status"] for r in rows] == [status]
+        assert [r["status"] for r in rows] == statuses
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("argv, error", [
         (("compare", "--rest-mass", "1e300", "--grid-n", "400", "--n-max", "1"),

@@ -109,9 +109,10 @@ class TestSingularExponent:
 class TestDiscretizeOperator:
     def test_plain_stencil_when_exponent_integer(self):
         grid = RadialGrid.uniform(30.0, 200)
+        op = discretize_operator(
+            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 1, grid)
         A, v_eff = effective_radial_equation(
             SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 1)
-        op = discretize_operator(A, v_eff, grid, 2.0 * P_01.rest_mass, 2.0)
         kin = A / grid.step ** 2
         np.testing.assert_array_equal(op.offdiag, np.full(199, -kin))
         # correction term vanishes identically for integer exponents <= 3
@@ -119,10 +120,10 @@ class TestDiscretizeOperator:
 
     def test_corrected_diagonal_first_entry(self):
         grid = RadialGrid.uniform(30.0, 100)
+        op = discretize_operator(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0, grid)
         A, v_eff = effective_radial_equation(
             SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0)
         s = 0.9
-        op = discretize_operator(A, v_eff, grid, P_03.rest_mass + 0.95, s)
         kin = A / grid.step ** 2
         want_shift = kin * (2.0 ** s - 2.0 - s * (s - 1.0))
         got_shift = op.diag[0] - (2.0 * kin + v_eff(grid.points[:1])[0])
@@ -130,12 +131,21 @@ class TestDiscretizeOperator:
 
     def test_correction_decays_into_the_bulk(self):
         grid = RadialGrid.uniform(30.0, 500)
+        op = discretize_operator(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0, grid)
         A, v_eff = effective_radial_equation(
             SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0)
-        op = discretize_operator(A, v_eff, grid, P_03.rest_mass + 0.95, 0.9)
         kin = A / grid.step ** 2
         shift = np.abs(op.diag - (2.0 * kin + v_eff(grid.points)))
         assert shift[-1] < 1e-6 * shift[0]
+
+    def test_correction_has_the_bits_of_the_three_power_form(self):
+        # one power per index, shared by neighbours, must not move the operator
+        for s in (0.9, 0.98, 1.0, 2.0, 2.5, 3.7):
+            for n in (250, 1000, 8000):
+                i = np.arange(1, n + 1, dtype=float)
+                want = (((i + 1.0) ** s - 2.0 * i ** s + (i - 1.0) ** s) / i ** s
+                        - s * (s - 1.0) / i ** 2)
+                assert np.array_equal(solver._stencil_error(s, n), want)
 
 
 class TestCountSignChanges:
@@ -162,11 +172,8 @@ class TestInnerEigensolve:
     def test_schrodinger_hydrogen_levels(self):
         p = P_01
         grid = RadialGrid.uniform(15.0 * 4 * p.bohr_radius(), 6000)
-        A, v_eff = effective_radial_equation(
-            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), p, p.rest_mass, 0)
-        op = discretize_operator(A, v_eff, grid, 2.0 * p.rest_mass,
-                                 singular_exponent(SolveMode.SCHRODINGER,
-                                                   PotentialSpec.coulomb(), p, 0))
+        op = discretize_operator(
+            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), p, p.rest_mass, 0, grid)
         for n in (1, 2):
             e, u = inner_eigensolve(op, n - 1)
             ref = -p.z_alpha ** 2 * p.rest_energy / (2.0 * n ** 2)
@@ -177,9 +184,8 @@ class TestInnerEigensolve:
     def test_eigenvector_normalized_and_oriented(self):
         p = P_01
         grid = RadialGrid.uniform(40.0 * p.bohr_radius(), 2000)
-        A, v_eff = effective_radial_equation(
-            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), p, p.rest_mass, 0)
-        op = discretize_operator(A, v_eff, grid, 2.0 * p.rest_mass, 1.0)
+        op = discretize_operator(
+            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), p, p.rest_mass, 0, grid)
         _, u = inner_eigensolve(op, 1)
         assert np.sum(u ** 2) == pytest.approx(1.0, rel=1e-12)
         first_big = u[np.flatnonzero(np.abs(u) > 1e-8 * np.abs(u).max())[0]]
@@ -187,9 +193,8 @@ class TestInnerEigensolve:
 
     def test_node_target_beyond_grid(self):
         grid = RadialGrid.uniform(10.0, 5)
-        A, v_eff = effective_radial_equation(
-            SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, P_03.rest_mass, 0)
-        op = discretize_operator(A, v_eff, grid, 2.0 * P_03.rest_mass, 0.9)
+        op = discretize_operator(
+            SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, P_03.rest_mass, 0, grid)
         for node_target in (5, 8):
             with pytest.raises(StateNotFound):
                 inner_eigensolve(op, node_target)
@@ -202,9 +207,8 @@ class TestInnerEigensolve:
         # inverse iteration shifted onto the ground state cannot pass as the
         # one-node state; the caller then solves from scratch
         grid = RadialGrid.uniform(40.0 * P_01.bohr_radius(), 2000)
-        A, v_eff = effective_radial_equation(
-            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0)
-        op = discretize_operator(A, v_eff, grid, 2.0 * P_01.rest_mass, 1.0)
+        op = discretize_operator(
+            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0, grid)
         e0, _ = inner_eigensolve(op, 0)
         e1, u1 = inner_eigensolve(op, 1)
         assert _refine_eigenpair(op, 1, u1, e0) is None
@@ -224,9 +228,8 @@ class TestInnerEigensolve:
 
         monkeypatch.setattr(solver, "eigh_tridiagonal", counting)
         grid = RadialGrid.uniform(40.0 * P_01.bohr_radius(), 2000)
-        A, v_eff = effective_radial_equation(
-            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0)
-        op = discretize_operator(A, v_eff, grid, 2.0 * P_01.rest_mass, 1.0)
+        op = discretize_operator(
+            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0, grid)
         inner_eigensolve(op, 1)
         assert len(calls) == 1
         assert calls[0][1]["select"] == "i" and calls[0][1]["select_range"] == (1, 1)
@@ -239,25 +242,25 @@ class TestInnerEigensolve:
             assert [call[0][0].size for call in calls] == [n_points // 8]
 
     @pytest.mark.parametrize("field, value", [
-        ("diag", np.inf), ("diag", np.nan), ("offdiag", np.nan),
+        ("diag", np.inf), ("diag", np.nan), ("offdiag", np.nan), ("offdiag", np.inf),
     ], ids=lambda v: v if isinstance(v, str) else repr(v))
     def test_non_finite_operator_raises_no_convergence(self, field, value):
-        # LAPACK would reject the arrays with a bare ValueError
+        # no such operator can be made, so neither LAPACK (which would raise
+        # a bare ValueError) nor inverse iteration (which took an inf
+        # off-diagonal for a finite pair) ever sees one
         grid = RadialGrid.uniform(40.0 * P_01.bohr_radius(), 400)
-        A, v_eff = effective_radial_equation(
-            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0)
-        op = discretize_operator(A, v_eff, grid, 2.0 * P_01.rest_mass, 1.0)
+        op = discretize_operator(
+            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0, grid)
         entries = getattr(op, field).copy()
         entries[7] = value
         with pytest.raises(NoConvergence, match="non-finite entries"):
-            inner_eigensolve(replace(op, **{field: entries}), 0)
+            replace(op, **{field: entries})
 
     def test_no_bound_state_in_free_potential(self):
         p = P_01
         grid = RadialGrid.uniform(50.0, 500)
-        A, v_eff = effective_radial_equation(
-            SolveMode.KG_VECTOR, PotentialSpec(None, None), p, p.rest_mass, 0)
-        op = discretize_operator(A, v_eff, grid, 2.0 * p.rest_mass, 1.0)
+        op = discretize_operator(
+            SolveMode.KG_VECTOR, PotentialSpec(None, None), p, p.rest_mass, 0, grid)
         with pytest.raises(StateNotFound):
             inner_eigensolve(op, 0)
 
@@ -333,33 +336,33 @@ class TestSolveSelfConsistent:
 ], ids=["kg-vector-coulomb-2000", "kg-vector-coulomb-8000", "kg-equal-hulthen-2000"])
 def test_solve_operators_match_discretize_operator(monkeypatch, mode, potential, p, n, l,
                                                    n_points):
-    # every operator a solve eigensolves or refines, on the coarse grid and
-    # the fine one, is the public corrected operator at that mass, bit for bit
+    # every operator a solve builds, on the coarse grid and the fine one,
+    # is what a fresh discretize_operator call gives, bit for bit: the
+    # cached origin correction is the one it would compute
     grid = default_solver_grid(mode, potential, p, n, l, n_points=n_points)
-    masses, ops = {}, []
+    built = []
+    original = solver.discretize_operator
 
-    def recording(name):
-        original = getattr(solver, name)
+    def recording(*args):
+        op = original(*args)
+        built.append((args, op))
+        return op
 
-        def record(*args):
-            if name == "effective_radial_equation":
-                masses[solver._mass_parameter(mode, p, args[3])] = args[3]
-            else:
-                ops.append(args[0])
-            return original(*args)
-
-        monkeypatch.setattr(solver, name, record)
-
-    for name in ("effective_radial_equation", "inner_eigensolve", "_refine_eigenpair"):
-        recording(name)
+    monkeypatch.setattr(solver, "discretize_operator", recording)
+    solver._stencil_error.cache_clear()
     state = solve_self_consistent(
         SolveRequest(mode=mode, potential=potential, n=n, l=l, grid=grid), p)
-    assert {op.grid.n_points for op in ops} == {n_points, n_points // 8}
-    assert len(ops) >= state.iterations + 1
+    assert {op.grid.n_points for _, op in built} == {n_points, n_points // 8}
+    assert len(built) == state.iterations + 1
+    # one correction per grid, not one per mass step
+    cache = solver._stencil_error.cache_info()
+    assert (cache.misses, cache.hits) == (2, len(built) - 2)
     s = singular_exponent(mode, potential, p, l)
-    for op in ops:
-        A, v_eff = effective_radial_equation(mode, potential, p, masses[op.mass_parameter], l)
-        ref = discretize_operator(A, v_eff, op.grid, op.mass_parameter, s)
+    with pytest.raises(ValueError, match="read-only"):
+        solver._stencil_error(s, n_points)[0] = 1.0
+    for args, op in built:
+        solver._stencil_error.cache_clear()
+        ref = original(*args)
         assert np.array_equal(op.diag, ref.diag)
         assert np.array_equal(op.offdiag, ref.offdiag)
 
@@ -384,10 +387,7 @@ class TestRayleighQuotient:
     def test_pairwise_sum_matches_exact_sum(self, n_points, n, l):
         req = coulomb_request(P_03, n, l, n_points)
         state = solve_self_consistent(req, P_03)
-        m = state.system_mass
-        A, v_eff = effective_radial_equation(req.mode, req.potential, P_03, m, l)
-        op = discretize_operator(A, v_eff, req.grid, P_03.rest_mass + m,
-                                 singular_exponent(req.mode, req.potential, P_03, l))
+        op = discretize_operator(req.mode, req.potential, P_03, state.system_mass, l, req.grid)
         u = state.radial_samples[1] * math.sqrt(req.grid.step)
         exact = fsum_rayleigh_quotient(op, u)
         assert abs(solver._rayleigh_quotient(op, u) - exact) <= 1e-14 * abs(exact)
@@ -412,10 +412,8 @@ class TestEqualModeReduction:
         m = state.system_mass
         grid = default_solver_grid(req.mode, req.potential, p, 1, 0)
 
-        A_eq, v_eq = effective_radial_equation(
-            SolveMode.KG_EQUAL, req.potential, p, m, 0)
-        s_eq = singular_exponent(SolveMode.KG_EQUAL, req.potential, p, 0)
-        op_eq = discretize_operator(A_eq, v_eq, grid, p.rest_mass + m, s_eq)
+        A_eq, _ = effective_radial_equation(SolveMode.KG_EQUAL, req.potential, p, m, 0)
+        op_eq = discretize_operator(SolveMode.KG_EQUAL, req.potential, p, m, 0, grid)
 
         class DoubledPart:
             # 2U with U frozen at the original parameter set: the screened
@@ -429,13 +427,12 @@ class TestEqualModeReduction:
 
         p_half = replace(p, rest_mass=0.5 * (p.rest_mass + m))
         pot_sch = PotentialSpec(DoubledPart(req.potential.vector_part, p), None)
-        A_s, v_s = effective_radial_equation(
+        A_s, _ = effective_radial_equation(
             SolveMode.SCHRODINGER, pot_sch, p_half, p_half.rest_mass, 0)
-        s_s = singular_exponent(SolveMode.SCHRODINGER, pot_sch, p_half, 0)
-        op_s = discretize_operator(A_s, v_s, grid, 2.0 * p_half.rest_mass, s_s)
+        op_s = discretize_operator(
+            SolveMode.SCHRODINGER, pot_sch, p_half, p_half.rest_mass, 0, grid)
 
         assert A_eq == A_s
-        assert op_eq.mass_parameter == op_s.mass_parameter
         np.testing.assert_array_equal(op_eq.diag, op_s.diag)
         np.testing.assert_array_equal(op_eq.offdiag, op_s.offdiag)
 

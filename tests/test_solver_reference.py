@@ -28,13 +28,10 @@ from kgbound.solver import (
     SolveRequest,
     _check_combination,
     _count_sign_changes,
-    _mass_parameter,
     _rayleigh_quotient,
     default_solver_grid,
     discretize_operator,
-    effective_radial_equation,
     inner_eigensolve,
-    singular_exponent,
     solve_self_consistent,
 )
 
@@ -67,13 +64,11 @@ def reference_solve(req, p):
         req.potential.vector_part is not None
     ):
         validate_params(p, qn)
-    s_origin = singular_exponent(req.mode, req.potential, p, req.l)
     m = p.rest_mass
     prev_resid = math.inf
     max_iters = 1 if req.mode is SolveMode.SCHRODINGER else solver._MAX_SC_ITERS
     for k in range(1, max_iters + 1):
-        A, v_eff = effective_radial_equation(req.mode, req.potential, p, m, req.l)
-        op = discretize_operator(A, v_eff, req.grid, _mass_parameter(req.mode, p, m), s_origin)
+        op = discretize_operator(req.mode, req.potential, p, m, req.l, req.grid)
         e, _ = reference_eigensolve(op, qn.radial_nodes)
         if req.mode is SolveMode.SCHRODINGER:
             return e, k
@@ -231,7 +226,9 @@ def test_state_bound_only_on_the_fine_grid(monkeypatch, mode, pot, lam, za, n, l
     got = solve_self_consistent(req, p)
     (coarse_op,) = coarse_ops
     assert coarse_op.grid.n_points == 250
-    assert coarse_op.mass_parameter == _mass_parameter(mode, p, p.rest_mass)
+    ref_op = discretize_operator(mode, potential, p, p.rest_mass, l, coarse_op.grid)
+    assert np.array_equal(coarse_op.diag, ref_op.diag)
+    assert np.array_equal(coarse_op.offdiag, ref_op.offdiag)
     with pytest.raises(StateNotFound):
         inner_eigensolve(coarse_op, n - l - 1)
     monkeypatch.setattr(solver, "_coarse_start", lambda *args: None)

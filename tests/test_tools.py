@@ -4,6 +4,7 @@ The tool reads the cli-cold argvs from perfbench/workloads.py and the
 TestBadValuesExit2 and fuzz_argv names from tests/test_cli.py, so a rename
 on either side breaks it; this run makes that break show.
 """
+import importlib.util
 import os
 import re
 import subprocess
@@ -23,3 +24,41 @@ def test_cli_parity_against_own_checkout():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     summary = re.search(r"^(\d+) of (\d+) runs differ", proc.stdout, re.M)
     assert summary and summary.group(1) == "0" and int(summary.group(2)) > 0, proc.stdout
+
+
+def _load_perfbench(name):
+    """perfbench/<name>.py as a module, loaded without touching perfbench/."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_solve_fills_every_solver_layer(monkeypatch):
+    # perfbench reads a layer it never saw as 0 (run.py's layers.get(name, {})),
+    # so a renamed or bypassed solver function would go unnoticed there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no caches in perfbench/
+    run = _load_perfbench("run")
+    tracer = _load_perfbench("tracer").Tracer()
+    import kgbound.cli  # noqa: F401  (the tracer wraps every traced module)
+    from kgbound import solver
+    from kgbound.core import PhysicalParams, PotentialSpec
+
+    p = PhysicalParams(alpha=0.3)
+    tracer.install()
+    try:
+        grid = solver.default_solver_grid(
+            solver.SolveMode.KG_VECTOR, PotentialSpec.coulomb(), p, 2, 0, n_points=2000)
+        req = solver.SolveRequest(mode=solver.SolveMode.KG_VECTOR,
+                                  potential=PotentialSpec.coulomb(), n=2, l=0, grid=grid)
+        solver.solve_self_consistent(req, p)
+        solver.convergence_study(req, p, (250, 500, 1000))
+    finally:
+        tracer.uninstall()
+    spans, counts = tracer.take()
+    seen = {span[1] for span in spans}
+    layers = [name for name in run.SELF_TIMED if name.startswith("solver.")]
+    assert "solver.discretize_operator" in layers
+    assert [name for name in layers if name not in seen] == []
+    assert counts["solver.discretize_operator.bytes_computed"] > 0
