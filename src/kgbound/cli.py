@@ -15,7 +15,9 @@ it sits in another command's section.
 Output goes to stdout or --out as CSV (12 significant digits) or JSON (17
 significant digits, {"meta": ..., "rows": ...}); the files carry no
 timestamps, so identical configurations produce byte-identical bytes.
-Rows come out in (n, l) order.
+Rows come out in (n, l) order.  Each cmd_* function returns its own meta
+entries and rows; main puts the common meta (command, version, physical
+parameters) in front.
 
 Exit codes: 0 success, 2 configuration error (ConfigError), 3
 physics-domain error (PhysicsError: supercritical coupling, invalid state,
@@ -40,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .core import ALPHA_FS, PhysicalParams, PotentialSpec, RadialGrid
+from .core import ALPHA_FS, BoundState, PhysicalParams, PotentialSpec, RadialGrid
 from .coulomb import energy_expansion, energy_level, sigma_closed
 from .errors import ConfigError, NumericalError, PhysicsError
 from .lorentz import BoostSpec, CharacterState, boost_backward, boost_forward, invariant_mass_sq
@@ -344,28 +346,24 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[dict, list[dict]]:
                 "closed_minus_expansion": abs(b.e_total - expansion),
             }
         )
-    return _common_meta(cfg), rows
+    return {}, rows
 
 
 def cmd_wavefunction(cfg: RunConfig) -> tuple[dict, list[dict]]:
     p = cfg.physical_params()
     R = build_radial(p, cfg.n, cfg.l)
     r_max = cfg.rmax if cfg.rmax is not None else R.tail_radius(1e-10)
-    grid = RadialGrid.uniform(r_max, cfg.samples)
-    r = grid.points
+    r = RadialGrid.uniform(r_max, cfg.samples).points
     vals = np.asarray(R.evaluate(r))
-    meta = _common_meta(cfg)
-    meta.update(
-        {
-            "n": cfg.n,
-            "l": cfg.l,
-            "sigma_l": sigma_closed(p, cfg.l).sigma_l,
-            "normalization": R.normalization,
-            "rho_scale": R.rho_scale,
-            "node_count": count_radial_nodes(R),
-            "r_max": r_max,
-        }
-    )
+    meta = {
+        "n": cfg.n,
+        "l": cfg.l,
+        "sigma_l": sigma_closed(p, cfg.l).sigma_l,
+        "normalization": R.normalization,
+        "rho_scale": R.rho_scale,
+        "node_count": count_radial_nodes(R),
+        "r_max": r_max,
+    }
     rows = [
         {"r": ri, "R": Ri, "u": ri * Ri, "rho": R.rho_scale * ri, "density": ri * ri * Ri * Ri}
         for ri, Ri in zip(r.tolist(), vals.tolist())
@@ -375,57 +373,40 @@ def cmd_wavefunction(cfg: RunConfig) -> tuple[dict, list[dict]]:
     return meta, rows
 
 
+def _solve(
+    cfg: RunConfig,
+    p: PhysicalParams,
+    mode: SolveMode,
+    potential: PotentialSpec,
+    n: int,
+    l: int,
+    n_points: int,
+    r_max: float | None = None,
+) -> tuple[BoundState, RadialGrid]:
+    """The self-consistent (n, l) state on its default solver grid, and that grid."""
+    grid = default_solver_grid(mode, potential, p, n, l, n_points=n_points, r_max=r_max)
+    req = SolveRequest(mode=mode, potential=potential, n=n, l=l, grid=grid, sc_tolerance=cfg.tol)
+    return solve_self_consistent(req, p), grid
+
+
 def cmd_solve(cfg: RunConfig) -> tuple[dict, list[dict]]:
     p = cfg.physical_params()
     mode = SolveMode(cfg.mode)
     potential = _POTENTIALS[cfg.potential](cfg.lam)
     states = cfg.states if cfg.states is not None else ((cfg.n, cfg.l),)
+    columns = ("e_prime", "system_mass", "iterations", "residual", "node_count")
     rows = []
     for n, l in sorted(states):
-        row = {
-            "mode": mode.value,
-            "potential": cfg.potential,
-            "n": n,
-            "l": l,
-            "e_prime": None,
-            "system_mass": None,
-            "iterations": None,
-            "residual": None,
-            "node_count": None,
-            "status": "ok",
-        }
-        rows.append(row)
         try:
-            grid = default_solver_grid(
-                mode, potential, p, n, l, n_points=cfg.grid_n, r_max=cfg.rmax
-            )
-            b = solve_self_consistent(
-                SolveRequest(
-                    mode=mode,
-                    potential=potential,
-                    n=n,
-                    l=l,
-                    grid=grid,
-                    sc_tolerance=cfg.tol,
-                ),
-                p,
-            )
+            b, _ = _solve(cfg, p, mode, potential, n, l, cfg.grid_n, cfg.rmax)
         except (PhysicsError, NumericalError, ArithmeticError) as exc:
-            row["status"] = type(exc).__name__
-            continue
-        row.update(
-            {
-                "e_prime": b.e_prime,
-                "system_mass": b.system_mass,
-                "iterations": b.iterations,
-                "residual": b.residual,
-                "node_count": b.node_count,
-            }
-        )
-    meta = _common_meta(cfg)
-    meta.update({"mode": mode.value, "potential": cfg.potential, "grid_n": cfg.grid_n})
-    meta.update(_screening_meta(cfg))
-    return meta, rows
+            values, status = dict.fromkeys(columns), type(exc).__name__
+        else:
+            values, status = {c: getattr(b, c) for c in columns}, "ok"
+        head = {"mode": mode.value, "potential": cfg.potential, "n": n, "l": l}
+        rows.append({**head, **values, "status": status})
+    meta = {"mode": mode.value, "potential": cfg.potential, "grid_n": cfg.grid_n}
+    return {**meta, **_screening_meta(cfg)}, rows
 
 
 def cmd_compare(cfg: RunConfig) -> tuple[dict, list[dict]]:
@@ -436,25 +417,13 @@ def cmd_compare(cfg: RunConfig) -> tuple[dict, list[dict]]:
     rows = []
     for n, l in _requested_states(cfg):
         closed = energy_level(p, n, l).e_prime
-        coarse_grid, fine_grid = (
-            default_solver_grid(SolveMode.KG_VECTOR, potential, p, n, l, n_points=size)
+        (coarse, coarse_grid), (fine, fine_grid) = (
+            _solve(cfg, p, SolveMode.KG_VECTOR, potential, n, l, size)
             for size in (cfg.grid_n // 2, cfg.grid_n)
         )
-        coarse, fine = (
-            solve_self_consistent(
-                SolveRequest(
-                    mode=SolveMode.KG_VECTOR,
-                    potential=potential,
-                    n=n,
-                    l=l,
-                    grid=grid,
-                    sc_tolerance=cfg.tol,
-                ),
-                p,
-            ).e_prime
-            for grid in (coarse_grid, fine_grid)
+        numeric = richardson_extrapolate(
+            coarse.e_prime, fine.e_prime, coarse_grid.step / fine_grid.step
         )
-        numeric = richardson_extrapolate(coarse, fine, coarse_grid.step / fine_grid.step)
         schrodinger = -p.z_alpha ** 2 * rest / (2.0 * n ** 2)
         rows.append(
             {
@@ -467,9 +436,7 @@ def cmd_compare(cfg: RunConfig) -> tuple[dict, list[dict]]:
                 "delta_kg_schrodinger": abs(closed - schrodinger) / abs(schrodinger),
             }
         )
-    meta = _common_meta(cfg)
-    meta.update({"grid_n": cfg.grid_n, "energies": "binding sector E' (rest energy excluded)"})
-    return meta, rows
+    return {"grid_n": cfg.grid_n, "energies": "binding sector E' (rest energy excluded)"}, rows
 
 
 def cmd_lorentz(cfg: RunConfig) -> tuple[dict, list[dict]]:
@@ -489,98 +456,67 @@ def cmd_lorentz(cfg: RunConfig) -> tuple[dict, list[dict]]:
             "invariant": invariant_mass_sq(st, cfg.c),
         }
 
-    rows = [row("K", s), row("K_prime", s_prime)]
-    meta = _common_meta(cfg)
-    meta.update(
-        {
-            "beta": b.beta,
-            "gamma": b.gamma,
-            "invariant_drift": abs(invariant_mass_sq(s_prime, cfg.c) - invariant_mass_sq(s, cfg.c)),
-            "roundtrip_error": max(
-                abs(back.e_total - s.e_total),
-                max(abs(a - b_) for a, b_ in zip(back.p, s.p)),
-            ),
-        }
-    )
-    return meta, rows
+    meta = {
+        "beta": b.beta,
+        "gamma": b.gamma,
+        "invariant_drift": abs(invariant_mass_sq(s_prime, cfg.c) - invariant_mass_sq(s, cfg.c)),
+        "roundtrip_error": max(
+            abs(back.e_total - s.e_total),
+            max(abs(a - b_) for a, b_ in zip(back.p, s.p)),
+        ),
+    }
+    return meta, [row("K", s), row("K_prime", s_prime)]
 
 
 def cmd_convergence(cfg: RunConfig) -> tuple[dict, list[dict]]:
     p = cfg.physical_params()
     mode = SolveMode(cfg.mode)
     potential = _POTENTIALS[cfg.potential](cfg.lam)
-    grid = (
-        RadialGrid.uniform(cfg.rmax, max(cfg.sizes)) if cfg.rmax is not None else None
-    )
+    grid = RadialGrid.uniform(cfg.rmax, max(cfg.sizes)) if cfg.rmax is not None else None
     req = SolveRequest(
         mode=mode, potential=potential, n=cfg.n, l=cfg.l, grid=grid, sc_tolerance=cfg.tol
     )
     study = convergence_study(req, p, cfg.sizes)
-    rows = []
-    for i, (n_pts, e_prime, rich) in enumerate(study.rows):
-        order = study.observed_orders[i - 2] if i >= 2 else None
-        rows.append(
-            {"n_points": n_pts, "e_prime": e_prime, "richardson": rich, "observed_order": order}
-        )
-    meta = _common_meta(cfg)
-    meta.update(
-        {
-            "mode": mode.value,
-            "potential": cfg.potential,
-            "n": cfg.n,
-            "l": cfg.l,
-            "r_max": study.r_max,
-        }
-    )
-    meta.update(_screening_meta(cfg))
-    return meta, rows
+    rows = [
+        {"n_points": n_pts, "e_prime": e_prime, "richardson": rich, "observed_order": order}
+        for (n_pts, e_prime, rich), order in zip(study.rows, (None, None, *study.observed_orders))
+    ]
+    meta = {"mode": mode.value, "potential": cfg.potential, "n": cfg.n, "l": cfg.l}
+    return {**meta, "r_max": study.r_max, **_screening_meta(cfg)}, rows
 
 
-def _csv_cell(value) -> str:
+def _cell(value, digits: int, null: str, text: Callable[[str], str]) -> str:
+    """One meta value or row cell: floats in scientific notation with `digits`
+    decimals, None as `null`, strings through `text`."""
     if value is None:
-        return ""
+        return null
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.11e}"
-    return str(value)
+        return f"{float(value):.{digits}e}"
+    return text(value)
 
 
 def _render_csv(meta: dict, rows: list[dict]) -> str:
     buf = io.StringIO()
     for key in meta:
-        buf.write(f"# {key} = {_csv_cell(meta[key])}\n")
+        buf.write(f"# {key} = {_cell(meta[key], 11, '', str)}\n")
     if rows:
         columns = list(rows[0].keys())
         buf.write(",".join(columns) + "\n")
         for row in rows:
-            buf.write(",".join(_csv_cell(row[c]) for c in columns) + "\n")
+            buf.write(",".join(_cell(row[c], 11, "", str) for c in columns) + "\n")
     return buf.getvalue()
 
 
-def _json_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.16e}"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _render_json(meta: dict, rows: list[dict]) -> str:
-    return _json_value({"meta": meta, "rows": rows}) + "\n"
+    def obj(d: dict) -> str:
+        items = (f"{json.dumps(k)}: {_cell(v, 16, 'null', json.dumps)}" for k, v in d.items())
+        return "{" + ", ".join(items) + "}"
+
+    return '{"meta": ' + obj(meta) + ', "rows": [' + ", ".join(map(obj, rows)) + "]}\n"
 
 
 def _write_output(cfg: RunConfig, meta: dict, rows: list[dict]) -> None:
@@ -606,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(argv)
         meta, rows = _DISPATCH[cfg.command](cfg)
-        _write_output(cfg, meta, rows)
+        _write_output(cfg, {**_common_meta(cfg), **meta}, rows)
     except ConfigError as exc:
         print(f"kgbound: config error: {exc}", file=sys.stderr)
         return 2

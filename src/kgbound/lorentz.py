@@ -112,7 +112,9 @@ def invariant_mass_sq(s: CharacterState, c: float = 1.0) -> float:
     return s.shifted_energy ** 2 - c ** 2 * (px * px + py * py + pz * pz)
 
 
-def boost_event(t: float, r: tuple[float, float, float], b: BoostSpec) -> tuple[float, tuple[float, float, float]]:
+def boost_event(
+    t: float, r: tuple[float, float, float], b: BoostSpec
+) -> tuple[float, tuple[float, float, float]]:
     """Coordinate boost of an event: t' = gamma(t - v x/c^2), x' = gamma(x - v t).
 
     Companion to boost_forward for phase-invariance checks: for a free

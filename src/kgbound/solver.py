@@ -165,7 +165,9 @@ def effective_radial_equation(
     return A, v_eff
 
 
-def singular_exponent(mode: SolveMode, potential: PotentialSpec, p: PhysicalParams, l: int) -> float:
+def singular_exponent(
+    mode: SolveMode, potential: PotentialSpec, p: PhysicalParams, l: int
+) -> float:
     """Origin exponent s of the regular solution, u ~ r^s.
 
     The indicial equation of the effective potential's 1/r^2 part gives
@@ -204,12 +206,14 @@ def discretize_operator(
     eigenvalue convergence below second order; the correction restores
     it.  For integer s <= 3 the stencil is already exact and the correction
     is identically zero, so non-singular modes are untouched.  An entry
-    that overflows raises NoConvergence (see DiscretizedOperator).
+    that overflows, the correction included (from l = 79 at N = 8000, where
+    N^s passes the float64 range), raises NoConvergence (see
+    DiscretizedOperator) without numpy warnings.
     """
-    correction = _stencil_error(singular_exponent(mode, potential, p, l), grid.n_points)
-    A, v_eff = effective_radial_equation(mode, potential, p, m_sys, l)
-    kin = A / grid.step ** 2  # step raises for non-uniform grids
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        correction = _stencil_error(singular_exponent(mode, potential, p, l), grid.n_points)
+        A, v_eff = effective_radial_equation(mode, potential, p, m_sys, l)
+        kin = A / grid.step ** 2  # step raises for non-uniform grids
         diag = 2.0 * kin + v_eff(grid.points) + kin * correction
     return DiscretizedOperator(diag=diag, offdiag=np.full(grid.n_points - 1, -kin), grid=grid)
 

@@ -1,8 +1,9 @@
 """Gamma function, the eta correction product, and the relativistic
 associated Laguerre polynomials.
 
-gamma_fn is math.gamma behind a pole check, and LaguerreRel.evaluate is
-numpy's polyval; this module supplies the coefficients.
+gamma_fn is math.gamma behind a pole check.  The polynomials are plain
+coefficient arrays, lowest power first, for numpy's polyval; this module
+supplies the coefficients.
 
 The polynomial family generalizes the classical associated Laguerre
 polynomials L^{2l+1}_{n+l} (in the older quantum-mechanics convention with
@@ -21,10 +22,8 @@ factor collapses and the classical coefficients reappear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .core import PhysicalParams, QuantumNumbers
 from .coulomb import sigma_closed
@@ -33,7 +32,6 @@ from .errors import PoleError
 __all__ = [
     "gamma_fn",
     "eta_product",
-    "LaguerreRel",
     "laguerre_rel",
     "laguerre_classical",
 ]
@@ -67,35 +65,14 @@ def eta_product(l: int, nu: int, z_alpha: float, sigma_l: float) -> float:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class LaguerreRel:
-    """Dense coefficient array of a relativistic associated Laguerre polynomial.
+def laguerre_rel(p: PhysicalParams, n: int, l: int) -> np.ndarray:
+    """Coefficients of L^{2l+1-sigma_l}_{n+l}(rho) per the defining formula.
 
-    coefficients[nu] multiplies rho^nu, nu = 0 .. n-l-1.  The leading
-    (-1)^(nu+1) sign is kept verbatim, which makes the nu=0 coefficient
-    negative; wavefunction assembly fixes the overall sign separately.
+    Entry nu multiplies rho^nu, nu = 0 .. n-l-1; evaluate with numpy's
+    polyval.  The leading (-1)^(nu+1) sign is kept verbatim, which makes
+    the nu=0 coefficient negative; wavefunction assembly fixes the overall
+    sign separately.
     """
-
-    n: int
-    l: int
-    sigma_l: float
-    z_alpha: float
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeff = np.asarray(self.coefficients, dtype=float)
-        object.__setattr__(self, "coefficients", coeff)
-        if coeff.size != self.n - self.l:
-            raise ValueError(f"expected {self.n - self.l} coefficients, got {coeff.size}")
-
-    def evaluate(self, rho: np.ndarray | float) -> np.ndarray | float:
-        """Horner evaluation at rho: an array for array input, else a float."""
-        acc = polyval(np.asarray(rho, dtype=float), self.coefficients)
-        return acc if np.ndim(acc) else float(acc)
-
-
-def laguerre_rel(p: PhysicalParams, n: int, l: int) -> LaguerreRel:
-    """Coefficients of L^{2l+1-sigma_l}_{n+l}(rho) per the defining formula."""
     QuantumNumbers(n=n, l=l)  # raises InvalidQuantumNumbers
     sigma = sigma_closed(p, l).sigma_l
     za = p.z_alpha
@@ -110,7 +87,7 @@ def laguerre_rel(p: PhysicalParams, n: int, l: int) -> LaguerreRel:
             * eta_product(l, nu, za, sigma)
         )
         coeffs[nu] = sign * fac_nl_sq / denom
-    return LaguerreRel(n=n, l=l, sigma_l=sigma, z_alpha=za, coefficients=coeffs)
+    return coeffs
 
 
 def laguerre_classical(n: int, l: int) -> np.ndarray:

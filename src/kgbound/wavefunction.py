@@ -52,11 +52,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
 from .core import PhysicalParams, QuantumNumbers, RadialGrid, validate_params
 from .coulomb import energy_level, sigma_closed, system_mass
 from .errors import InvalidQuantumNumbers, QuadratureFailure
-from .special import LaguerreRel, laguerre_rel
+from .special import laguerre_rel
 
 __all__ = [
     "RadialWavefunction",
@@ -81,13 +82,14 @@ class RadialWavefunction:
 
     evaluate() applies `orientation` (+1 or -1), the sign that turns the
     polynomial's verbatim global sign into the R(0+) > 0 convention;
-    `normalization` itself is kept positive.
+    `normalization` itself is kept positive.  `poly` holds laguerre_rel's
+    coefficients.
     """
 
     qn: QuantumNumbers
     rho_scale: float
     normalization: float
-    poly: LaguerreRel
+    poly: np.ndarray
     exponent: float
     orientation: float
 
@@ -98,7 +100,7 @@ class RadialWavefunction:
             * self.normalization
             * np.exp(-0.5 * rho)
             * rho ** self.exponent
-            * self.poly.evaluate(rho)
+            * polyval(rho, self.poly)
         )
         return out if np.ndim(out) else float(out)
 
@@ -106,13 +108,13 @@ class RadialWavefunction:
         """Radius past which |u| stays below threshold * max|u|."""
         rho_hi = 80.0 * self.qn.n ** 2
         rho = np.geomspace(1e-6, rho_hi, 4096)
-        u = rho ** (1.0 + self.exponent) * np.exp(-0.5 * rho) * np.abs(self.poly.evaluate(rho))
+        u = rho ** (1.0 + self.exponent) * np.exp(-0.5 * rho) * np.abs(polyval(rho, self.poly))
         mask = u >= threshold * u.max()
         rho_t = rho[np.flatnonzero(mask)[-1]]
         return 1.1 * min(rho_t, rho_hi) / self.rho_scale
 
 
-def _norm_integral(exponent: float, poly: LaguerreRel, rho_max: float, n_panels: int) -> float:
+def _norm_integral(exponent: float, poly: np.ndarray, rho_max: float, n_panels: int) -> float:
     """integral over (0, rho_max) of exp(-rho) rho^(2*exponent+2) P(rho)^2."""
     nodes, weights = leggauss(20)
     edges = np.concatenate([[0.0], np.geomspace(1e-8, rho_max, n_panels)])
@@ -121,7 +123,7 @@ def _norm_integral(exponent: float, poly: LaguerreRel, rho_max: float, n_panels:
     rho = (mid + half * nodes[None, :]).ravel()
     w = (half * weights[None, :]).ravel()
     with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the result
-        f = np.exp(-rho) * rho ** (2.0 * exponent + 2.0) * poly.evaluate(rho) ** 2
+        f = np.exp(-rho) * rho ** (2.0 * exponent + 2.0) * polyval(rho, poly) ** 2
         return float(np.sum(w * f))
 
 
@@ -140,7 +142,7 @@ def build_radial(p: PhysicalParams, n: int, l: int) -> RadialWavefunction:
     # Tail check on the integrand itself, then panel doubling to stability.
     probe = np.geomspace(1e-6, rho_max, 512)
     with np.errstate(over="ignore", invalid="ignore"):
-        integrand = np.exp(-probe) * probe ** (2.0 * exponent + 2.0) * poly.evaluate(probe) ** 2
+        integrand = np.exp(-probe) * probe ** (2.0 * exponent + 2.0) * polyval(probe, poly) ** 2
     if not np.isfinite(integrand).all():
         raise QuadratureFailure(
             f"norm integrand overflows float64 on rho <= {rho_max:g} for (n={n}, l={l})"
@@ -169,7 +171,7 @@ def build_radial(p: PhysicalParams, n: int, l: int) -> RadialWavefunction:
             f"normalization constant came out {norm!r} at rho_scale = {rho_scale:g} "
             f"for (n={n}, l={l})"
         )
-    orientation = -1.0 if poly.coefficients[0] < 0 else 1.0
+    orientation = -1.0 if poly[0] < 0 else 1.0
     return RadialWavefunction(
         qn=qn,
         rho_scale=rho_scale,
@@ -243,7 +245,7 @@ def count_radial_nodes(R: RadialWavefunction) -> int:
     """Sign changes of R on (0, infinity); the rho prefactor never changes sign."""
     rho_t = R.rho_scale * R.tail_radius(1e-8)
     rho = np.linspace(0.0, rho_t, 6000)[1:]
-    vals = R.poly.evaluate(rho)
+    vals = polyval(rho, R.poly)
     vals = vals[np.abs(vals) > 1e-10 * np.abs(vals).max()]
     signs = np.sign(vals)
     return int(np.count_nonzero(signs[1:] != signs[:-1]))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgbound import cli, errors
+from kgbound import cli, errors, solver
 from kgbound.coulomb import energy_level
 from kgbound.core import PhysicalParams
 
@@ -62,7 +62,7 @@ class TestSpectrum:
         assert float(rows[1]["e_prime_ratio"]) == pytest.approx(
             ref.e_prime, rel=1e-11)
 
-    def test_csv_cells_are_11_digit_scientific(self, capsys):
+    def test_csv_floats_are_11_digit_scientific(self, capsys):
         _, out, _ = run_cli(capsys, "spectrum", "--n-max", "1")
         _, _, rows = parse_csv(out)
         cell = rows[0]["e_total_ratio"]
@@ -87,6 +87,39 @@ class TestOutputPlumbing:
         ref = energy_level(PhysicalParams(), 1, 0)
         # 17 significant digits: bit-exact after parsing
         assert doc["rows"][0]["e_total_ratio"] == ref.e_total
+
+    def test_render_bytes_per_cell_type(self):
+        # every cell type a command emits, pinned byte for byte in both formats
+        meta = {"command": "solve", "z": 1.0, "grid_n": 400, "lambda": np.float64(0.2),
+                "rmax": None, "energies": 'E\' "binding" \\ sector'}
+        rows = [
+            {"n": 1, "e_prime": None, "converged": True, "iterations": np.int64(4),
+             "residual": 1.0 / 3.0, "e_mass": np.float64(-2.5e-300), "status": "ok"},
+            {"n": 2, "e_prime": -0.1, "converged": False, "iterations": np.int64(-7),
+             "residual": 1e300, "e_mass": np.float64(0.0), "status": "tab\there"},
+        ]
+        assert cli._render_csv(meta, rows) == (
+            "# command = solve\n"
+            "# z = 1.00000000000e+00\n"
+            "# grid_n = 400\n"
+            "# lambda = 2.00000000000e-01\n"
+            "# rmax = \n"
+            "# energies = E' \"binding\" \\ sector\n"
+            "n,e_prime,converged,iterations,residual,e_mass,status\n"
+            "1,,true,4,3.33333333333e-01,-2.50000000000e-300,ok\n"
+            "2,-1.00000000000e-01,false,-7,1.00000000000e+300,0.00000000000e+00,tab\there\n"
+        )
+        assert cli._render_json(meta, rows) == (
+            '{"meta": {"command": "solve", "z": 1.0000000000000000e+00, "grid_n": 400, '
+            '"lambda": 2.0000000000000001e-01, "rmax": null, '
+            '"energies": "E\' \\"binding\\" \\\\ sector"}, '
+            '"rows": [{"n": 1, "e_prime": null, "converged": true, "iterations": 4, '
+            '"residual": 3.3333333333333331e-01, "e_mass": -2.5000000000000000e-300, '
+            '"status": "ok"}, '
+            '{"n": 2, "e_prime": -1.0000000000000001e-01, "converged": false, '
+            '"iterations": -7, "residual": 1.0000000000000001e+300, '
+            '"e_mass": 0.0000000000000000e+00, "status": "tab\\there"}]}\n'
+        )
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run_cli(capsys, "spectrum", "--n-max", "3")
@@ -333,8 +366,12 @@ class TestOverflowExits:
         (("solve", "--rest-mass", "1e-300", "--l", "0", "--states", "3,0; 3,2",
           "--lambda", "0.05", "--grid-n", "400", "--rmax", "0.05"),
          ["NoConvergence", "NoConvergence"]),
+        # N^s overflows in the stencil correction (s ~ l + 1)
+        (("solve", "--n", "80", "--l", "79"), ["NoConvergence"]),
+        (("solve", "--n", "151", "--l", "150", "--grid-n", "400"), ["NoConvergence"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "-".join(v))
     def test_solve_reports_per_row(self, capsys, argv, statuses):
+        solver._stencil_error.cache_clear()  # a cached correction is not recomputed
         # pytest keeps warnings off stderr, so they are recorded here instead
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

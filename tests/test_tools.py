@@ -62,3 +62,33 @@ def test_traced_solve_fills_every_solver_layer(monkeypatch):
     assert "solver.discretize_operator" in layers
     assert [name for name in layers if name not in seen] == []
     assert counts["solver.discretize_operator.bytes_computed"] > 0
+
+
+def test_traced_cli_fills_every_cli_layer(monkeypatch, capsys):
+    # the cli.cmd.* layers are found through cli._DISPATCH and cli.output_s is
+    # read off the cli.main span; a command that bypassed either would read 0
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no caches in perfbench/
+    run = _load_perfbench("run")
+    tracer = _load_perfbench("tracer").Tracer()
+    import kgbound.cli
+
+    argvs = (
+        ["spectrum", "--n-max", "1"],
+        ["wavefunction", "--samples", "5"],
+        ["solve", "--grid-n", "400"],
+        ["compare", "--n-max", "1", "--grid-n", "400"],
+        ["lorentz"],
+        ["convergence", "--sizes", "250,500,1000"],
+    )
+    tracer.install()
+    try:
+        codes = [kgbound.cli.main(argv) for argv in argvs]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0] * len(argvs)
+    spans, _counts = tracer.take()
+    seen = {span[1] for span in spans}
+    layers = [name for name in run.SELF_TIMED if name.startswith("cli.")] + ["cli.main"]
+    assert len(layers) == 8
+    assert [name for name in layers if name not in seen] == []
