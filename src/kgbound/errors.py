@@ -6,8 +6,12 @@ base fixes the CLI exit code:
 - ConfigError: malformed or unknown CLI/config input, exit 2;
 - PhysicsError: the request has no answer in the physics (invalid regime,
   no such state), exit 3;
-- NumericalError: the computation broke down (iteration or quadrature
+- NumericalError: the computation broke down (an iteration or eigensolve
   failure, a Gamma pole), exit 4.
+
+Float overflow is not wrapped: the CLI maps OverflowError to exit 4 as
+well, and build_radial raises it when a radial state leaves the float
+range.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ __all__ = [
     "SupercriticalCoupling",
     "InvalidQuantumNumbers",
     "PoleError",
-    "QuadratureFailure",
     "StateNotFound",
     "NoConvergence",
     "SuperluminalBoost",
@@ -50,10 +53,6 @@ class InvalidQuantumNumbers(PhysicsError):
 
 class PoleError(NumericalError):
     """Gamma function evaluated at a nonpositive integer."""
-
-
-class QuadratureFailure(NumericalError):
-    """Normalization integral did not converge, or the normalization is not finite and positive."""
 
 
 class StateNotFound(PhysicsError):

@@ -2,8 +2,7 @@
 associated Laguerre polynomials.
 
 gamma_fn is math.gamma behind a pole check.  The polynomials are plain
-coefficient arrays, lowest power first, for numpy's polyval; this module
-supplies the coefficients.
+coefficient arrays, lowest power first.
 
 The polynomial family generalizes the classical associated Laguerre
 polynomials L^{2l+1}_{n+l} (in the older quantum-mechanics convention with
@@ -15,8 +14,21 @@ coefficient of rho^nu is
     (n-l-1-nu)! Gamma(2l+nu+2-sigma_l) Gamma(nu+1-sigma_l) eta(l,nu)
 
 for nu = 0 .. n-l-1, where eta(l,nu) is a finite product of factors
-1 + Z^2 alpha^2 / ((k-sigma_l)(2l+1+k-sigma_l)).  At Z*alpha -> 0 every
+1 + Z^2 alpha^2 / ((j-sigma_l)(2l+1+j-sigma_l)).  At Z*alpha -> 0 every
 factor collapses and the classical coefficients reappear.
+
+Since Z^2 alpha^2 = sigma_l (2l+1-sigma_l), each factor is
+j(a+j) / ((j-sigma_l)(2l+1+j-sigma_l)) with a = 2l+1-2*sigma_l, so eta is
+a Gamma ratio,
+
+    eta(l,nu) = nu! Gamma(a+nu+1) Gamma(1-sigma_l) Gamma(2l+2-sigma_l)
+                / (Gamma(a+1) Gamma(nu+1-sigma_l) Gamma(2l+2+nu-sigma_l)),
+
+and the polynomial is c_top (-1)^k k! L_k^(a)(rho), with k = n-l-1, c_top
+its rho^k coefficient and L_k^(a) the classical generalized Laguerre
+polynomial of non-integer order a.  wavefunction.py evaluates L_k^(a) and
+normalizes with the classical integral; the tests check the identity
+against scipy.special.genlaguerre.
 """
 
 from __future__ import annotations
@@ -68,10 +80,9 @@ def eta_product(l: int, nu: int, z_alpha: float, sigma_l: float) -> float:
 def laguerre_rel(p: PhysicalParams, n: int, l: int) -> np.ndarray:
     """Coefficients of L^{2l+1-sigma_l}_{n+l}(rho) per the defining formula.
 
-    Entry nu multiplies rho^nu, nu = 0 .. n-l-1; evaluate with numpy's
-    polyval.  The leading (-1)^(nu+1) sign is kept verbatim, which makes
-    the nu=0 coefficient negative; wavefunction assembly fixes the overall
-    sign separately.
+    Entry nu multiplies rho^nu, nu = 0 .. n-l-1.  The leading (-1)^(nu+1)
+    sign is kept verbatim, which makes the nu=0 coefficient negative;
+    wavefunction assembly uses only |c_top|.
     """
     QuantumNumbers(n=n, l=l)  # raises InvalidQuantumNumbers
     sigma = sigma_closed(p, l).sigma_l

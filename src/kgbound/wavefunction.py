@@ -12,10 +12,16 @@ combination u = r*R stays finite (u ~ r^(1-sigma_0)), and every integrand
 used here carries at least rho^(2-2*sigma_0), so nothing is singular under
 an integral sign.
 
-Normalization is numerical: composite Gauss-Legendre on log-spaced panels
-in rho, doubled until the integral is stable, with a tail-decay check.  The
-overall sign is then fixed by the convention R(0+) > 0, which overrides the
-(-1)^(nu+1) factor the polynomial coefficients carry.
+Normalization is closed-form.  Since Z^2 alpha^2 = sigma_l (2l+1-sigma_l),
+L is c_top (-1)^k k! L_k^(a)(rho), the generalized Laguerre polynomial of
+degree k = n-l-1 and order a = 2l+1-2*sigma_l (see special.py), so the
+Schrodinger integral
+
+    int_0^inf exp(-rho) rho^(a+1) [L_k^(a)(rho)]^2 drho = Gamma(k+a+1) (2k+a+1) / k!
+
+fixes the amplitude, and L_k^(a) is evaluated by its three-term
+recurrence.  L_k^(a)(0) = binomial(k+a, k) > 0 for a > 0, so R(0+) > 0:
+the (-1)^(nu+1) factor of the polynomial's coefficients goes with c_top.
 
 Current diagnostics
 -------------------
@@ -52,11 +58,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.polynomial import polyval
 
 from .core import PhysicalParams, QuantumNumbers, RadialGrid, validate_params
 from .coulomb import energy_level, sigma_closed, system_mass
-from .errors import InvalidQuantumNumbers, QuadratureFailure
+from .errors import InvalidQuantumNumbers
+from .solver import _count_sign_changes
 from .special import laguerre_rel
 
 __all__ = [
@@ -78,108 +84,85 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RadialWavefunction:
-    """Normalized radial factor R_nl.
+    """Normalized radial factor R_nl = amplitude * exp(-rho/2) rho^exponent L_k^(a)(rho).
 
-    evaluate() applies `orientation` (+1 or -1), the sign that turns the
-    polynomial's verbatim global sign into the R(0+) > 0 convention;
-    `normalization` itself is kept positive.  `poly` holds laguerre_rel's
-    coefficients.
+    exponent = l - sigma_l, a = 2*exponent + 1 and k = n-l-1.
+    `normalization` is the constant in front of the paper's polynomial
+    laguerre_rel, amplitude / (|c_top| k!); both are positive.
     """
 
     qn: QuantumNumbers
     rho_scale: float
     normalization: float
-    poly: np.ndarray
+    amplitude: float
     exponent: float
-    orientation: float
+
+    def _shape(self, rho: np.ndarray) -> np.ndarray:
+        """R / amplitude at rho."""
+        k, a = self.qn.n - self.qn.l - 1, 2.0 * self.exponent + 1.0
+        return np.exp(-0.5 * rho) * rho ** self.exponent * _laguerre(k, a, rho)
+
+    def _probe(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, u / amplitude) on the log grid that tail_radius scans."""
+        rho = np.geomspace(1e-6, 80.0 * self.qn.n ** 2, 4096)
+        return rho, rho * self._shape(rho)
 
     def evaluate(self, r: np.ndarray | float) -> np.ndarray | float:
-        rho = self.rho_scale * np.asarray(r, dtype=float)
-        out = (
-            self.orientation
-            * self.normalization
-            * np.exp(-0.5 * rho)
-            * rho ** self.exponent
-            * polyval(rho, self.poly)
-        )
+        out = self.amplitude * self._shape(self.rho_scale * np.asarray(r, dtype=float))
         return out if np.ndim(out) else float(out)
 
     def tail_radius(self, threshold: float = 1e-10) -> float:
         """Radius past which |u| stays below threshold * max|u|."""
-        rho_hi = 80.0 * self.qn.n ** 2
-        rho = np.geomspace(1e-6, rho_hi, 4096)
-        u = rho ** (1.0 + self.exponent) * np.exp(-0.5 * rho) * np.abs(polyval(rho, self.poly))
-        mask = u >= threshold * u.max()
-        rho_t = rho[np.flatnonzero(mask)[-1]]
-        return 1.1 * min(rho_t, rho_hi) / self.rho_scale
+        rho, u = self._probe()
+        u = np.abs(u)
+        return 1.1 * rho[np.flatnonzero(u >= threshold * u.max())[-1]] / self.rho_scale
 
 
-def _norm_integral(exponent: float, poly: np.ndarray, rho_max: float, n_panels: int) -> float:
-    """integral over (0, rho_max) of exp(-rho) rho^(2*exponent+2) P(rho)^2."""
-    nodes, weights = leggauss(20)
-    edges = np.concatenate([[0.0], np.geomspace(1e-8, rho_max, n_panels)])
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    rho = (mid + half * nodes[None, :]).ravel()
-    w = (half * weights[None, :]).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the result
-        f = np.exp(-rho) * rho ** (2.0 * exponent + 2.0) * polyval(rho, poly) ** 2
-        return float(np.sum(w * f))
+def _laguerre(k: int, a: float, x: np.ndarray) -> np.ndarray:
+    """L_k^(a)(x) by (j+1) L_{j+1} = (2j+1+a-x) L_j - (j+a) L_{j-1}, from L_0 = 1.
+
+    Each step divides by j+1 before it multiplies, so no intermediate
+    outgrows the result.
+    """
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for j in range(k):
+        prev, cur = cur, (2 * j + 1 + a - x) / (j + 1) * cur - (j + a) / (j + 1) * prev
+    return cur
 
 
 def build_radial(p: PhysicalParams, n: int, l: int) -> RadialWavefunction:
-    """Assemble the normalized R_nl for the Coulomb closed-form state."""
+    """Assemble the normalized R_nl for the Coulomb closed-form state.
+
+    Raises OverflowError when u or the amplitude leaves the float range.
+    """
     qn = QuantumNumbers(n=n, l=l)
     validate_params(p, qn)
     sigma = sigma_closed(p, l).sigma_l
     m_sys = system_mass(p, n, l)
     a0 = p.bohr_radius(m_sys)
     rho_scale = 2.0 * p.z_number / ((n - sigma) * a0)
-    poly = laguerre_rel(p, n, l)
-    exponent = l - sigma
-
-    rho_max = 80.0 * n ** 2
-    # Tail check on the integrand itself, then panel doubling to stability.
-    probe = np.geomspace(1e-6, rho_max, 512)
-    with np.errstate(over="ignore", invalid="ignore"):
-        integrand = np.exp(-probe) * probe ** (2.0 * exponent + 2.0) * polyval(probe, poly) ** 2
-    if not np.isfinite(integrand).all():
-        raise QuadratureFailure(
-            f"norm integrand overflows float64 on rho <= {rho_max:g} for (n={n}, l={l})"
+    c_top = laguerre_rel(p, n, l)[-1]
+    k, a = n - l - 1, 2.0 * (l - sigma) + 1.0
+    amplitude = math.sqrt(
+        rho_scale ** 3 * math.factorial(k) / (math.gamma(k + a + 1.0) * (2 * k + a + 1.0))
+    )
+    if not (math.isfinite(amplitude) and amplitude > 0):
+        raise OverflowError(
+            f"the amplitude leaves the float range ({amplitude!r}) at rho_scale = "
+            f"{rho_scale:g} for (n={n}, l={l})"
         )
-    if integrand[-1] > 1e-12 * integrand.max():
-        raise QuadratureFailure(
-            f"norm integrand has not decayed at rho = {rho_max:g} for (n={n}, l={l})"
-        )
-    n_panels = 64
-    value = _norm_integral(exponent, poly, rho_max, n_panels)
-    for _ in range(4):
-        refined = _norm_integral(exponent, poly, rho_max, 2 * n_panels)
-        if abs(refined - value) <= 1e-11 * abs(refined):
-            value = refined
-            break
-        n_panels *= 2
-        value = refined
-    else:
-        raise QuadratureFailure(f"norm integral did not stabilize for (n={n}, l={l})")
-    if not (math.isfinite(value) and value > 0):
-        raise QuadratureFailure(f"norm integral came out {value!r} for (n={n}, l={l})")
-
-    norm = math.sqrt(rho_scale ** 3 / value)
-    if not (math.isfinite(norm) and norm > 0):
-        raise QuadratureFailure(
-            f"normalization constant came out {norm!r} at rho_scale = {rho_scale:g} "
-            f"for (n={n}, l={l})"
-        )
-    orientation = -1.0 if poly[0] < 0 else 1.0
-    return RadialWavefunction(
+    R = RadialWavefunction(
         qn=qn,
         rho_scale=rho_scale,
-        normalization=norm,
-        poly=poly,
-        exponent=exponent,
-        orientation=orientation,
+        normalization=amplitude / (abs(c_top) * math.factorial(k)),
+        amplitude=amplitude,
+        exponent=l - sigma,
     )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rho, u = R._probe()
+    if not np.isfinite(u).all():
+        raise OverflowError(f"u leaves the float range on rho <= {rho[-1]:g} for (n={n}, l={l})")
+    return R
 
 
 def _second_derivative(u: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -242,13 +225,15 @@ def reference_residual_grid(R: RadialWavefunction, n_points: int = 12000) -> Rad
 
 
 def count_radial_nodes(R: RadialWavefunction) -> int:
-    """Sign changes of R on (0, infinity); the rho prefactor never changes sign."""
+    """Sign changes of u = r R on (0, infinity).
+
+    The zeros of L_k^(a) are about evenly spaced in sqrt(rho), about
+    pi / (2 sqrt(4n)) apart, so u is sampled on a grid even in sqrt(rho)
+    with 100 n points.
+    """
     rho_t = R.rho_scale * R.tail_radius(1e-8)
-    rho = np.linspace(0.0, rho_t, 6000)[1:]
-    vals = polyval(rho, R.poly)
-    vals = vals[np.abs(vals) > 1e-10 * np.abs(vals).max()]
-    signs = np.sign(vals)
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    rho = np.linspace(0.0, math.sqrt(rho_t), 100 * R.qn.n + 1)[1:] ** 2
+    return _count_sign_changes(rho * R._shape(rho))
 
 
 def spherical_harmonic(l: int, m: int, theta, phi):

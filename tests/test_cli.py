@@ -318,7 +318,7 @@ class TestSolve:
 
     # the exit code of every error, written out so that none moves unseen
     @pytest.mark.parametrize("error", [
-        errors.NoConvergence, errors.QuadratureFailure, errors.PoleError, OverflowError,
+        errors.NoConvergence, errors.PoleError, OverflowError,
     ], ids=lambda e: e.__name__)
     def test_numerical_failure_exits_4(self, capsys, monkeypatch, error):
         def explode(cfg):
@@ -389,14 +389,15 @@ class TestOverflowExits:
         (("lorentz", "--e", "1e308", "--beta", "0.9999"), "OverflowError"),
         (("convergence", "--rest-mass", "1e-300", "--sizes", "16,32,64", "--rmax", "0.05"),
          "NoConvergence"),
-        # rho_scale**3 underflows, so the normalization constant comes out 0
-        (("wavefunction", "--rest-mass", "1e-300", "--samples", "3"), "QuadratureFailure"),
-        (("wavefunction", "--rest-mass", "1e-120", "--samples", "3"), "QuadratureFailure"),
+        # rho_scale**3 underflows, so the amplitude comes out 0
+        (("wavefunction", "--rest-mass", "1e-300", "--samples", "3"), "OverflowError"),
+        (("wavefunction", "--rest-mass", "1e-120", "--samples", "3"), "OverflowError"),
         # r^2 overflows to inf where R underflows to 0, so the density is nan
         (("wavefunction", "--rmax", "1e300", "--samples", "5"), "OverflowError"),
-        # the norm integrand passes 1e308 before exp(-rho) damps it
-        (("wavefunction", "--n", "35", "--l", "34"), "QuadratureFailure"),
-        (("wavefunction", "--n", "40", "--l", "0"), "QuadratureFailure"),
+        # u passes 1e308 on the tail probe before exp(-rho/2) damps it
+        (("wavefunction", "--n", "75", "--l", "0"), "OverflowError"),
+        # Gamma(n+l+1)^2 overflows in laguerre_rel
+        (("wavefunction", "--n", "50", "--l", "49"), "OverflowError"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_exit_4(self, capsys, argv, error):
         # pytest keeps warnings off stderr, so they are recorded here instead
@@ -409,6 +410,17 @@ class TestOverflowExits:
 
 
 class TestWavefunctionCommand:
+    @pytest.mark.parametrize("n, l", [(17, 0), (35, 34), (40, 0)])
+    def test_large_states_build(self, capsys, n, l):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "wavefunction", "--n", str(n), "--l", str(l),
+                                     "--samples", "50")
+        assert code == 0 and err == ""
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        meta, _, _ = parse_csv(out)
+        assert int(meta["node_count"]) == n - l - 1
+
     def test_samples_and_u_consistency(self, capsys):
         code, out, _ = run_cli(capsys, "wavefunction", "--alpha", "0.3",
                                "--n", "2", "--l", "1", "--samples", "50")
@@ -538,6 +550,8 @@ def fuzz_argv(draw):
 @example(["solve", "--rest-mass", "1e-300", "--l", "0", "--states", "3,0; 3,2",
           "--lambda", "0.05", "--grid-n", "400", "--rmax", "0.05"])
 @example(["wavefunction", "--rest-mass", "1e-300", "--samples", "3"])
+@example(["wavefunction", "--n", "75", "--l", "0", "--samples", "3"])
+@example(["wavefunction", "--n", "50", "--l", "49", "--samples", "3"])
 def test_argv_fuzz_exits_with_a_documented_code(argv):
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):

@@ -7,7 +7,7 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgbound.core import PhysicalParams
+from kgbound.core import ALPHA_FS, PhysicalParams
 from kgbound.coulomb import sigma_closed
 from kgbound.errors import InvalidQuantumNumbers, PoleError
 from kgbound.special import eta_product, gamma_fn, laguerre_classical, laguerre_rel
@@ -136,6 +136,24 @@ class TestRelativisticLaguerre:
     def test_bad_quantum_numbers(self):
         with pytest.raises(InvalidQuantumNumbers):
             laguerre_rel(P_03, 2, 2)
+
+
+class TestGeneralizedLaguerreIdentity:
+    def test_rel_is_scaled_generalized_laguerre(self):
+        # Z^2 alpha^2 = sigma (2l+1-sigma) turns each eta factor into
+        # j(a+j)/((j-sigma)(2l+1+j-sigma)), so laguerre_rel / c_top is
+        # (-1)^k k! L_k^(a) with k = n-l-1 and a = 2l+1-2 sigma
+        for z_alpha in (ALPHA_FS, 0.1, 0.3, 0.45):
+            p = PhysicalParams(alpha=z_alpha)
+            for n in range(1, 13):
+                for l in range(n):
+                    if z_alpha >= l + 0.5:
+                        continue
+                    coeffs = laguerre_rel(p, n, l)
+                    k, a = n - l - 1, 2 * l + 1 - 2 * sigma_closed(p, l).sigma_l
+                    ref = (-1) ** k * math.factorial(k) * sps.genlaguerre(k, a).coeffs[::-1]
+                    np.testing.assert_allclose(coeffs / coeffs[-1], ref, rtol=1e-13,
+                                               err_msg=str((z_alpha, n, l)))
 
 
 class TestClassicalLimit:

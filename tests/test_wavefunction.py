@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from kgbound.core import PhysicalParams
+from kgbound.core import ALPHA_FS, PhysicalParams
 from kgbound.coulomb import sigma_closed, system_mass
-from kgbound.errors import InvalidQuantumNumbers, QuadratureFailure
+from kgbound.errors import InvalidQuantumNumbers
 from kgbound.wavefunction import (
     SeparableField,
+    _laguerre,
     build_radial,
     continuity_check,
     count_radial_nodes,
@@ -51,9 +52,10 @@ class TestBuildRadial:
 
     def test_unit_norm_on_independent_grid(self):
         # trapezoid on a dense log lattice, nothing shared with the
-        # quadrature that fixed the constant
-        for n, l in ((1, 0), (3, 1), (6, 5), (6, 0)):
-            R = build_radial(P_03, n, l)
+        # closed form that fixed the constant
+        for p, n, l in ((P_03, 1, 0), (P_03, 3, 1), (P_03, 6, 5), (P_03, 6, 0),
+                        (P_FS, 35, 34), (P_FS, 40, 0), (P_FS, 49, 48), (P_FS, 74, 0)):
+            R = build_radial(p, n, l)
             r = np.geomspace(1e-7 / R.rho_scale, R.tail_radius(1e-13), 400_000)
             integ = np.trapezoid((r * R.evaluate(r)) ** 2, r)
             assert integ == pytest.approx(1.0, rel=1e-8), (n, l)
@@ -72,18 +74,76 @@ class TestBuildRadial:
             build_radial(PhysicalParams(alpha=0.6), 1, 0)
         with pytest.raises(InvalidQuantumNumbers):
             build_radial(P_03, 0, 0)
-        # rho^(2l+2) or P(rho)^2 passes 1e308 before exp(-rho) damps it
-        for n, l in ((35, 34), (40, 0)):
-            with pytest.raises(QuadratureFailure, match="integrand overflows float64"):
-                build_radial(P_FS, n, l)
+        # u passes 1e308 on the tail_radius probe before exp(-rho/2) damps it
+        with pytest.raises(OverflowError, match="u leaves the float range"):
+            build_radial(P_FS, 75, 0)
+        # Gamma(n+l+1)^2 overflows in laguerre_rel
+        with pytest.raises(OverflowError):
+            build_radial(P_FS, 50, 49)
+
+
+# R of two n = 16 states at a few radii, generated with mpmath at 50
+# digits from laguerre_rel's defining formula (eta products and Gamma
+# functions, not the Laguerre identity), normalized by mpmath.quad, and
+# frozen here.
+_FROZEN_R = {
+    (0.45, 16, 3): (
+        (50.0, -3.2387837900499278298e-4),
+        (150.0, 1.205302277604935039e-4),
+        (300.0, 1.1593983104916447524e-5),
+        (600.0, 4.1239054558983887291e-5),
+        (900.0, 2.2563848761454121808e-5),
+        (1200.0, 1.6994239139774933614e-5),
+    ),
+    (ALPHA_FS, 16, 0): (
+        (20.0, 1.6774339389375632443e-5),
+        (700.0, -1.1384546296016803743e-6),
+        (3000.0, -1.196395979419370027e-7),
+        (6000.0, -3.6155620709358427082e-7),
+        (30000.0, 2.1842921475305516358e-8),
+        (50000.0, 1.0107943150160392404e-7),
+    ),
+}
+
+
+class TestClosedForm:
+    def test_recurrence_matches_scipy(self):
+        from scipy.special import eval_genlaguerre
+        for p in (P_FS, P_03):
+            for n in range(1, 40):
+                for l in range(n):
+                    if p.z_alpha >= l + 0.5:
+                        continue
+                    k, a = n - l - 1, 2 * l + 1 - 2 * sigma_closed(p, l).sigma_l
+                    x = np.linspace(0.0, 4.0 * n + 20.0, 300)
+                    ref = eval_genlaguerre(k, a, x)
+                    err = np.abs(_laguerre(k, a, x) - ref).max()
+                    assert err <= 1e-13 * np.abs(ref).max(), (n, l)
+
+    @pytest.mark.parametrize("alpha, n, l", sorted(_FROZEN_R))
+    def test_against_frozen_mpmath(self, alpha, n, l):
+        R = build_radial(PhysicalParams(alpha=alpha), n, l)
+        r = np.geomspace(1e-6 / R.rho_scale, R.tail_radius(), 20_000)
+        peak = np.abs(R.evaluate(r)).max()
+        for r_i, ref in _FROZEN_R[alpha, n, l]:
+            assert abs(R.evaluate(r_i) - ref) <= 1e-13 * peak, r_i
 
 
 class TestNodesAndNormalize:
-    def test_node_counts(self):
-        for n in range(1, 7):
+    @pytest.mark.parametrize("p", [P_FS, P_03], ids=["alpha_fs", "alpha_0.3"])
+    def test_node_counts(self, p):
+        # every state that builds: l = 0 up to n = 74, l = n-1 up to n = 49,
+        # and none from n + l = 99 on, where Gamma(n+l+1)^2 overflows
+        built = 0
+        for n in range(1, 100):
             for l in range(n):
-                R = build_radial(P_03, n, l)
+                try:
+                    R = build_radial(p, n, l)
+                except OverflowError:
+                    continue
+                built += 1
                 assert count_radial_nodes(R) == n - l - 1, (n, l)
+        assert built == 2280
 
 
 class TestOdeResidual:
