@@ -382,10 +382,19 @@ def _solve(
     l: int,
     n_points: int,
     r_max: float | None = None,
+    origin_step: float = 0.0,
 ) -> tuple[BoundState, RadialGrid]:
     """The self-consistent (n, l) state on its default solver grid, and that grid."""
     grid = default_solver_grid(mode, potential, p, n, l, n_points=n_points, r_max=r_max)
-    req = SolveRequest(mode=mode, potential=potential, n=n, l=l, grid=grid, sc_tolerance=cfg.tol)
+    req = SolveRequest(
+        mode=mode,
+        potential=potential,
+        n=n,
+        l=l,
+        grid=grid,
+        sc_tolerance=cfg.tol,
+        origin_step=origin_step,
+    )
     return solve_self_consistent(req, p), grid
 
 
@@ -417,9 +426,10 @@ def cmd_compare(cfg: RunConfig) -> tuple[dict, list[dict]]:
     rows = []
     for n, l in _requested_states(cfg):
         closed = energy_level(p, n, l).e_prime
-        (coarse, coarse_grid), (fine, fine_grid) = (
-            _solve(cfg, p, SolveMode.KG_VECTOR, potential, n, l, size)
-            for size in (cfg.grid_n // 2, cfg.grid_n)
+        coarse, coarse_grid = _solve(cfg, p, SolveMode.KG_VECTOR, potential, n, l, cfg.grid_n // 2)
+        # the fine grid chooses its origin correction on the coarse step, like the coarse grid
+        fine, fine_grid = _solve(
+            cfg, p, SolveMode.KG_VECTOR, potential, n, l, cfg.grid_n, origin_step=coarse_grid.step
         )
         numeric = richardson_extrapolate(
             coarse.e_prime, fine.e_prime, coarse_grid.step / fine_grid.step

@@ -116,6 +116,10 @@ class CoulombPart:
     def evaluate(self, r: np.ndarray, p: PhysicalParams) -> np.ndarray:
         return -p.z_number * p.e_squared / np.asarray(r, dtype=float)
 
+    def origin_coefficients(self, p: PhysicalParams) -> tuple[float, float]:
+        """(c_-1, c_0) of U = c_-1/r + c_0 + O(r) near the origin."""
+        return -p.z_number * p.e_squared, 0.0
+
 
 @dataclass(frozen=True)
 class HulthenPart:
@@ -139,6 +143,11 @@ class HulthenPart:
         lam = self.lam_absolute(p)
         # exp(-lam r)/(1-exp(-lam r)) = 1/expm1(lam r), stable for small lam*r.
         return -p.z_number * p.e_squared * lam / np.expm1(lam * np.asarray(r, dtype=float))
+
+    def origin_coefficients(self, p: PhysicalParams) -> tuple[float, float]:
+        """(c_-1, c_0) of U = c_-1/r + c_0 + O(r): lam/expm1(lam r) = 1/r - lam/2 + O(r)."""
+        coupling = p.z_number * p.e_squared
+        return -coupling, 0.5 * coupling * self.lam_absolute(p)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,14 @@ the fine grid (see _coarse_start); later ones refine the previous
 eigenvector by shifted inverse iteration, since one mass step changes the
 operator only slightly.  discretize_operator is the one builder: it takes
 the mode, the potential, the parameters, the mass, l and the grid, and
-makes every operator of a solve, coarse and fine.  The origin correction
-of the stencil depends only on the exponent s and the number of points,
-so it is cached and a solve computes it once per grid.
+makes every operator of a solve, coarse and fine.  Its diagonal carries
+an origin correction that makes the stencil exact on r^s exp(a1 r), the
+first two Frobenius terms of the regular solution, wherever s < 1 (l = 0
+with a squared vector 1/r channel); that keeps the eigenvalue error
+O(h^2) there.  The correction is taken at the rest mass, so it depends
+only on s, a1 h and the number of points; it is cached and a solve
+computes it once per grid.  A convergence study makes the same choice of
+correction on all of its grids.
 
 Mode dictionary, writing msum = m0 + m, U for the vector part and S for
 the scalar part:
@@ -98,6 +103,7 @@ class SolveRequest:
     l: int
     grid: RadialGrid | None = None
     sc_tolerance: float = 1e-12
+    origin_step: float = 0.0  # see discretize_operator
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,26 +171,40 @@ def effective_radial_equation(
     return A, v_eff
 
 
-def singular_exponent(
+def origin_series(
     mode: SolveMode, potential: PotentialSpec, p: PhysicalParams, l: int
-) -> float:
-    """Origin exponent s of the regular solution, u ~ r^s.
+) -> tuple[float, float]:
+    """Origin behaviour u = r^s (1 + a1 r + ...) of the regular solution at m = m0.
 
-    The indicial equation of the effective potential's 1/r^2 part gives
-    s = 1/2 + sqrt(1/4 + L) with L the centrifugal index: l(l+1), shifted
-    by -(Z alpha)^2 when a 1/r-singular vector channel is squared in the
-    relativistic modes and by +(Z alpha)^2 for a singular scalar channel
-    (the two cancel in kg-equal).  In the non-singular cases s comes out
-    as the integer l + 1.
+    The Schrodinger and kg-equal modes carry no squared 1/r term, so s is
+    the integer l + 1 and a1 = 0 is returned (discretize_operator uses a1
+    only where s < 1).  In kg-vector and kg-scalar-vector each
+    potential part states U = c_-1/r + c_0 + O(r) near the origin
+    (origin_coefficients).  Put into effective_radial_equation's V_eff at
+    the rest mass, they give V_eff = A s(s-1)/r^2 - C/r + O(1).  The 1/r^2
+    part is A times the centrifugal index l(l+1), lowered by (c_-1/hbar c)^2
+    for the vector part and raised by the same for the scalar part (the
+    two cancel with equal parts), so s = 1/2 + sqrt(1/4 + index).  The 1/r
+    part fixes the next Frobenius term, a1 = -(C/A)/(2s); it includes the
+    c_-1 c_0 cross term of U^2 and S^2.
     """
-    ll = float(l * (l + 1))
-    za2 = (p.z_number * p.alpha) ** 2
-    if mode in (SolveMode.KG_VECTOR, SolveMode.KG_SCALAR_VECTOR):
-        if potential.vector_part is not None:
-            ll -= za2
-        if mode is SolveMode.KG_SCALAR_VECTOR and potential.scalar_part is not None:
-            ll += za2
-    return 0.5 + math.sqrt(0.25 + ll)
+    if mode not in (SolveMode.KG_VECTOR, SolveMode.KG_SCALAR_VECTOR):
+        return float(l + 1), 0.0
+    u_1, u_0 = s_1, s_0 = 0.0, 0.0
+    if potential.vector_part is not None:
+        u_1, u_0 = potential.vector_part.origin_coefficients(p)
+    if potential.scalar_part is not None:
+        s_1, s_0 = potential.scalar_part.origin_coefficients(p)
+    index = l * (l + 1) + (s_1 ** 2 - u_1 ** 2) / (p.hbar * p.c) ** 2
+    s = 0.5 + math.sqrt(0.25 + index)
+    m0, c2 = p.rest_mass, p.c ** 2
+    c_over_a = -2.0 * (m0 * u_1 - u_1 * u_0 / c2 + m0 * s_1 + s_1 * s_0 / c2) / p.hbar ** 2
+    return s, -c_over_a / (2.0 * s)
+
+
+# The exponential origin correction needs the step to resolve exp(a1 r):
+# beyond |a1| h of this the stencil is corrected for r^s alone.
+_MAX_ORIGIN_STEP = 0.5
 
 
 def discretize_operator(
@@ -194,41 +214,64 @@ def discretize_operator(
     m_sys: float,
     l: int,
     grid: RadialGrid,
+    origin_step: float = 0.0,
 ) -> DiscretizedOperator:
     """The radial equation at system mass m_sys as a second-order
     central-difference matrix with Dirichlet ends.
 
-    The diagonal is corrected so the stencil differentiates r^s without
-    error, s being singular_exponent's origin exponent.  Near the origin
-    the regular solution behaves like r^s with fractional s in the
-    relativistic Coulomb modes, and the plain stencil's truncation error on
-    that power (largest at the first interior point, where r ~ h) degrades
-    eigenvalue convergence below second order; the correction restores
-    it.  For integer s <= 3 the stencil is already exact and the correction
-    is identically zero, so non-singular modes are untouched.  An entry
-    that overflows, the correction included (from l = 79 at N = 8000, where
-    N^s passes the float64 range), raises NoConvergence (see
-    DiscretizedOperator) without numpy warnings.
+    The diagonal is corrected so the stencil differentiates the origin
+    shape of the regular solution without error, (s, a1) being
+    origin_series' Frobenius data.  In the relativistic Coulomb modes at
+    l = 0 the solution starts as r^s (1 + a1 r) with s < 1, and the plain
+    stencil's truncation error on it (largest at the first interior point,
+    where r ~ h) leaves an h^(2s) term in the eigenvalue, below second
+    order.  For s < 1 the correction is therefore exact on
+    f = r^s exp(a1 r), which removes that term; elsewhere the h^(2s) term
+    is at least second order and the correction is exact on r^s alone,
+    identically zero for integer s <= 3.  It also keeps r^s alone when
+    |a1| max(h, origin_step) > 1/2, a step too coarse to resolve exp(a1 r).
+    A convergence study or a Richardson pair passes its coarsest step as
+    origin_step, so that all of its grids make the same choice; the
+    default 0 decides on the grid's own step.  a1 is taken at the rest
+    mass, so every operator of a solve on one grid carries the same
+    correction.  An entry that overflows, the correction included (from
+    l = 79 at N = 8000, where N^s passes the float64 range), raises
+    NoConvergence (see DiscretizedOperator) without numpy warnings.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        correction = _stencil_error(singular_exponent(mode, potential, p, l), grid.n_points)
         A, v_eff = effective_radial_equation(mode, potential, p, m_sys, l)
-        kin = A / grid.step ** 2  # step raises for non-uniform grids
-        diag = 2.0 * kin + v_eff(grid.points) + kin * correction
+        h = grid.step  # raises for non-uniform grids
+        s, a1 = origin_series(mode, potential, p, l)
+        x = a1 * h
+        if not (s < 1.0 and abs(a1) * max(h, origin_step) <= _MAX_ORIGIN_STEP):
+            x = 0.0
+        kin = A / h ** 2
+        diag = 2.0 * kin + v_eff(grid.points) + kin * _stencil_error(s, grid.n_points, x)
     return DiscretizedOperator(diag=diag, offdiag=np.full(grid.n_points - 1, -kin), grid=grid)
 
 
 @functools.lru_cache(maxsize=4)
-def _stencil_error(s: float, n: int) -> np.ndarray:
-    """Error of the unit-step stencil on r^s at indices 1..n, relative to r^s.
+def _stencil_error(s: float, n: int, x: float) -> np.ndarray:
+    """Error of the unit-step stencil on f = i^s exp(x i) at indices 1..n,
+    relative to f, less its far-field limit 2 cosh x - 2 - x^2.
 
-    discretize_operator adds kin times this to the diagonal.  It depends
-    only on (s, n), so it is cached: a solve uses two keys, its grid and the
+    discretize_operator adds kin times this to the diagonal.  f(i +- 1)/f(i)
+    is (i +- 1)^s/i^s exp(+-x), with one power per index shared by its
+    neighbours; at x = 0 this is the error on i^s, bit for bit.  Taking off
+    the far-field constant makes the correction decay into the bulk, so the
+    operators of two grids differ only near the origin.  It depends only on
+    (s, n, x), so it is cached: a solve uses two keys, its grid and the
     coarse start's, and computes each once.  The array is read-only.
     """
     powers = np.arange(n + 2, dtype=float) ** s  # i^s for i = 0..n+1
     i = np.arange(1, n + 1, dtype=float)
-    error = (powers[2:] - 2.0 * powers[1:-1] + powers[:-2]) / powers[1:-1] - s * (s - 1.0) / i ** 2
+    ex, emx = math.exp(x), math.exp(-x)
+    error = powers[2:] * ex
+    error -= 2.0 * powers[1:-1]
+    error += powers[:-2] * emx
+    error /= powers[1:-1]
+    error -= s * (s - 1.0) / i ** 2 + 2.0 * s * x / i + x * x  # h^2 f''/f
+    error -= ex + emx - 2.0 - x * x  # the limit of the lines above as i grows
     error.flags.writeable = False
     return error
 
@@ -471,12 +514,14 @@ def solve_self_consistent(
     trace: list[float] = []
     u = None
     for iterations in range(1, _MAX_SC_ITERS + 1):
-        op = discretize_operator(req.mode, req.potential, p, m, req.l, grid)
+        op = discretize_operator(req.mode, req.potential, p, m, req.l, grid, req.origin_step)
         if u is not None:
             pair = _refine_eigenpair(op, node_target, u, e)
         elif grid.n_points >= _COARSE_START_POINTS:
             coarse = RadialGrid.uniform(grid.r_max, grid.n_points // _COARSE_FACTOR)
-            coarse_op = discretize_operator(req.mode, req.potential, p, m, req.l, coarse)
+            coarse_op = discretize_operator(
+                req.mode, req.potential, p, m, req.l, coarse, req.origin_step
+            )
             pair = _coarse_start(coarse_op, op, node_target)
         else:
             pair = None
@@ -543,19 +588,21 @@ def richardson_extrapolate(
 def convergence_study(
     req: SolveRequest, p: PhysicalParams, grid_sizes: tuple[int, ...]
 ) -> ConvergenceStudy:
-    """Re-solve req on uniform grids of the given sizes over one fixed r_max."""
+    """Re-solve req on uniform grids of the given sizes over one fixed r_max.
+
+    Every grid chooses its origin correction on the coarsest step (see
+    discretize_operator), so the rows come from one discretization.
+    """
     if len(grid_sizes) < 3:
         raise ValueError("a convergence study needs at least 3 grid sizes")
     sizes = tuple(sorted(int(s) for s in grid_sizes))
     if len(set(sizes)) != len(sizes):
         raise ValueError("grid sizes must be distinct")
     base = req.grid or default_solver_grid(req.mode, req.potential, p, req.n, req.l)
-    energies = []
-    steps = []
-    for n_pts in sizes:
-        grid = RadialGrid.uniform(base.r_max, n_pts)
-        energies.append(solve_self_consistent(replace(req, grid=grid), p).e_prime)
-        steps.append(grid.step)
+    grids = [RadialGrid.uniform(base.r_max, n_pts) for n_pts in sizes]
+    steps = [grid.step for grid in grids]
+    req = replace(req, origin_step=max(req.origin_step, steps[0]))
+    energies = [solve_self_consistent(replace(req, grid=grid), p).e_prime for grid in grids]
 
     rows: list[tuple[int, float, float | None]] = [(sizes[0], energies[0], None)]
     for i in range(1, len(sizes)):

@@ -82,12 +82,16 @@ def laguerre_rel(p: PhysicalParams, n: int, l: int) -> np.ndarray:
 
     Entry nu multiplies rho^nu, nu = 0 .. n-l-1.  The leading (-1)^(nu+1)
     sign is kept verbatim, which makes the nu=0 coefficient negative;
-    wavefunction assembly uses only |c_top|.
+    wavefunction assembly uses only |c_top|.  Raises OverflowError when
+    [(n+l)!]^2 leaves the float range, from n + l = 99 on.
     """
     QuantumNumbers(n=n, l=l)  # raises InvalidQuantumNumbers
     sigma = sigma_closed(p, l).sigma_l
     za = p.z_alpha
-    fac_nl_sq = gamma_fn(n + l + 1.0) ** 2
+    try:
+        fac_nl_sq = gamma_fn(n + l + 1.0) ** 2
+    except OverflowError:
+        raise OverflowError(f"[(n+l)!]^2 leaves the float range for (n={n}, l={l})") from None
     coeffs = np.empty(n - l)
     for nu in range(n - l):
         sign = -1.0 if nu % 2 == 0 else 1.0  # (-1)^(nu+1)

@@ -53,6 +53,7 @@ are built with numpy alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,10 +103,17 @@ class RadialWavefunction:
         k, a = self.qn.n - self.qn.l - 1, 2.0 * self.exponent + 1.0
         return np.exp(-0.5 * rho) * rho ** self.exponent * _laguerre(k, a, rho)
 
+    @functools.cached_property
     def _probe(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rho, u / amplitude) on the log grid that tail_radius scans."""
+        """(rho, u / amplitude) on the log grid that tail_radius scans.
+
+        Computed once per state (build_radial's range check, then every
+        tail_radius call) and read-only.
+        """
         rho = np.geomspace(1e-6, 80.0 * self.qn.n ** 2, 4096)
-        return rho, rho * self._shape(rho)
+        u = rho * self._shape(rho)
+        rho.flags.writeable = u.flags.writeable = False
+        return rho, u
 
     def evaluate(self, r: np.ndarray | float) -> np.ndarray | float:
         out = self.amplitude * self._shape(self.rho_scale * np.asarray(r, dtype=float))
@@ -113,7 +121,7 @@ class RadialWavefunction:
 
     def tail_radius(self, threshold: float = 1e-10) -> float:
         """Radius past which |u| stays below threshold * max|u|."""
-        rho, u = self._probe()
+        rho, u = self._probe
         u = np.abs(u)
         return 1.1 * rho[np.flatnonzero(u >= threshold * u.max())[-1]] / self.rho_scale
 
@@ -159,7 +167,7 @@ def build_radial(p: PhysicalParams, n: int, l: int) -> RadialWavefunction:
         exponent=l - sigma,
     )
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        rho, u = R._probe()
+        rho, u = R._probe
     if not np.isfinite(u).all():
         raise OverflowError(f"u leaves the float range on rho <= {rho[-1]:g} for (n={n}, l={l})")
     return R

@@ -290,6 +290,10 @@ def test_criterion_7_equal_mode_reduction():
         def evaluate(self, r, _params):
             return 2.0 * self.inner.evaluate(r, self.params)
 
+        def origin_coefficients(self, _params):
+            c_1, c_0 = self.inner.origin_coefficients(self.params)
+            return 2.0 * c_1, 2.0 * c_0
+
     p_half = replace(p, rest_mass=0.5 * (p.rest_mass + m))
     pot_s = PotentialSpec(DoubledPart(pot.vector_part, p), None)
     A_s, _ = effective_radial_equation(

@@ -409,6 +409,15 @@ class TestOverflowExits:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+    @pytest.mark.parametrize("n, l", [(50, 49), (100, 99)])
+    def test_laguerre_overflow_names_the_state(self, capsys, n, l):
+        # the square of (n+l)! overflows from n + l = 99, Gamma itself from 171
+        code, out, err = run_cli(capsys, "wavefunction", "--n", str(n), "--l", str(l))
+        assert code == 4 and out == ""
+        assert err == (f"kgbound: OverflowError: [(n+l)!]^2 leaves the float range "
+                       f"for (n={n}, l={l})\n")
+
+
 class TestWavefunctionCommand:
     @pytest.mark.parametrize("n, l", [(17, 0), (35, 34), (40, 0)])
     def test_large_states_build(self, capsys, n, l):
@@ -450,6 +459,15 @@ class TestCompare:
             assert float(row["e_schrodinger"]) == pytest.approx(
                 -p.z_alpha ** 2 * p.rest_energy / (2.0 * n ** 2), rel=1e-11)
             assert float(row["e_kg_numeric"]) < 0
+
+    def test_pair_across_the_origin_fallback_is_one_discretization(self, capsys):
+        # (11, 0) at Zalpha = 0.3: only the 8000-point grid resolves exp(a1 r);
+        # both grids keep r^s alone, as they did before the exponential
+        # correction (1.03e-3; with one choice per grid 3.0e-2)
+        code, out, _ = run_cli(capsys, "compare", "--alpha", "0.3", "--states", "11,0")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert float(rows[0]["delta_closed_numeric"]) < 1.1e-3
 
 
 class TestLorentzCommand:

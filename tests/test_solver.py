@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kgbound import solver
-from kgbound.core import PhysicalParams, PotentialSpec, RadialGrid
+from kgbound.core import CoulombPart, HulthenPart, PhysicalParams, PotentialSpec, RadialGrid
 from kgbound.coulomb import energy_level
 from kgbound.errors import (
     InvalidQuantumNumbers,
@@ -24,8 +24,8 @@ from kgbound.solver import (
     discretize_operator,
     effective_radial_equation,
     inner_eigensolve,
+    origin_series,
     richardson_extrapolate,
-    singular_exponent,
     solve_self_consistent,
 )
 
@@ -90,20 +90,88 @@ class TestEffectiveEquation:
                                   rel=1e-15)
 
 
-class TestSingularExponent:
+def table_exponent(mode, potential, p, l):
+    """The origin exponent as a hand-kept table of modes gave it: the
+    reference the operators of l >= 1 and of integer s are built from."""
+    ll = float(l * (l + 1))
+    za2 = (p.z_number * p.alpha) ** 2
+    if mode in (SolveMode.KG_VECTOR, SolveMode.KG_SCALAR_VECTOR):
+        if potential.vector_part is not None:
+            ll -= za2
+        if mode is SolveMode.KG_SCALAR_VECTOR and potential.scalar_part is not None:
+            ll += za2
+    return 0.5 + math.sqrt(0.25 + ll)
+
+
+def three_power_error(s, n):
+    """Error of the unit-step stencil on i^s relative to i^s, three powers per index."""
+    i = np.arange(1, n + 1, dtype=float)
+    return ((i + 1.0) ** s - 2.0 * i ** s + (i - 1.0) ** s) / i ** s - s * (s - 1.0) / i ** 2
+
+
+# every mode with each potential it accepts
+MODE_POTENTIALS = [
+    pytest.param(mode, potential, id=f"{mode.value}-{name}")
+    for mode, name, potential in [
+        (SolveMode.SCHRODINGER, "coulomb", PotentialSpec.coulomb()),
+        (SolveMode.SCHRODINGER, "hulthen", PotentialSpec.hulthen(0.2)),
+        (SolveMode.KG_VECTOR, "coulomb", PotentialSpec.coulomb()),
+        (SolveMode.KG_VECTOR, "hulthen", PotentialSpec.hulthen(0.2)),
+        (SolveMode.KG_VECTOR, "free", PotentialSpec(None, None)),
+        (SolveMode.KG_SCALAR_VECTOR, "coulomb", PotentialSpec.coulomb()),
+        (SolveMode.KG_SCALAR_VECTOR, "equal-coulomb", PotentialSpec.equal_coulomb()),
+        (SolveMode.KG_SCALAR_VECTOR, "equal-hulthen", PotentialSpec.equal_hulthen(0.2)),
+        (SolveMode.KG_SCALAR_VECTOR, "scalar-coulomb", PotentialSpec(None, CoulombPart())),
+        (SolveMode.KG_SCALAR_VECTOR, "hulthen-coulomb",
+         PotentialSpec(HulthenPart(0.2), CoulombPart())),
+        (SolveMode.KG_EQUAL, "equal-coulomb", PotentialSpec.equal_coulomb()),
+        (SolveMode.KG_EQUAL, "equal-hulthen", PotentialSpec.equal_hulthen(0.2)),
+    ]
+]
+
+
+class TestOriginSeries:
     def test_schrodinger_integer(self):
-        s = singular_exponent(SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_03, 2)
+        s, _ = origin_series(SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_03, 2)
         assert s == 3.0
 
     def test_vector_coupling_lowers_exponent(self):
         # l = 0, Z*alpha = 0.3: s = 1/2 + sqrt(1/4 - 0.09) = 0.9 exactly
-        s = singular_exponent(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0)
+        s, _ = origin_series(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0)
         assert s == pytest.approx(0.9, abs=2e-16)
 
     def test_equal_mode_cancels(self):
-        s = singular_exponent(SolveMode.KG_EQUAL, PotentialSpec.equal_coulomb(),
-                              P_03, 1)
+        s, _ = origin_series(SolveMode.KG_EQUAL, PotentialSpec.equal_coulomb(), P_03, 1)
         assert s == 2.0
+
+    @pytest.mark.parametrize("mode, potential", MODE_POTENTIALS)
+    def test_exponent_has_the_bits_of_the_mode_table(self, mode, potential):
+        for p in (P_01, P_03, PhysicalParams(z_number=2.0, alpha=0.2)):
+            for l in range(4):
+                s, _ = origin_series(mode, potential, p, l)
+                assert s == table_exponent(mode, potential, p, l)
+
+    def test_coulomb_first_coefficient(self):
+        # u = r^s exp(-m0 Z alpha r / s) near the origin; a rest mass of 2
+        # halves the Bohr radius
+        for p in (P_03, replace(P_03, rest_mass=2.0)):
+            s, a1 = origin_series(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), p, 0)
+            assert a1 == pytest.approx(-p.rest_mass * p.z_alpha / s, rel=1e-15)
+
+    def test_hulthen_first_coefficient_carries_the_squared_term(self):
+        # U = -Z e^2/r + Z e^2 lam/2 + O(r): the U^2 term of kg-vector adds
+        # -(Z alpha)^2 lam to C/A = 2 m0 Z alpha
+        lam = 0.3
+        s, a1 = origin_series(SolveMode.KG_VECTOR, PotentialSpec.hulthen(lam), P_03, 0)
+        lam_abs = HulthenPart(lam).lam_absolute(P_03)
+        c_over_a = 2.0 * P_03.z_alpha - P_03.z_alpha ** 2 * lam_abs
+        assert a1 == pytest.approx(-c_over_a / (2.0 * s), rel=1e-14)
+
+    def test_part_coefficients_match_the_potential(self):
+        r = np.array([1e-6, 2e-6])
+        for part in (CoulombPart(), HulthenPart(0.3)):
+            c_1, c_0 = part.origin_coefficients(P_03)
+            np.testing.assert_allclose(part.evaluate(r, P_03) - c_1 / r, c_0, atol=1e-6)
 
 
 class TestDiscretizeOperator:
@@ -119,13 +187,18 @@ class TestDiscretizeOperator:
         np.testing.assert_array_equal(op.diag, 2.0 * kin + v_eff(grid.points))
 
     def test_corrected_diagonal_first_entry(self):
+        # at i = 1 the stencil sees f = r^s exp(a1 r) at 0, h and 2h, and
+        # the far-field constant 2 cosh x - 2 - x^2 is taken off
         grid = RadialGrid.uniform(30.0, 100)
         op = discretize_operator(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0, grid)
         A, v_eff = effective_radial_equation(
             SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0)
         s = 0.9
+        x = -P_03.rest_mass * P_03.z_alpha / s * grid.step  # a1 h at the rest mass
+        assert 0.05 < abs(x) < 0.5
         kin = A / grid.step ** 2
-        want_shift = kin * (2.0 ** s - 2.0 - s * (s - 1.0))
+        want_shift = kin * (2.0 ** s * math.exp(x) - 2.0 - (s * (s - 1.0) + 2.0 * s * x + x * x)
+                            - (2.0 * math.cosh(x) - 2.0 - x * x))
         got_shift = op.diag[0] - (2.0 * kin + v_eff(grid.points[:1])[0])
         assert got_shift == pytest.approx(want_shift, rel=1e-12)
 
@@ -138,14 +211,77 @@ class TestDiscretizeOperator:
         shift = np.abs(op.diag - (2.0 * kin + v_eff(grid.points)))
         assert shift[-1] < 1e-6 * shift[0]
 
+    def test_correction_is_exact_on_the_origin_shape(self):
+        # (T f)_i = -A f''(r_i) + V f(r_i) for f = r^s exp(a1 r), up to the
+        # far-field constant, which shifts every entry alike
+        grid = RadialGrid.uniform(30.0, 400)
+        mode, pot = SolveMode.KG_VECTOR, PotentialSpec.hulthen(0.3)
+        s, a1 = origin_series(mode, pot, P_03, 0)
+        op = discretize_operator(mode, pot, P_03, 0.95, 0, grid)
+        A, v_eff = effective_radial_equation(mode, pot, P_03, 0.95, 0)
+        r, h = grid.points, grid.step
+        f = r ** s * np.exp(a1 * r)
+        f_next = (r + h) ** s * np.exp(a1 * (r + h))
+        f_prev = np.concatenate(([0.0], f[:-1]))
+        f2 = (s * (s - 1.0) / r ** 2 + 2.0 * s * a1 / r + a1 ** 2) * f
+        x = a1 * h
+        far = A / h ** 2 * (2.0 * math.cosh(x) - 2.0 - x * x)
+        tf = op.diag * f + op.offdiag[0] * (f_next + f_prev)
+        want = -A * f2 + (v_eff(r) - far) * f
+        np.testing.assert_allclose(tf, want, rtol=0, atol=1e-10 * np.abs(v_eff(r) * f).max())
+
     def test_correction_has_the_bits_of_the_three_power_form(self):
         # one power per index, shared by neighbours, must not move the operator
         for s in (0.9, 0.98, 1.0, 2.0, 2.5, 3.7):
             for n in (250, 1000, 8000):
-                i = np.arange(1, n + 1, dtype=float)
-                want = (((i + 1.0) ** s - 2.0 * i ** s + (i - 1.0) ** s) / i ** s
-                        - s * (s - 1.0) / i ** 2)
-                assert np.array_equal(solver._stencil_error(s, n), want)
+                assert np.array_equal(solver._stencil_error(s, n, 0.0), three_power_error(s, n))
+
+    @pytest.mark.parametrize("mode, potential", MODE_POTENTIALS)
+    def test_operators_with_an_exponent_of_1_or_more_keep_their_bits(self, mode, potential):
+        # l >= 1 everywhere, every integer-s operator and the fractional
+        # s > 1 of a scalar-only 1/r part at l = 0: the r^s-only correction,
+        # built from the mode table's exponent, bit for bit
+        for p in (P_01, P_03):
+            for l in range(4):
+                s = table_exponent(mode, potential, p, l)
+                if s < 1.0:
+                    continue
+                for n in (250, 2000):
+                    grid = RadialGrid.uniform(40.0, n)
+                    op = discretize_operator(mode, potential, p, 0.97, l, grid)
+                    A, v_eff = effective_radial_equation(mode, potential, p, 0.97, l)
+                    kin = A / grid.step ** 2
+                    want = 2.0 * kin + v_eff(grid.points) + kin * three_power_error(s, n)
+                    assert np.array_equal(op.diag, want), (p, l, n)
+                    assert np.array_equal(op.offdiag, np.full(n - 1, -kin))
+
+    def test_origin_step_decides_the_fallback(self):
+        # the exponential correction is kept only while |a1| max(h, origin_step) <= 1/2
+        mode, pot = SolveMode.KG_VECTOR, PotentialSpec.coulomb()
+        grid = RadialGrid.uniform(30.0, 400)
+        s, a1 = origin_series(mode, pot, P_03, 0)
+        assert abs(a1) * grid.step < 0.5
+        own = discretize_operator(mode, pot, P_03, 0.95, 0, grid)
+        finer = discretize_operator(mode, pot, P_03, 0.95, 0, grid, 0.5 * grid.step)
+        coarse = discretize_operator(mode, pot, P_03, 0.95, 0, grid, 0.6 / abs(a1))
+        A, v_eff = effective_radial_equation(mode, pot, P_03, 0.95, 0)
+        kin = A / grid.step ** 2
+        assert np.array_equal(finer.diag, own.diag)
+        assert not np.array_equal(coarse.diag, own.diag)
+        assert np.array_equal(coarse.diag, 2.0 * kin + v_eff(grid.points)
+                              + kin * three_power_error(s, 400))
+
+    def test_coarse_step_falls_back_to_the_power_correction(self):
+        # |a1| h > 1/2: the stencil cannot resolve exp(a1 r), so only r^s is corrected
+        grid = RadialGrid.uniform(1250.0, 250)
+        s, a1 = origin_series(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0)
+        assert abs(a1) * grid.step > 0.5
+        op = discretize_operator(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0, grid)
+        A, v_eff = effective_radial_equation(
+            SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0)
+        kin = A / grid.step ** 2
+        assert np.array_equal(op.diag, 2.0 * kin + v_eff(grid.points)
+                              + kin * three_power_error(s, 250))
 
 
 class TestCountSignChanges:
@@ -323,6 +459,18 @@ class TestSolveSelfConsistent:
             return
         assert state.residual <= 1e-15
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_coarse_grid_states_solve_through_the_fallback(self, n):
+        # at 250 points the default box of (5,0) and (6,0) puts |a1| h
+        # above 1/2, so their operators carry the r^s correction alone
+        req = coulomb_request(P_03, n, 0, 250)
+        _, a1 = origin_series(req.mode, req.potential, P_03, 0)
+        assert abs(a1) * req.grid.step > 0.5
+        state = solve_self_consistent(req, P_03)
+        assert state.node_count == n - 1
+        assert _count_sign_changes(state.radial_samples[1]) == n - 1
+        assert state.residual < req.sc_tolerance
+
     def test_iteration_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_SC_ITERS", 1)
         with pytest.raises(NoConvergence, match="after 1 iterations"):
@@ -357,9 +505,9 @@ def test_solve_operators_match_discretize_operator(monkeypatch, mode, potential,
     # one correction per grid, not one per mass step
     cache = solver._stencil_error.cache_info()
     assert (cache.misses, cache.hits) == (2, len(built) - 2)
-    s = singular_exponent(mode, potential, p, l)
+    s, _ = origin_series(mode, potential, p, l)
     with pytest.raises(ValueError, match="read-only"):
-        solver._stencil_error(s, n_points)[0] = 1.0
+        solver._stencil_error(s, n_points, 0.0)[0] = 1.0
     for args, op in built:
         solver._stencil_error.cache_clear()
         ref = original(*args)
@@ -394,10 +542,11 @@ class TestRayleighQuotient:
 
     def test_tight_tolerance_iteration_count(self):
         # the quotient must stay smooth in the mass down to ~1e-14, or the
-        # secant steps stall before the residual reaches the tolerance
+        # secant steps stall before the residual reaches the tolerance (6
+        # since the origin correction takes in exp(a1 r), 7 with r^s alone)
         state = solve_self_consistent(
             coulomb_request(P_03, 1, 0, 64000, sc_tolerance=1e-14), P_03)
-        assert state.iterations == 7
+        assert state.iterations == 6
 
 
 class TestEqualModeReduction:
@@ -424,6 +573,10 @@ class TestEqualModeReduction:
 
             def evaluate(self, r, _params):
                 return 2.0 * self.inner.evaluate(r, self.params)
+
+            def origin_coefficients(self, _params):
+                c_1, c_0 = self.inner.origin_coefficients(self.params)
+                return 2.0 * c_1, 2.0 * c_0
 
         p_half = replace(p, rest_mass=0.5 * (p.rest_mass + m))
         pot_sch = PotentialSpec(DoubledPart(req.potential.vector_part, p), None)
@@ -516,6 +669,47 @@ class TestGridsAndStudies:
         coarse_err = abs(study.rows[0][1] - ref)
         best_err = abs(study.best_estimate - ref)
         assert best_err < 0.05 * coarse_err
+
+    @pytest.mark.parametrize("za, lam, n", [
+        (0.2, 0.1, 1), (0.2, 0.1, 2), (0.2, 0.3, 1), (0.2, 0.3, 2), (0.3, 0.1, 2), (0.3, 0.3, 2),
+    ])
+    def test_hulthen_l0_converges_at_second_order(self, za, lam, n):
+        # with r^s alone these read 1.53-1.85
+        req = SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.hulthen(lam),
+                           n=n, l=0)
+        study = convergence_study(req, PhysicalParams(alpha=za), (1000, 2000, 4000, 8000))
+        for order in study.observed_orders:
+            assert order == pytest.approx(2.0, abs=0.05)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.3])
+    def test_hulthen_nodeless_l0_order_at_03(self, lam):
+        # a1 is taken at the rest mass, 5% above this state's system mass;
+        # the mismatch leaves an h^(2s) term small enough to show only where
+        # the h^2 term is small, as in a nodeless state (1.65-1.72 with r^s
+        # alone, 2.02 with a1 at the converged mass)
+        req = SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.hulthen(lam),
+                           n=1, l=0)
+        study = convergence_study(req, P_03, (1000, 2000, 4000, 8000))
+        for order in study.observed_orders:
+            assert 1.88 < order < 2.05
+
+    @pytest.mark.parametrize("p, n, sizes, orders", [
+        (PhysicalParams(z_number=0.3, alpha=0.3), 3, (100, 200, 400), (1.7, 1.85)),
+        (P_03, 8, (2000, 4000, 8000), (1.1, 1.3)),
+    ], ids=["z0.3-alpha0.3-3-100", "za0.3-8-default"])
+    def test_study_across_the_fallback_is_one_discretization(self, p, n, sizes, orders):
+        # the finest grid alone would take in exp(a1 r) and the coarsest
+        # would not; every grid follows the coarsest, so the study reads
+        # like one forced onto r^s alone (1.780 and 1.189, where deciding
+        # per grid read -0.534 and 0.802)
+        req = SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.coulomb(), n=n, l=0)
+        study = convergence_study(req, p, sizes)
+        _, a1 = origin_series(req.mode, req.potential, p, 0)
+        steps = [RadialGrid.uniform(study.r_max, size).step for size in sizes]
+        assert abs(a1) * steps[-1] <= 0.5 < abs(a1) * steps[0]
+        forced = convergence_study(replace(req, origin_step=math.inf), p, sizes)
+        assert study == forced
+        assert orders[0] < study.observed_orders[0] < orders[1]
 
     def test_convergence_study_keeps_the_box_and_the_request(self):
         # (100, 2000) is a box that points[-1] + step misses by an ulp

@@ -198,7 +198,7 @@ def test_coarse_start_matches_direct_first_solve(monkeypatch, mode, pot, lam, za
 # found 169 such cases (and 22 the other way round), so a solve must not
 # stop at StateNotFound from the coarse grid alone.
 COARSE_UNBOUND = [
-    (SolveMode.KG_VECTOR, "hulthen", 1.69, 0.1, 1, 0, -1.2992e-4, 3),
+    (SolveMode.KG_VECTOR, "hulthen", 1.69, 0.1, 1, 0, -1.4108e-4, 3),
     (SolveMode.SCHRODINGER, "hulthen", 1.8, 0.3, 1, 0, -3.7608e-4, 1),
     (SolveMode.KG_EQUAL, "equal-hulthen", 0.85, 0.1, 2, 0, -1.0701e-4, 3),
 ]

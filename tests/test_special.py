@@ -137,6 +137,12 @@ class TestRelativisticLaguerre:
         with pytest.raises(InvalidQuantumNumbers):
             laguerre_rel(P_03, 2, 2)
 
+    def test_overflow_names_the_state(self):
+        assert np.isfinite(laguerre_rel(P_03, 50, 48)).all()  # n + l = 98
+        for n, l in ((50, 49), (100, 99)):  # (n+l)!^2, then Gamma itself, overflow
+            with pytest.raises(OverflowError, match=rf"float range for \(n={n}, l={l}\)"):
+                laguerre_rel(P_03, n, l)
+
 
 class TestGeneralizedLaguerreIdentity:
     def test_rel_is_scaled_generalized_laguerre(self):

@@ -26,6 +26,33 @@ def test_cli_parity_against_own_checkout():
     assert summary and summary.group(1) == "0" and int(summary.group(2)) > 0, proc.stdout
 
 
+def _load_parity():
+    spec = importlib.util.spec_from_file_location(
+        "cli_parity", os.path.join(ROOT, "tools", "cli_parity.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cell_changes_on_synthetic_outputs():
+    parity = _load_parity()
+    csv_a = ("# command = solve\n# alpha = 3.00000000000e-01\n"
+             "n,l,e_prime,status\n1,0,-4.00000000000e-02,ok\n2,0,-1.00000000000e-02,ok\n")
+    csv_b = csv_a.replace("-4.00000000000e-02", "-4.00004000000e-02").replace(
+        "-1.00000000000e-02,ok", "-1.00200000000e-02,ok")
+    assert parity.cell_changes(csv_a, csv_b) == "2 cells changed, largest relative change 2.00e-03"
+    assert parity.cell_changes(csv_a, csv_a.replace("2,0,-1.00000000000e-02,ok", "2,0,,failed")) \
+        == "2 cells changed, none numeric on both sides"
+    assert parity.cell_changes(csv_a, csv_a + "3,0,-4.4e-03,ok\n") == "14 -> 18 cells"
+
+    json_a = ('{"meta": {"command": "compare", "alpha": 3.0e-01}, '
+              '"rows": [{"n": 2, "e": -1.0e-02, "d": 0.0}]}')
+    json_b = json_a.replace("-1.0e-02", "-1.1e-02").replace("0.0}", "1e-9}")
+    assert parity.cell_changes(json_a, json_b) == "2 cells changed, largest relative change inf"
+    assert parity.cell_changes(json_a, json_a.replace('"alpha": 3.0e-01', '"alpha": 3.3e-01')) \
+        == "1 cells changed, largest relative change 1.00e-01"
+
+
 def _load_perfbench(name):
     """perfbench/<name>.py as a module, loaded without touching perfbench/."""
     spec = importlib.util.spec_from_file_location(

@@ -146,6 +146,32 @@ class TestNodesAndNormalize:
         assert built == 2280
 
 
+    @pytest.mark.parametrize("n, l", [(1, 0), (4, 1), (17, 0)])
+    def test_tail_probe_evaluated_once_per_state(self, monkeypatch, n, l):
+        # the wavefunction command's three scans of the 4096-point probe
+        # (build_radial's range check, tail_radius(1e-10) and the node
+        # count's tail_radius(1e-8)) share one evaluation of L_k^(a)
+        from kgbound import wavefunction
+
+        probe_calls = []
+        laguerre = wavefunction._laguerre
+
+        def counting(k, a, x):
+            if np.ndim(x) == 1 and x.size == 4096 and x[0] == 1e-6:
+                probe_calls.append(k)
+            return laguerre(k, a, x)
+
+        monkeypatch.setattr(wavefunction, "_laguerre", counting)
+        R = build_radial(P_03, n, l)
+        R.tail_radius(1e-10)
+        assert count_radial_nodes(R) == n - l - 1
+        reference_residual_grid(R)
+        current_check_grid(R)
+        assert probe_calls == [n - l - 1]
+        with pytest.raises(ValueError, match="read-only"):
+            R._probe[1][0] = 0.0
+
+
 class TestOdeResidual:
     def test_reference_grid_residual_small(self):
         for p, n, l in ((P_03, 1, 0), (P_03, 3, 1), (P_FS, 6, 2)):

@@ -10,8 +10,10 @@ TestBadValuesExit2 in tests/test_cli.py and N derandomised draws of that
 file's fuzz_argv() strategy (default 1000); each is also run as a
 config-file twin, its flags written as `key = value` lines in the
 command's section.  The top-level and per-command --help texts are
-compared too.  Prints every run whose exit code or stdout differs and
-exits 1 if any do.
+compared too.  Prints every run whose exit code or stdout differs, with
+the first differing line and, where the exit codes agree, the number of
+changed value cells and the largest relative change among the numeric
+ones; exits 1 if any run differs.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -112,6 +115,39 @@ def config_twin(argv: list[str], path: str) -> list[str]:
     return [command, "--config", path]
 
 
+def cells(out: str) -> list[str]:
+    """The value cells of one CSV or JSON output, meta first, in order."""
+    if out.startswith("{"):
+        doc = json.loads(out)
+        values = list(doc["meta"].values()) + [v for row in doc["rows"] for v in row.values()]
+        return [json.dumps(v) for v in values]
+    found = []
+    for line in out.splitlines():
+        found += [line.partition(" = ")[2]] if line.startswith("# ") else line.split(",")
+    return found
+
+
+def cell_changes(a: str, b: str) -> str:
+    """How many value cells differ and the largest relative change among
+    those that are numbers on both sides."""
+    old, new = cells(a), cells(b)
+    if len(old) != len(new):
+        return f"{len(old)} -> {len(new)} cells"
+    changed, relative = 0, []
+    for x, y in zip(old, new):
+        if x == y:
+            continue
+        changed += 1
+        try:
+            fx, fy = float(x), float(y)
+        except ValueError:
+            continue
+        relative.append(abs(fy - fx) / abs(fx) if fx else math.inf)
+    if not relative:
+        return f"{changed} cells changed, none numeric on both sides"
+    return f"{changed} cells changed, largest relative change {max(relative):.2e}"
+
+
 def first_difference(a: str, b: str) -> str:
     if a == b:
         return "same stdout"
@@ -143,6 +179,8 @@ def main(argv: list[str] | None = None) -> int:
                         differ += 1
                         label = "config twin of " if run_argv is not plain else ""
                         detail = first_difference(a["out"], b["out"])
+                        if a["code"] == b["code"]:  # so the stdout differs
+                            detail += f"; {cell_changes(a['out'], b['out'])}"
                         print(f"exit {a['code']} -> {b['code']}: {label}{' '.join(plain)}: {detail}")
         finally:
             other.close()
