@@ -86,23 +86,25 @@ def laguerre_rel(p: PhysicalParams, n: int, l: int) -> np.ndarray:
     [(n+l)!]^2 leaves the float range, from n + l = 99 on.
     """
     QuantumNumbers(n=n, l=l)  # raises InvalidQuantumNumbers
+    return np.array([_laguerre_coefficient(p, n, l, nu) for nu in range(n - l)])
+
+
+def _laguerre_coefficient(p: PhysicalParams, n: int, l: int, nu: int) -> float:
+    """Entry nu of laguerre_rel(p, n, l), computed alone (same errors, same bits)."""
+    QuantumNumbers(n=n, l=l)  # raises InvalidQuantumNumbers
     sigma = sigma_closed(p, l).sigma_l
-    za = p.z_alpha
     try:
         fac_nl_sq = gamma_fn(n + l + 1.0) ** 2
     except OverflowError:
         raise OverflowError(f"[(n+l)!]^2 leaves the float range for (n={n}, l={l})") from None
-    coeffs = np.empty(n - l)
-    for nu in range(n - l):
-        sign = -1.0 if nu % 2 == 0 else 1.0  # (-1)^(nu+1)
-        denom = (
-            gamma_fn(n - l - nu)  # (n-l-1-nu)!
-            * gamma_fn(2 * l + nu + 2.0 - sigma)
-            * gamma_fn(nu + 1.0 - sigma)
-            * eta_product(l, nu, za, sigma)
-        )
-        coeffs[nu] = sign * fac_nl_sq / denom
-    return coeffs
+    sign = -1.0 if nu % 2 == 0 else 1.0  # (-1)^(nu+1)
+    denom = (
+        gamma_fn(n - l - nu)  # (n-l-1-nu)!
+        * gamma_fn(2 * l + nu + 2.0 - sigma)
+        * gamma_fn(nu + 1.0 - sigma)
+        * eta_product(l, nu, p.z_alpha, sigma)
+    )
+    return sign * fac_nl_sq / denom
 
 
 def laguerre_classical(n: int, l: int) -> np.ndarray:

@@ -619,6 +619,22 @@ class TestEqualModeReduction:
         assert abs(extrap - e_new) / abs(e_new) < 1e-8
 
 
+    @pytest.mark.parametrize("za", [0.1, 0.3, 0.6])
+    def test_coulomb_against_closed_form(self, za):
+        # kg-equal Coulomb is Schrodinger with mass (m0+m)/2 and coupling
+        # 2 Z alpha, so E' = -(m0+m) (Z alpha c / n)^2; with m = m0 + E'/c^2
+        # that gives m = m0 (n^2 - Z^2 alpha^2)/(n^2 + Z^2 alpha^2)
+        p = PhysicalParams(alpha=za)
+        za2 = p.z_alpha ** 2
+        for n, l in ((1, 0), (2, 0), (2, 1), (3, 2), (4, 0)):
+            m = p.rest_mass * (n * n - za2) / (n * n + za2)
+            closed = (m - p.rest_mass) * p.c ** 2
+            req = SolveRequest(mode=SolveMode.KG_EQUAL,
+                               potential=PotentialSpec.equal_coulomb(), n=n, l=l)
+            study = convergence_study(req, p, (2000, 4000, 8000))
+            assert abs(study.best_estimate - closed) <= 1e-7 * abs(closed), (n, l)
+            assert all(1.95 < o < 2.05 for o in study.observed_orders), (n, l)
+
 class TestGridsAndStudies:
     def test_default_coulomb_box(self):
         grid = default_solver_grid(

@@ -1,5 +1,6 @@
 """Radial wavefunctions, harmonics, and current diagnostics."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,24 +440,28 @@ class TestSeparableField:
             angular = np.asarray(spherical_harmonic(
                 2, m, grid.theta[:, None], grid.phi[None, :]))
             old = radial[:, None, None] * angular[None, :, :]
-            assert psi.dtype == old.dtype and psi.shape == old.shape
-            assert psi.tobytes() == old.tobytes()
+            dense = np.asarray(psi)
+            assert psi.dtype == dense.dtype == old.dtype
+            assert psi.shape == dense.shape == old.shape
+            assert dense.tobytes() == old.tobytes()
             assert np.array_equal(psi.radial, radial)
             assert np.array_equal(psi.angular, angular)
+            assert psi.nbytes == radial.nbytes + angular.nbytes
 
     def test_derived_arrays_carry_no_factors(self):
         _, _, psi = self._psi()
-        for derived in (psi[1:], psi[:, 0], psi.T, psi * 1, np.conj(psi),
-                        psi.imag, psi.copy(), np.asarray(psi)):
-            assert getattr(derived, "radial", None) is None
-            assert getattr(derived, "angular", None) is None
-        assert type(np.asarray(psi)) is np.ndarray
+        for derived in (psi[1:], psi[:, 0], psi * 1, np.conj(psi), np.abs(psi),
+                        np.asarray(psi)):
+            assert type(derived) is np.ndarray
+            assert not hasattr(derived, "radial") and not hasattr(derived, "angular")
 
     def test_read_only(self):
         _, _, psi = self._psi()
-        for target in (psi, psi.radial, psi.angular, psi[0]):
+        for factor in (psi.radial, psi.angular):
             with pytest.raises(ValueError, match="read-only"):
-                target[0] = 1.0
+                factor[0] = 1.0
+        with pytest.raises(TypeError, match="item assignment"):
+            psi[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             psi *= 2.0
         writable = psi * 1
@@ -469,3 +474,85 @@ class TestSeparableField:
             SeparableField(np.ones((3, 1)), np.ones((2, 2)))
         with pytest.raises(ValueError):
             SeparableField(np.ones(3), np.ones(2))
+
+    def _fields(self):
+        """Sampled and random fields: complex and real angular factors, negative radii."""
+        _, grid, psi = self._psi()
+        J = probability_current(psi, grid, P_03, system_mass(P_03, 3, 2))
+        assert (J[0].radial < 0).any() and (J[0].radial > 0).any()  # J_r = pref R R'
+        rng = np.random.default_rng(5)
+        return [
+            psi, *J,
+            SeparableField(rng.standard_normal(7), rng.standard_normal((4, 5))),
+            SeparableField(-rng.random(7), rng.standard_normal((4, 5))
+                           + 1j * rng.standard_normal((4, 5))),
+            SeparableField(-rng.random(7), 1j * rng.standard_normal((4, 5))),
+        ]
+
+    def test_reductions_match_dense(self):
+        for field in self._fields():
+            dense = np.asarray(field)
+            assert field.any() == dense.any()
+            if field.dtype.kind == "c":
+                with pytest.raises(TypeError, match="real field"):
+                    field.max()
+                assert np.abs(field).tobytes() == np.abs(dense).tobytes()
+                continue
+            magnitude = np.abs(field)
+            assert type(magnitude) is SeparableField
+            assert np.asarray(magnitude).tobytes() == np.abs(dense).tobytes()
+            assert field.max() == dense.max()
+            assert magnitude.max() == np.abs(dense).max() == abs(field).max()
+
+    def test_zero_and_underflowing_fields(self):
+        _, grid, psi = self._psi(m=0)
+        J = probability_current(psi, grid, P_03, system_mass(P_03, 3, 2))
+        tiny = np.full(3, 1e-200)
+        fields = [
+            *J,
+            SeparableField(tiny, np.full((2, 2), 1e-200)),  # every product underflows
+            SeparableField(-tiny, np.full((2, 2), 1e-200j)),
+            SeparableField(tiny, np.full((2, 2), 1e-200 - 1e-200j)),
+        ]
+        for field in fields:
+            dense = np.asarray(field)
+            assert not field.any() and not dense.any()
+            if field.dtype.kind == "f":
+                assert field.max() == dense.max() == 0.0
+        # 1e-200 * 1e-100 is a normal number
+        field = SeparableField(tiny, np.full((2, 2), 1e-100j))
+        assert field.any() and np.asarray(field).any()
+
+    @pytest.mark.parametrize("n_r", [5, 37, 401])
+    def test_continuity_check_is_the_max_of_divergence_field(self, n_r):
+        # n_r - 4 interior rows: 1, 33 and 397, none a whole number of slabs
+        R = build_radial(P_03, 2, 1)
+        m_sys = system_mass(P_03, 2, 1)
+        grid = current_check_grid(R, n_r=n_r, n_theta=12, n_phi=10)
+        control = SeparableField(
+            R.evaluate(grid.r),
+            np.sin(grid.theta)[:, None] * np.exp(1j * np.sin(grid.phi))[None, :])
+        for psi in (sample_state(P_03, R, 1, grid), control):
+            J = probability_current(psi, grid, P_03, m_sys)
+            div = divergence_field(J, grid)
+            assert div.shape == (n_r - 4, 10, 10)
+            assert continuity_check(J, grid) == pytest.approx(
+                float(np.abs(div).max()), rel=0)
+
+    def test_current_diagnostics_allocate_no_dense_field(self):
+        import scipy.special  # noqa: F401  # loaded by the first Y_lm; not the diagnostics' memory
+
+        R = build_radial(P_03, 2, 1)
+        grid = current_check_grid(R, n_r=400, n_theta=128, n_phi=128)
+        m_sys = system_mass(P_03, 2, 1)
+        tracemalloc.start()
+        try:
+            psi = sample_state(P_03, R, 1, grid)
+            continuity_check(probability_current(psi, grid, P_03, m_sys), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dense real component of J is 50 MiB, psi 100 MiB
+        assert peak < 16 * 2 ** 20
+        dense = np.asarray(psi)
+        assert dense.dtype == complex and dense.shape == (400, 128, 128)
