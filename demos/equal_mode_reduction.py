@@ -9,13 +9,7 @@ l = 0 spectrum, which gives an independent oracle for the solver.
 import numpy as np
 
 from kgbound.core import PhysicalParams, PotentialSpec
-from kgbound.solver import (
-    SolveMode,
-    SolveRequest,
-    default_solver_grid,
-    richardson_extrapolate,
-    solve_self_consistent,
-)
+from kgbound.solver import SolveMode, SolveRequest, convergence_study, solve_self_consistent
 
 
 def mapped_level(p: PhysicalParams, lam: float, m_sys: float, n: int = 1) -> float:
@@ -26,6 +20,17 @@ def mapped_level(p: PhysicalParams, lam: float, m_sys: float, n: int = 1) -> flo
     return -(p.hbar ** 2 * lam_abs ** 2 / (8.0 * m_eff)) * (b / n - n) ** 2
 
 
+def mapped_fixed_point(p: PhysicalParams, lam: float, n: int = 1) -> float:
+    """The mapped level at its own system mass m = m0 + E'/c^2, by iteration."""
+    e = 0.0
+    for _ in range(200):
+        e_new = mapped_level(p, lam, p.rest_mass + e / p.c ** 2, n)
+        if abs(e_new - e) < 1e-16:
+            break
+        e = e_new
+    return e_new
+
+
 def main() -> None:
     p = PhysicalParams(alpha=0.3)
 
@@ -33,19 +38,11 @@ def main() -> None:
     print("against the mapped Schrodinger closed form.\n")
     print(f"{'lambda':>8} {'E_prime (solver)':>22} {'mapped oracle':>22} {'rel err':>10}")
     for lam in (0.1, 0.2, 0.5):
-        pot = PotentialSpec.equal_hulthen(lam)
-        e = []
-        for n_pts in (4000, 8000):
-            grid = default_solver_grid(SolveMode.KG_EQUAL, pot, p, 1, 0,
-                                       n_points=n_pts)
-            st = solve_self_consistent(
-                SolveRequest(mode=SolveMode.KG_EQUAL, potential=pot,
-                             n=1, l=0, grid=grid), p)
-            e.append(st.e_prime)
-        e_num = richardson_extrapolate(e[0], e[1])
-        # the oracle is itself a fixed point: the mass inside it is the
-        # converged system mass the solver found
-        e_ref = mapped_level(p, lam, st.system_mass)
+        req = SolveRequest(mode=SolveMode.KG_EQUAL,
+                           potential=PotentialSpec.equal_hulthen(lam), n=1, l=0)
+        # Richardson on 4000 and 8000 points over one box
+        e_num = convergence_study(req, p, (4000, 8000)).best_estimate
+        e_ref = mapped_fixed_point(p, lam)
         print(f"{lam:>8.2f} {e_num:>22.15e} {e_ref:>22.15e} "
               f"{abs(e_num - e_ref) / abs(e_ref):>10.1e}")
 

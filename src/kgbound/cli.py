@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .core import ALPHA_FS, BoundState, PhysicalParams, PotentialSpec, RadialGrid
+from .core import ALPHA_FS, PhysicalParams, PotentialSpec, RadialGrid
 from .coulomb import energy_expansion, energy_level, sigma_closed
 from .errors import ConfigError, NumericalError, PhysicsError
 from .lorentz import BoostSpec, CharacterState, boost_backward, boost_forward, invariant_mass_sq
@@ -51,7 +51,6 @@ from .solver import (
     SolveRequest,
     convergence_study,
     default_solver_grid,
-    richardson_extrapolate,
     solve_self_consistent,
 )
 from .wavefunction import build_radial, count_radial_nodes
@@ -373,31 +372,6 @@ def cmd_wavefunction(cfg: RunConfig) -> tuple[dict, list[dict]]:
     return meta, rows
 
 
-def _solve(
-    cfg: RunConfig,
-    p: PhysicalParams,
-    mode: SolveMode,
-    potential: PotentialSpec,
-    n: int,
-    l: int,
-    n_points: int,
-    r_max: float | None = None,
-    origin_step: float = 0.0,
-) -> tuple[BoundState, RadialGrid]:
-    """The self-consistent (n, l) state on its default solver grid, and that grid."""
-    grid = default_solver_grid(mode, potential, p, n, l, n_points=n_points, r_max=r_max)
-    req = SolveRequest(
-        mode=mode,
-        potential=potential,
-        n=n,
-        l=l,
-        grid=grid,
-        sc_tolerance=cfg.tol,
-        origin_step=origin_step,
-    )
-    return solve_self_consistent(req, p), grid
-
-
 def cmd_solve(cfg: RunConfig) -> tuple[dict, list[dict]]:
     p = cfg.physical_params()
     mode = SolveMode(cfg.mode)
@@ -407,7 +381,11 @@ def cmd_solve(cfg: RunConfig) -> tuple[dict, list[dict]]:
     rows = []
     for n, l in sorted(states):
         try:
-            b, _ = _solve(cfg, p, mode, potential, n, l, cfg.grid_n, cfg.rmax)
+            grid = default_solver_grid(
+                mode, potential, p, n, l, n_points=cfg.grid_n, r_max=cfg.rmax
+            )
+            req = SolveRequest(mode, potential, n, l, grid, sc_tolerance=cfg.tol)
+            b = solve_self_consistent(req, p)
         except (PhysicsError, NumericalError, ArithmeticError) as exc:
             values, status = dict.fromkeys(columns), type(exc).__name__
         else:
@@ -419,21 +397,16 @@ def cmd_solve(cfg: RunConfig) -> tuple[dict, list[dict]]:
 
 
 def cmd_compare(cfg: RunConfig) -> tuple[dict, list[dict]]:
-    """Binding-sector energies E' side by side: closed KG, numeric KG, Schrodinger."""
+    """Binding-sector energies E' side by side: closed KG, numeric KG (a two-grid
+    convergence study on grid_n // 2 and grid_n points), Schrodinger."""
     p = cfg.physical_params()
     potential = PotentialSpec.coulomb()
     rest = p.rest_energy
     rows = []
     for n, l in _requested_states(cfg):
         closed = energy_level(p, n, l).e_prime
-        coarse, coarse_grid = _solve(cfg, p, SolveMode.KG_VECTOR, potential, n, l, cfg.grid_n // 2)
-        # the fine grid chooses its origin correction on the coarse step, like the coarse grid
-        fine, fine_grid = _solve(
-            cfg, p, SolveMode.KG_VECTOR, potential, n, l, cfg.grid_n, origin_step=coarse_grid.step
-        )
-        numeric = richardson_extrapolate(
-            coarse.e_prime, fine.e_prime, coarse_grid.step / fine_grid.step
-        )
+        req = SolveRequest(SolveMode.KG_VECTOR, potential, n, l, sc_tolerance=cfg.tol)
+        numeric = convergence_study(req, p, (cfg.grid_n // 2, cfg.grid_n)).best_estimate
         schrodinger = -p.z_alpha ** 2 * rest / (2.0 * n ** 2)
         rows.append(
             {

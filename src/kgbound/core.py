@@ -34,7 +34,6 @@ __all__ = [
     "BoundState",
     "RadialGrid",
     "validate_params",
-    "make_bound_state",
 ]
 
 # CODATA 2018 fine-structure constant.
@@ -225,53 +224,38 @@ class RadialGrid:
 
 @dataclass(frozen=True, eq=False)
 class BoundState:
-    """Converged eigenvalue record.
+    """Converged eigenvalue record: the state, its E' and the parameters it
+    was solved at.
 
-    e_total and system_mass are stored with the exact arithmetic
-    e_total = e_prime + m0*c^2 and system_mass = m0 + e_prime/c^2; use
-    make_bound_state to get that for free.  radial_samples is a (r, u)
-    pair with u = r*R, empty for closed-form states.
+    Everything else follows from those: e_total = e_prime + m0*c^2,
+    system_mass = m0 + e_prime/c^2 and node_count = n-l-1.  radial_samples
+    is a (r, u) pair with u = r*R, empty for closed-form states.
     """
 
     qn: QuantumNumbers
     e_prime: float
-    e_total: float
-    system_mass: float
-    node_count: int
+    p: PhysicalParams
     radial_samples: tuple[np.ndarray, np.ndarray] | tuple[()] = ()
     iterations: int = 0
     residual: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.node_count != self.qn.radial_nodes:
-            raise ValueError(
-                f"node count {self.node_count} contradicts n-l-1 = {self.qn.radial_nodes}"
-            )
         if self.radial_samples:
             r, u = self.radial_samples
             if np.shape(r) != np.shape(u):
                 raise ValueError("radial_samples arrays must be paired")
 
+    @property
+    def e_total(self) -> float:
+        return self.e_prime + self.p.rest_energy
 
-def make_bound_state(
-    qn: QuantumNumbers,
-    e_prime: float,
-    p: PhysicalParams,
-    radial_samples: tuple[np.ndarray, np.ndarray] | tuple[()] = (),
-    iterations: int = 0,
-    residual: float = 0.0,
-) -> BoundState:
-    """Assemble a BoundState enforcing the defining arithmetic identities."""
-    return BoundState(
-        qn=qn,
-        e_prime=e_prime,
-        e_total=e_prime + p.rest_energy,
-        system_mass=p.rest_mass + e_prime / p.c ** 2,
-        node_count=qn.radial_nodes,
-        radial_samples=radial_samples,
-        iterations=iterations,
-        residual=residual,
-    )
+    @property
+    def system_mass(self) -> float:
+        return self.p.rest_mass + self.e_prime / self.p.c ** 2
+
+    @property
+    def node_count(self) -> int:
+        return self.qn.radial_nodes
 
 
 def validate_params(p: PhysicalParams, qn: QuantumNumbers) -> None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BoundState, PhysicalParams, QuantumNumbers, make_bound_state, validate_params
+from .core import BoundState, PhysicalParams, QuantumNumbers, validate_params
 
 __all__ = [
     "DefectValue",
@@ -102,7 +102,7 @@ def energy_level(p: PhysicalParams, n: int, l: int) -> BoundState:
     t = (p.z_alpha / (n - sigma)) ** 2
     # E' = m0 c^2 [(1+t)^(-1/2) - 1], kept exact for small t.
     e_prime = p.rest_energy * math.expm1(-0.5 * math.log1p(t))
-    return make_bound_state(QuantumNumbers(n=n, l=l), e_prime, p)
+    return BoundState(QuantumNumbers(n=n, l=l), e_prime, p)
 
 
 def energy_expansion(p: PhysicalParams, n: int, l: int) -> float:

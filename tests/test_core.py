@@ -15,7 +15,6 @@ from kgbound.core import (
     PotentialSpec,
     QuantumNumbers,
     RadialGrid,
-    make_bound_state,
     validate_params,
 )
 from kgbound.errors import InvalidQuantumNumbers, SupercriticalCoupling
@@ -200,35 +199,16 @@ class TestRadialGrid:
 
 
 class TestBoundState:
-    def test_make_bound_state_identities(self):
-        p = PhysicalParams(alpha=0.3)
+    def test_identities(self):
+        p = PhysicalParams(alpha=0.3, rest_mass=2.0, c=3.0)
         qn = QuantumNumbers(2, 1)
-        st_ = make_bound_state(qn, -0.05, p)
-        assert st_.e_total == pytest.approx(p.rest_energy - 0.05, rel=1e-15)
-        assert st_.system_mass == pytest.approx(p.rest_mass - 0.05, rel=1e-15)
+        st_ = BoundState(qn, -0.05, p)
+        assert st_.e_total == -0.05 + p.rest_energy
+        assert st_.system_mass == p.rest_mass + -0.05 / p.c ** 2
         assert st_.node_count == qn.radial_nodes == 0
-
-    def test_node_count_must_match(self):
-        p = PhysicalParams()
-        with pytest.raises(ValueError):
-            BoundState(
-                qn=QuantumNumbers(2, 1),
-                e_prime=-0.1,
-                e_total=p.rest_energy - 0.1,
-                system_mass=p.rest_mass - 0.1,
-                node_count=1,
-            )
 
     def test_sample_shape_check(self):
         p = PhysicalParams()
-        qn = QuantumNumbers(1, 0)
         grid = RadialGrid.uniform(10.0, 5)
         with pytest.raises(ValueError):
-            BoundState(
-                qn=qn,
-                e_prime=-0.1,
-                e_total=p.rest_energy - 0.1,
-                system_mass=p.rest_mass - 0.1,
-                node_count=0,
-                radial_samples=(grid, np.zeros(4)),
-            )
+            BoundState(QuantumNumbers(1, 0), -0.1, p, radial_samples=(grid.points, np.zeros(4)))

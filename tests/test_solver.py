@@ -284,6 +284,29 @@ class TestDiscretizeOperator:
                               + kin * three_power_error(s, 250))
 
 
+# The exp(a1 r) correction leaves an O(h^2) tail over the whole box that grows
+# like n^4/N^2; a Richardson pair cancels it, a single grid keeps it.  From
+# these n on it outweighs what the correction gains ((10,0) at Zalpha = 0.1:
+# 1.2e-2 against 2.0e-4 relative).
+_TAIL_OUTWEIGHS_FROM = {0.1: 2, 0.3: 4}
+_FAR_TAIL = pytest.mark.xfail(strict=True, reason="the origin correction's O(h^2) far tail")
+
+
+@pytest.mark.parametrize("za, n", [
+    pytest.param(za, n, marks=[_FAR_TAIL] if n >= _TAIL_OUTWEIGHS_FROM[za] else [])
+    for za in (0.1, 0.3) for n in range(1, 11)
+])
+def test_origin_correction_is_no_worse_than_the_power_form(za, n):
+    # one solve at the default N: the corrected operator must be no further
+    # from the closed form than the one corrected for r^s alone
+    p = PhysicalParams(alpha=za)
+    req = SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.coulomb(), n=n, l=0)
+    exact = energy_level(p, n, 0).e_prime
+    corrected = solve_self_consistent(req, p).e_prime
+    power_only = solve_self_consistent(replace(req, origin_step=math.inf), p).e_prime
+    assert abs(corrected - exact) <= abs(power_only - exact)
+
+
 class TestCountSignChanges:
     # entries with |u| <= 1e-9 * max|u| are dropped before signs are compared
     def test_flips_below_the_cut_are_not_nodes(self):
@@ -737,10 +760,29 @@ class TestGridsAndStudies:
             grid = RadialGrid.uniform(100.0, n_pts)
             assert e_prime == solve_self_consistent(replace(req, grid=grid), P_03).e_prime
 
+    def test_two_grid_study_is_the_richardson_pair(self):
+        # (6,0) at 0.3 crosses the fallback between 1000 and 2000 points
+        # (|a1| h = 0.60 and 0.30): both grids take r^s alone, as the
+        # 1000-point step decides, and the extrapolant is richardson_extrapolate's
+        req = SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.coulomb(), n=6, l=0)
+        study = convergence_study(req, P_03, (2000, 1000))
+        coarse, fine = (RadialGrid.uniform(study.r_max, size) for size in (1000, 2000))
+        _, a1 = origin_series(req.mode, req.potential, P_03, 0)
+        assert abs(a1) * fine.step <= 0.5 < abs(a1) * coarse.step
+        e_coarse, e_fine = (
+            solve_self_consistent(replace(req, grid=grid, origin_step=coarse.step), P_03).e_prime
+            for grid in (coarse, fine)
+        )
+        assert study.rows[0] == (1000, e_coarse, None)
+        assert study.rows[1] == (
+            2000, e_fine, richardson_extrapolate(e_coarse, e_fine, coarse.step / fine.step))
+        assert study.observed_orders == ()
+        assert study.best_estimate == study.rows[1][2]
+
     def test_convergence_study_validation(self):
         req = SolveRequest(mode=SolveMode.KG_VECTOR,
                            potential=PotentialSpec.coulomb(), n=1, l=0)
         with pytest.raises(ValueError):
-            convergence_study(req, P_01, (500, 1000))
+            convergence_study(req, P_01, (500,))
         with pytest.raises(ValueError):
             convergence_study(req, P_01, (500, 500, 1000))

@@ -24,6 +24,9 @@ def test_cli_parity_against_own_checkout():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     summary = re.search(r"^(\d+) of (\d+) runs differ", proc.stdout, re.M)
     assert summary and summary.group(1) == "0" and int(summary.group(2)) > 0, proc.stdout
+    lines = re.search(
+        r"^src/kgbound lines: (\d+) in .*, (\d+) in this checkout$", proc.stdout, re.M)
+    assert lines and int(lines.group(1)) == int(lines.group(2)) > 0, proc.stdout
 
 
 def _load_parity():

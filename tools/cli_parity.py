@@ -13,12 +13,14 @@ command's section.  The top-level and per-command --help texts are
 compared too.  Prints every run whose exit code or stdout differs, with
 the first differing line and, where the exit codes agree, the number of
 changed value cells and the largest relative change among the numeric
-ones; exits 1 if any run differs.
+ones, then the line count of src/kgbound in both checkouts; exits 1 if any
+run differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import io
 import json
 import math
@@ -148,6 +150,15 @@ def cell_changes(a: str, b: str) -> str:
     return f"{changed} cells changed, largest relative change {max(relative):.2e}"
 
 
+def package_lines(checkout: str) -> int:
+    """Lines in the checkout's src/kgbound/*.py, counted as `wc -l` does."""
+    total = 0
+    for path in glob.glob(os.path.join(os.path.abspath(checkout), "src", "kgbound", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def first_difference(a: str, b: str) -> str:
     if a == b:
         return "same stdout"
@@ -185,6 +196,8 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             other.close()
             this.close()
+    print(f"src/kgbound lines: {package_lines(args.other)} in {args.other}, "
+          f"{package_lines(ROOT)} in this checkout")
     print(f"{differ} of {runs} runs differ ({len(inputs)} argvs and their config twins, "
           f"{len(helps)} --help texts)")
     return 1 if differ else 0
