@@ -18,14 +18,10 @@ eigenvector by shifted inverse iteration, since one mass step changes the
 operator only slightly.  discretize_operator is the one builder: it takes
 the mode, the potential, the parameters, the mass, l and the grid, and
 makes every operator of a solve, coarse and fine.  Its diagonal carries
-an origin correction that makes the stencil exact on r^s exp(a1 r), the
-first two Frobenius terms of the regular solution, wherever s < 1 (l = 0
-with a squared vector 1/r channel); that keeps the eigenvalue error
-O(h^2) there.  The correction is taken at the rest mass, so it depends
-only on s, a1 h and the number of points; it is cached and a solve
-computes it once per grid.  A convergence study (compare's Richardson
-pair is a two-grid one) makes the same choice of correction on all of
-its grids.
+an origin correction for r^s exp(a1 r), the first two Frobenius terms of
+the regular solution, wherever s < 1 (l = 0 with a squared vector 1/r
+channel); that keeps the eigenvalue error O(h^2) there.  The correction
+depends on that operator alone: a1 at its own mass, its own step.
 
 Mode dictionary, writing msum = m0 + m, U for the vector part and S for
 the scalar part:
@@ -103,7 +99,6 @@ class SolveRequest:
     l: int
     grid: RadialGrid | None = None
     sc_tolerance: float = 1e-12
-    origin_step: float = 0.0  # see discretize_operator
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,21 +167,22 @@ def effective_radial_equation(
 
 
 def origin_series(
-    mode: SolveMode, potential: PotentialSpec, p: PhysicalParams, l: int
+    mode: SolveMode, potential: PotentialSpec, p: PhysicalParams, m_sys: float, l: int
 ) -> tuple[float, float]:
-    """Origin behaviour u = r^s (1 + a1 r + ...) of the regular solution at m = m0.
+    """Origin behaviour u = r^s (1 + a1 r + ...) of the regular solution at mass m_sys.
 
     The Schrodinger and kg-equal modes carry no squared 1/r term, so s is
     the integer l + 1 and a1 = 0 is returned (discretize_operator uses a1
     only where s < 1).  In kg-vector and kg-scalar-vector each
     potential part states U = c_-1/r + c_0 + O(r) near the origin
     (origin_coefficients).  Put into effective_radial_equation's V_eff at
-    the rest mass, they give V_eff = A s(s-1)/r^2 - C/r + O(1).  The 1/r^2
-    part is A times the centrifugal index l(l+1), lowered by (c_-1/hbar c)^2
-    for the vector part and raised by the same for the scalar part (the
-    two cancel with equal parts), so s = 1/2 + sqrt(1/4 + index).  The 1/r
-    part fixes the next Frobenius term, a1 = -(C/A)/(2s); it includes the
-    c_-1 c_0 cross term of U^2 and S^2.
+    m_sys, they give V_eff = A s(s-1)/r^2 - C/r + O(1).  The 1/r^2 part is
+    A times the centrifugal index l(l+1), lowered by (c_-1/hbar c)^2 for
+    the vector part and raised by the same for the scalar part (the two
+    cancel with equal parts), so s = 1/2 + sqrt(1/4 + index) whatever the
+    mass.  The 1/r part fixes the next Frobenius term, a1 = -(C/A)/(2s);
+    it includes the c_-1 c_0 cross term of U^2 and S^2, and its vector
+    part is proportional to m_sys (2 m U/msum), its scalar part to m0.
     """
     if mode not in (SolveMode.KG_VECTOR, SolveMode.KG_SCALAR_VECTOR):
         return float(l + 1), 0.0
@@ -198,13 +194,8 @@ def origin_series(
     index = l * (l + 1) + (s_1 ** 2 - u_1 ** 2) / (p.hbar * p.c) ** 2
     s = 0.5 + math.sqrt(0.25 + index)
     m0, c2 = p.rest_mass, p.c ** 2
-    c_over_a = -2.0 * (m0 * u_1 - u_1 * u_0 / c2 + m0 * s_1 + s_1 * s_0 / c2) / p.hbar ** 2
+    c_over_a = -2.0 * (m_sys * u_1 - u_1 * u_0 / c2 + m0 * s_1 + s_1 * s_0 / c2) / p.hbar ** 2
     return s, -c_over_a / (2.0 * s)
-
-
-# The exponential origin correction needs the step to resolve exp(a1 r):
-# beyond |a1| h of this the stencil is corrected for r^s alone.
-_MAX_ORIGIN_STEP = 0.5
 
 
 def discretize_operator(
@@ -214,71 +205,84 @@ def discretize_operator(
     m_sys: float,
     l: int,
     grid: RadialGrid,
-    origin_step: float = 0.0,
 ) -> DiscretizedOperator:
     """The radial equation at system mass m_sys as a second-order
     central-difference matrix with Dirichlet ends.
 
-    The diagonal is corrected so the stencil differentiates the origin
-    shape of the regular solution without error, (s, a1) being
-    origin_series' Frobenius data.  In the relativistic Coulomb modes at
+    The diagonal carries an origin correction built from origin_series'
+    Frobenius data (s, a1) at m_sys.  In the relativistic Coulomb modes at
     l = 0 the solution starts as r^s (1 + a1 r) with s < 1, and the plain
-    stencil's truncation error on it (largest at the first interior point,
-    where r ~ h) leaves an h^(2s) term in the eigenvalue, below second
-    order.  For s < 1 the correction is therefore exact on
-    f = r^s exp(a1 r), which removes that term; elsewhere the h^(2s) term
-    is at least second order and the correction is exact on r^s alone,
-    identically zero for integer s <= 3.  It also keeps r^s alone when
-    |a1| max(h, origin_step) > 1/2, a step too coarse to resolve exp(a1 r).
-    convergence_study, and so compare's two-grid Richardson pair, passes
-    its coarsest step as origin_step, so that all of its grids make the
-    same choice; the default 0 decides on the grid's own step and inf
-    forces r^s alone.  Caveat: the exp(a1 r) correction leaves an O(h^2)
-    tail over the whole box that Richardson cancels but a single grid
-    keeps, so at N = 8000 a single l = 0 kg-vector E' is currently worse
-    than with r^s alone for n >= 2 at Z alpha = 0.1 and n >= 4 at 0.3
-    ((10, 0) at 0.1: 1.2e-2 against 2.0e-4).  a1 is taken at the rest
-    mass, so every operator of a solve on one grid carries the same
-    correction.  An entry that overflows, the correction included (from
-    l = 79 at N = 8000, where N^s passes the float64 range), raises
-    NoConvergence (see DiscretizedOperator) without numpy warnings.
+    stencil's truncation error on it (largest where r ~ h) leaves an
+    h^(2s) term in the eigenvalue, below second order; there the
+    correction is that of r^s exp(a1 r) (see _stencil_error).  Elsewhere
+    the h^(2s) term is at least second order and the stencil is made exact
+    on r^s alone, identically zero for integer s <= 3.  The operator is a
+    function of these arguments alone, so the grids and mass steps of a
+    solve or a study cannot differ in how they are discretized.  An entry
+    that overflows, the correction included (from l = 79 at N = 8000, where
+    N^s passes the float64 range), raises NoConvergence (see
+    DiscretizedOperator) without numpy warnings.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         A, v_eff = effective_radial_equation(mode, potential, p, m_sys, l)
         h = grid.step  # raises for non-uniform grids
-        s, a1 = origin_series(mode, potential, p, l)
-        x = a1 * h
-        if not (s < 1.0 and abs(a1) * max(h, origin_step) <= _MAX_ORIGIN_STEP):
-            x = 0.0
+        s, a1 = origin_series(mode, potential, p, m_sys, l)
         kin = A / h ** 2
-        diag = 2.0 * kin + v_eff(grid.points) + kin * _stencil_error(s, grid.n_points, x)
+        diag = 2.0 * kin + v_eff(grid.points) + kin * _stencil_error(s, grid.n_points, a1 * h)
     return DiscretizedOperator(diag=diag, offdiag=np.full(grid.n_points - 1, -kin), grid=grid)
 
 
-@functools.lru_cache(maxsize=4)
-def _stencil_error(s: float, n: int, x: float) -> np.ndarray:
-    """Error of the unit-step stencil on f = i^s exp(x i) at indices 1..n,
-    relative to f, less its far-field limit 2 cosh x - 2 - x^2.
+# |a1| h is clipped to this in the exp(a1 r) correction: a coarser step no
+# longer resolves exp(a1 r), and exp(+-a1 h) would swamp the diagonal.
+_MAX_ORIGIN_X = 2.0
 
-    discretize_operator adds kin times this to the diagonal.  f(i +- 1)/f(i)
-    is (i +- 1)^s/i^s exp(+-x), with one power per index shared by its
-    neighbours; at x = 0 this is the error on i^s, bit for bit.  Taking off
-    the far-field constant makes the correction decay into the bulk, so the
-    operators of two grids differ only near the origin.  It depends only on
-    (s, n, x), so it is cached: a solve uses two keys, its grid and the
-    coarse start's, and computes each once.  The array is read-only.
+
+def _stencil_error(s: float, n: int, x: float) -> np.ndarray:
+    """Error of the unit-step stencil at indices 1..n relative to the
+    origin shape, with x = a1 h: on f = i^s for s >= 1, and for s < 1 on
+    f = i^s exp(x i) less its far field and its 1/i tail.
+
+    discretize_operator adds kin times this to the diagonal.  Writing
+    (1 +- 1/i)^s = 1 +- s/i + Q+-, the error on i^s exp(x i) is
+    Q+ e^x + Q- e^-x - s(s-1)/i^2 + 2s(sinh x - x)/i + (2 cosh x - 2 - x^2).
+    The last two terms are a Coulomb-like O(h^2) tail over the whole box
+    and a far-field constant, not origin effects, so they are left out:
+    the correction decays like 1/i^2.  The rest is the error on i^s,
+    E0 = Q+ + Q- - s(s-1)/i^2, plus expm1(x) Q+ + expm1(-x) Q-, smooth in
+    x, with |x| clipped to _MAX_ORIGIN_X.  At x = 0 it is E0, bit for bit.
+    """
+    if s >= 1.0:
+        return _stencil_terms(s, n)[0]
+    power_error, q_plus, q_minus = _stencil_terms(s, n)
+    x = min(max(x, -_MAX_ORIGIN_X), _MAX_ORIGIN_X)
+    error = math.expm1(x) * q_plus
+    error += math.expm1(-x) * q_minus
+    error += power_error
+    return error
+
+
+@functools.lru_cache(maxsize=4)
+def _stencil_terms(s: float, n: int) -> tuple[np.ndarray, ...]:
+    """The x-free parts of _stencil_error on indices 1..n: E0, from one
+    power per index shared by its neighbours, and for s < 1 also Q+ and
+    Q-, from expm1 and log1p without cancellation.  They depend only on
+    (s, n), so they are cached (a solve builds its grid's and its coarse
+    start's once each) and read-only.
     """
     powers = np.arange(n + 2, dtype=float) ** s  # i^s for i = 0..n+1
     i = np.arange(1, n + 1, dtype=float)
-    ex, emx = math.exp(x), math.exp(-x)
-    error = powers[2:] * ex
-    error -= 2.0 * powers[1:-1]
-    error += powers[:-2] * emx
-    error /= powers[1:-1]
-    error -= s * (s - 1.0) / i ** 2 + 2.0 * s * x / i + x * x  # h^2 f''/f
-    error -= ex + emx - 2.0 - x * x  # the limit of the lines above as i grows
-    error.flags.writeable = False
-    return error
+    power_error = powers[2:] - 2.0 * powers[1:-1]
+    power_error += powers[:-2]
+    power_error /= powers[1:-1]
+    power_error -= s * (s - 1.0) / i ** 2
+    terms = (power_error,)
+    if s < 1.0:
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives 0^s at i = 1
+            terms += (np.expm1(s * np.log1p(1.0 / i)) - s / i,
+                      np.expm1(s * np.log1p(-1.0 / i)) + s / i)
+    for array in terms:
+        array.flags.writeable = False
+    return terms
 
 
 def _count_sign_changes(u: np.ndarray) -> int:
@@ -519,14 +523,12 @@ def solve_self_consistent(
     trace: list[float] = []
     u = None
     for iterations in range(1, _MAX_SC_ITERS + 1):
-        op = discretize_operator(req.mode, req.potential, p, m, req.l, grid, req.origin_step)
+        op = discretize_operator(req.mode, req.potential, p, m, req.l, grid)
         if u is not None:
             pair = _refine_eigenpair(op, node_target, u, e)
         elif grid.n_points >= _COARSE_START_POINTS:
             coarse = RadialGrid.uniform(grid.r_max, grid.n_points // _COARSE_FACTOR)
-            coarse_op = discretize_operator(
-                req.mode, req.potential, p, m, req.l, coarse, req.origin_step
-            )
+            coarse_op = discretize_operator(req.mode, req.potential, p, m, req.l, coarse)
             pair = _coarse_start(coarse_op, op, node_target)
         else:
             pair = None
@@ -591,10 +593,9 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Re-solve req on uniform grids of the given sizes over one fixed r_max.
 
-    Every grid chooses its origin correction on the coarsest step (see
-    discretize_operator), so the rows come from one discretization.  Two
-    sizes make the Richardson pair compare uses; three or more also give
-    observed orders.
+    Each row is the E' an independent solve_self_consistent call gives on
+    that grid.  Two sizes make the Richardson pair compare uses; three or
+    more also give observed orders.
     """
     if len(grid_sizes) < 2:
         raise ValueError("a convergence study needs at least 2 grid sizes")
@@ -604,7 +605,6 @@ def convergence_study(
     base = req.grid or default_solver_grid(req.mode, req.potential, p, req.n, req.l)
     grids = [RadialGrid.uniform(base.r_max, n_pts) for n_pts in sizes]
     steps = [grid.step for grid in grids]
-    req = replace(req, origin_step=max(req.origin_step, steps[0]))
     energies = [solve_self_consistent(replace(req, grid=grid), p).e_prime for grid in grids]
 
     rows: list[tuple[int, float, float | None]] = [(sizes[0], energies[0], None)]

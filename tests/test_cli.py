@@ -371,7 +371,7 @@ class TestOverflowExits:
         (("solve", "--n", "151", "--l", "150", "--grid-n", "400"), ["NoConvergence"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "-".join(v))
     def test_solve_reports_per_row(self, capsys, argv, statuses):
-        solver._stencil_error.cache_clear()  # a cached correction is not recomputed
+        solver._stencil_terms.cache_clear()  # a cached correction is not recomputed
         # pytest keeps warnings off stderr, so they are recorded here instead
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -461,13 +461,21 @@ class TestCompare:
             assert float(row["e_kg_numeric"]) < 0
 
     def test_pair_across_the_origin_fallback_is_one_discretization(self, capsys):
-        # (11, 0) at Zalpha = 0.3: only the 8000-point grid resolves exp(a1 r);
-        # both grids keep r^s alone, as they did before the exponential
-        # correction (1.03e-3; with one choice per grid 3.0e-2)
+        # (11, 0) at Zalpha = 0.3 puts |a1| h at 0.50 and 0.25 on the 4000
+        # and 8000-point grids; both take the same continuous correction
+        # (1.02e-5; 1.03e-3 with r^s alone, 3.0e-2 with a switch between)
         code, out, _ = run_cli(capsys, "compare", "--alpha", "0.3", "--states", "11,0")
         assert code == 0
         _, _, rows = parse_csv(out)
-        assert float(rows[0]["delta_closed_numeric"]) < 1.1e-3
+        assert float(rows[0]["delta_closed_numeric"]) < 1.1e-5
+
+    def test_coarse_grids_solve(self, capsys):
+        # 16 points put |a1| h near 14 at (4, 0); the clipped correction
+        # keeps every state's nodes where they belong (exit 3 unclipped)
+        code, out, _ = run_cli(capsys, "compare", "--n-max", "4", "--grid-n", "16")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 10
 
 
 class TestLorentzCommand:

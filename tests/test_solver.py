@@ -132,39 +132,45 @@ MODE_POTENTIALS = [
 
 class TestOriginSeries:
     def test_schrodinger_integer(self):
-        s, _ = origin_series(SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_03, 2)
+        s, _ = origin_series(SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_03, 1.0, 2)
         assert s == 3.0
 
     def test_vector_coupling_lowers_exponent(self):
         # l = 0, Z*alpha = 0.3: s = 1/2 + sqrt(1/4 - 0.09) = 0.9 exactly
-        s, _ = origin_series(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0)
+        s, _ = origin_series(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 1.0, 0)
         assert s == pytest.approx(0.9, abs=2e-16)
 
     def test_equal_mode_cancels(self):
-        s, _ = origin_series(SolveMode.KG_EQUAL, PotentialSpec.equal_coulomb(), P_03, 1)
+        s, _ = origin_series(SolveMode.KG_EQUAL, PotentialSpec.equal_coulomb(), P_03, 1.0, 1)
         assert s == 2.0
 
     @pytest.mark.parametrize("mode, potential", MODE_POTENTIALS)
     def test_exponent_has_the_bits_of_the_mode_table(self, mode, potential):
         for p in (P_01, P_03, PhysicalParams(z_number=2.0, alpha=0.2)):
             for l in range(4):
-                s, _ = origin_series(mode, potential, p, l)
-                assert s == table_exponent(mode, potential, p, l)
+                for m_sys in (p.rest_mass, 0.9):
+                    s, _ = origin_series(mode, potential, p, m_sys, l)
+                    assert s == table_exponent(mode, potential, p, l)
 
     def test_coulomb_first_coefficient(self):
-        # u = r^s exp(-m0 Z alpha r / s) near the origin; a rest mass of 2
-        # halves the Bohr radius
+        # u = r^s exp(-m Z alpha r / s) near the origin at system mass m (a
+        # rest mass of 2 halves the Bohr radius); the scalar coupling
+        # 2 m0 S/msum carries the rest mass whatever m is
         for p in (P_03, replace(P_03, rest_mass=2.0)):
-            s, a1 = origin_series(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), p, 0)
-            assert a1 == pytest.approx(-p.rest_mass * p.z_alpha / s, rel=1e-15)
+            for m_sys in (p.rest_mass, 0.9 * p.rest_mass):
+                s, a1 = origin_series(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), p, m_sys, 0)
+                assert a1 == pytest.approx(-m_sys * p.z_alpha / s, rel=1e-15)
+                s, a1 = origin_series(SolveMode.KG_SCALAR_VECTOR,
+                                      PotentialSpec(None, CoulombPart()), p, m_sys, 0)
+                assert a1 == pytest.approx(-p.rest_mass * p.z_alpha / s, rel=1e-15)
 
     def test_hulthen_first_coefficient_carries_the_squared_term(self):
         # U = -Z e^2/r + Z e^2 lam/2 + O(r): the U^2 term of kg-vector adds
-        # -(Z alpha)^2 lam to C/A = 2 m0 Z alpha
-        lam = 0.3
-        s, a1 = origin_series(SolveMode.KG_VECTOR, PotentialSpec.hulthen(lam), P_03, 0)
+        # -(Z alpha)^2 lam to C/A = 2 m Z alpha, whatever the mass m
+        lam, m_sys = 0.3, 0.95
+        s, a1 = origin_series(SolveMode.KG_VECTOR, PotentialSpec.hulthen(lam), P_03, m_sys, 0)
         lam_abs = HulthenPart(lam).lam_absolute(P_03)
-        c_over_a = 2.0 * P_03.z_alpha - P_03.z_alpha ** 2 * lam_abs
+        c_over_a = 2.0 * m_sys * P_03.z_alpha - P_03.z_alpha ** 2 * lam_abs
         assert a1 == pytest.approx(-c_over_a / (2.0 * s), rel=1e-14)
 
     def test_part_coefficients_match_the_potential(self):
@@ -187,18 +193,19 @@ class TestDiscretizeOperator:
         np.testing.assert_array_equal(op.diag, 2.0 * kin + v_eff(grid.points))
 
     def test_corrected_diagonal_first_entry(self):
-        # at i = 1 the stencil sees f = r^s exp(a1 r) at 0, h and 2h, and
-        # the far-field constant 2 cosh x - 2 - x^2 is taken off
+        # at i = 1, Q+ = 2^s - 1 - s and Q- = s - 1 (the stencil sees
+        # f = r^s exp(a1 r) at 0, h and 2h), with a1 at the operator's mass;
+        # the far-field constant and the 1/i tail are left out
         grid = RadialGrid.uniform(30.0, 100)
         op = discretize_operator(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0, grid)
         A, v_eff = effective_radial_equation(
             SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0)
         s = 0.9
-        x = -P_03.rest_mass * P_03.z_alpha / s * grid.step  # a1 h at the rest mass
+        x = -0.95 * P_03.z_alpha / s * grid.step  # a1 h at m = 0.95
         assert 0.05 < abs(x) < 0.5
         kin = A / grid.step ** 2
-        want_shift = kin * (2.0 ** s * math.exp(x) - 2.0 - (s * (s - 1.0) + 2.0 * s * x + x * x)
-                            - (2.0 * math.cosh(x) - 2.0 - x * x))
+        want_shift = kin * ((2.0 ** s - 1.0 - s) * math.exp(x) + (s - 1.0) * math.exp(-x)
+                            - s * (s - 1.0))
         got_shift = op.diag[0] - (2.0 * kin + v_eff(grid.points[:1])[0])
         assert got_shift == pytest.approx(want_shift, rel=1e-12)
 
@@ -212,11 +219,12 @@ class TestDiscretizeOperator:
         assert shift[-1] < 1e-6 * shift[0]
 
     def test_correction_is_exact_on_the_origin_shape(self):
-        # (T f)_i = -A f''(r_i) + V f(r_i) for f = r^s exp(a1 r), up to the
-        # far-field constant, which shifts every entry alike
+        # (T f)_i = -A f''(r_i) + V f(r_i) for f = r^s exp(a1 r), with a1 at
+        # the operator's mass, up to the far-field constant, which shifts
+        # every entry alike, and the 1/i tail 2 s (sinh x - x)/i
         grid = RadialGrid.uniform(30.0, 400)
         mode, pot = SolveMode.KG_VECTOR, PotentialSpec.hulthen(0.3)
-        s, a1 = origin_series(mode, pot, P_03, 0)
+        s, a1 = origin_series(mode, pot, P_03, 0.95, 0)
         op = discretize_operator(mode, pot, P_03, 0.95, 0, grid)
         A, v_eff = effective_radial_equation(mode, pot, P_03, 0.95, 0)
         r, h = grid.points, grid.step
@@ -226,8 +234,9 @@ class TestDiscretizeOperator:
         f2 = (s * (s - 1.0) / r ** 2 + 2.0 * s * a1 / r + a1 ** 2) * f
         x = a1 * h
         far = A / h ** 2 * (2.0 * math.cosh(x) - 2.0 - x * x)
+        tail = A / h ** 2 * 2.0 * s * (math.sinh(x) - x) * h / r
         tf = op.diag * f + op.offdiag[0] * (f_next + f_prev)
-        want = -A * f2 + (v_eff(r) - far) * f
+        want = -A * f2 + (v_eff(r) - far - tail) * f
         np.testing.assert_allclose(tf, want, rtol=0, atol=1e-10 * np.abs(v_eff(r) * f).max())
 
     def test_correction_has_the_bits_of_the_three_power_form(self):
@@ -255,55 +264,26 @@ class TestDiscretizeOperator:
                     assert np.array_equal(op.diag, want), (p, l, n)
                     assert np.array_equal(op.offdiag, np.full(n - 1, -kin))
 
-    def test_origin_step_decides_the_fallback(self):
-        # the exponential correction is kept only while |a1| max(h, origin_step) <= 1/2
-        mode, pot = SolveMode.KG_VECTOR, PotentialSpec.coulomb()
-        grid = RadialGrid.uniform(30.0, 400)
-        s, a1 = origin_series(mode, pot, P_03, 0)
-        assert abs(a1) * grid.step < 0.5
-        own = discretize_operator(mode, pot, P_03, 0.95, 0, grid)
-        finer = discretize_operator(mode, pot, P_03, 0.95, 0, grid, 0.5 * grid.step)
-        coarse = discretize_operator(mode, pot, P_03, 0.95, 0, grid, 0.6 / abs(a1))
-        A, v_eff = effective_radial_equation(mode, pot, P_03, 0.95, 0)
-        kin = A / grid.step ** 2
-        assert np.array_equal(finer.diag, own.diag)
-        assert not np.array_equal(coarse.diag, own.diag)
-        assert np.array_equal(coarse.diag, 2.0 * kin + v_eff(grid.points)
-                              + kin * three_power_error(s, 400))
-
-    def test_coarse_step_falls_back_to_the_power_correction(self):
-        # |a1| h > 1/2: the stencil cannot resolve exp(a1 r), so only r^s is corrected
-        grid = RadialGrid.uniform(1250.0, 250)
-        s, a1 = origin_series(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0)
-        assert abs(a1) * grid.step > 0.5
-        op = discretize_operator(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0, grid)
-        A, v_eff = effective_radial_equation(
-            SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0)
-        kin = A / grid.step ** 2
-        assert np.array_equal(op.diag, 2.0 * kin + v_eff(grid.points)
-                              + kin * three_power_error(s, 250))
+    def test_correction_is_continuous_and_clipped_in_the_step(self):
+        # one formula at every x = a1 h, with no switch at the old |x| = 1/2,
+        # and every |x| beyond 2 corrected as |x| = 2
+        near = [solver._stencil_error(0.9, 400, x) for x in (-0.499, -0.501)]
+        np.testing.assert_allclose(near[0], near[1], rtol=0, atol=1e-3)
+        clipped = [solver._stencil_error(0.9, 400, x) for x in (-2.0, -2.5, -9.0)]
+        assert np.array_equal(clipped[0], clipped[1]) and np.array_equal(clipped[0], clipped[2])
 
 
-# The exp(a1 r) correction leaves an O(h^2) tail over the whole box that grows
-# like n^4/N^2; a Richardson pair cancels it, a single grid keeps it.  From
-# these n on it outweighs what the correction gains ((10,0) at Zalpha = 0.1:
-# 1.2e-2 against 2.0e-4 relative).
-_TAIL_OUTWEIGHS_FROM = {0.1: 2, 0.3: 4}
-_FAR_TAIL = pytest.mark.xfail(strict=True, reason="the origin correction's O(h^2) far tail")
-
-
-@pytest.mark.parametrize("za, n", [
-    pytest.param(za, n, marks=[_FAR_TAIL] if n >= _TAIL_OUTWEIGHS_FROM[za] else [])
-    for za in (0.1, 0.3) for n in range(1, 11)
-])
-def test_origin_correction_is_no_worse_than_the_power_form(za, n):
+@pytest.mark.parametrize("za, n", [(za, n) for za in (0.1, 0.3) for n in range(1, 11)])
+def test_origin_correction_is_no_worse_than_the_power_form(monkeypatch, za, n):
     # one solve at the default N: the corrected operator must be no further
-    # from the closed form than the one corrected for r^s alone
+    # from the closed form than the one corrected for r^s alone (a1 = 0)
     p = PhysicalParams(alpha=za)
     req = SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.coulomb(), n=n, l=0)
     exact = energy_level(p, n, 0).e_prime
     corrected = solve_self_consistent(req, p).e_prime
-    power_only = solve_self_consistent(replace(req, origin_step=math.inf), p).e_prime
+    series = solver.origin_series
+    monkeypatch.setattr(solver, "origin_series", lambda *args: (series(*args)[0], 0.0))
+    power_only = solve_self_consistent(req, p).e_prime
     assert abs(corrected - exact) <= abs(power_only - exact)
 
 
@@ -482,14 +462,16 @@ class TestSolveSelfConsistent:
             return
         assert state.residual <= 1e-15
 
-    @pytest.mark.parametrize("n", [5, 6])
-    def test_coarse_grid_states_solve_through_the_fallback(self, n):
-        # at 250 points the default box of (5,0) and (6,0) puts |a1| h
-        # above 1/2, so their operators carry the r^s correction alone
-        req = coulomb_request(P_03, n, 0, 250)
-        _, a1 = origin_series(req.mode, req.potential, P_03, 0)
+    @pytest.mark.parametrize("n, n_points", [(5, 250), (6, 250), (4, 32), (6, 64)])
+    def test_coarse_grid_states_solve_through_the_clip(self, n, n_points):
+        # on the default box these grids put |a1| h at 1.7 and 2.4 (250
+        # points) and 8-9 (32 and 64 points); unclipped, exp(+-a1 h) would
+        # swamp the first diagonal entries (6x off at (6,0) on 64 points)
+        req = coulomb_request(P_03, n, 0, n_points)
+        _, a1 = origin_series(req.mode, req.potential, P_03, P_03.rest_mass, 0)
         assert abs(a1) * req.grid.step > 0.5
         state = solve_self_consistent(req, P_03)
+        assert math.isfinite(state.e_prime)
         assert state.node_count == n - 1
         assert _count_sign_changes(state.radial_samples[1]) == n - 1
         assert state.residual < req.sc_tolerance
@@ -509,7 +491,7 @@ def test_solve_operators_match_discretize_operator(monkeypatch, mode, potential,
                                                    n_points):
     # every operator a solve builds, on the coarse grid and the fine one,
     # is what a fresh discretize_operator call gives, bit for bit: the
-    # cached origin correction is the one it would compute
+    # cached parts of the origin correction are the ones it would compute
     grid = default_solver_grid(mode, potential, p, n, l, n_points=n_points)
     built = []
     original = solver.discretize_operator
@@ -520,19 +502,20 @@ def test_solve_operators_match_discretize_operator(monkeypatch, mode, potential,
         return op
 
     monkeypatch.setattr(solver, "discretize_operator", recording)
-    solver._stencil_error.cache_clear()
+    solver._stencil_terms.cache_clear()
     state = solve_self_consistent(
         SolveRequest(mode=mode, potential=potential, n=n, l=l, grid=grid), p)
     assert {op.grid.n_points for _, op in built} == {n_points, n_points // 8}
     assert len(built) == state.iterations + 1
-    # one correction per grid, not one per mass step
-    cache = solver._stencil_error.cache_info()
+    # the ratio arrays are built once per grid, not once per mass step
+    cache = solver._stencil_terms.cache_info()
     assert (cache.misses, cache.hits) == (2, len(built) - 2)
-    s, _ = origin_series(mode, potential, p, l)
-    with pytest.raises(ValueError, match="read-only"):
-        solver._stencil_error(s, n_points, 0.0)[0] = 1.0
+    s, _ = origin_series(mode, potential, p, p.rest_mass, l)
+    for array in solver._stencil_terms(s, n_points):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
     for args, op in built:
-        solver._stencil_error.cache_clear()
+        solver._stencil_terms.cache_clear()
         ref = original(*args)
         assert np.array_equal(op.diag, ref.diag)
         assert np.array_equal(op.offdiag, ref.offdiag)
@@ -722,62 +705,64 @@ class TestGridsAndStudies:
 
     @pytest.mark.parametrize("lam", [0.1, 0.3])
     def test_hulthen_nodeless_l0_order_at_03(self, lam):
-        # a1 is taken at the rest mass, 5% above this state's system mass;
-        # the mismatch leaves an h^(2s) term small enough to show only where
-        # the h^2 term is small, as in a nodeless state (1.65-1.72 with r^s
-        # alone, 2.02 with a1 at the converged mass)
+        # an h^(2s) term left at the origin shows first where the h^2 term
+        # is small, as in a nodeless state (1.65-1.72 with r^s alone)
         req = SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.hulthen(lam),
                            n=1, l=0)
         study = convergence_study(req, P_03, (1000, 2000, 4000, 8000))
         for order in study.observed_orders:
             assert 1.88 < order < 2.05
 
-    @pytest.mark.parametrize("p, n, sizes, orders", [
-        (PhysicalParams(z_number=0.3, alpha=0.3), 3, (100, 200, 400), (1.7, 1.85)),
-        (P_03, 8, (2000, 4000, 8000), (1.1, 1.3)),
-    ], ids=["z0.3-alpha0.3-3-100", "za0.3-8-default"])
-    def test_study_across_the_fallback_is_one_discretization(self, p, n, sizes, orders):
-        # the finest grid alone would take in exp(a1 r) and the coarsest
-        # would not; every grid follows the coarsest, so the study reads
-        # like one forced onto r^s alone (1.780 and 1.189, where deciding
-        # per grid read -0.534 and 0.802)
-        req = SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.coulomb(), n=n, l=0)
-        study = convergence_study(req, p, sizes)
-        _, a1 = origin_series(req.mode, req.potential, p, 0)
-        steps = [RadialGrid.uniform(study.r_max, size).step for size in sizes]
-        assert abs(a1) * steps[-1] <= 0.5 < abs(a1) * steps[0]
-        forced = convergence_study(replace(req, origin_step=math.inf), p, sizes)
-        assert study == forced
-        assert orders[0] < study.observed_orders[0] < orders[1]
-
-    def test_convergence_study_keeps_the_box_and_the_request(self):
-        # (100, 2000) is a box that points[-1] + step misses by an ulp
+    @pytest.mark.parametrize("p, n, grid, sc_tolerance, sizes", [
+        (P_03, 1, RadialGrid.uniform(100.0, 2000), 1e-9, (500, 1000, 2000)),
+        (PhysicalParams(z_number=0.3, alpha=0.3), 3, None, 1e-12, (100, 200, 400)),
+        (P_03, 8, None, 1e-12, (2000, 4000, 8000)),
+    ], ids=["za0.3-1-rmax100", "z0.3-alpha0.3-3-100", "za0.3-8-2000"])
+    def test_convergence_study_keeps_the_box_and_the_request(self, p, n, grid, sc_tolerance,
+                                                             sizes):
+        # (100, 2000) is a box that points[-1] + step misses by an ulp.  On
+        # the default boxes of the other two, |a1| h falls from 1.0 to 0.25
+        # and from 0.65 to 0.16 over the study, and each grid is corrected
+        # on its own step (1.78 and 1.19 with r^s alone)
         req = SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.coulomb(),
-                           n=1, l=0, grid=RadialGrid.uniform(100.0, 2000), sc_tolerance=1e-9)
-        study = convergence_study(req, P_03, (500, 1000, 2000))
-        assert study.r_max == 100.0
+                           n=n, l=0, grid=grid, sc_tolerance=sc_tolerance)
+        study = convergence_study(req, p, sizes)
+        if grid is not None:
+            assert study.r_max == grid.r_max
         for n_pts, e_prime, _ in study.rows:
-            grid = RadialGrid.uniform(100.0, n_pts)
-            assert e_prime == solve_self_consistent(replace(req, grid=grid), P_03).e_prime
+            grid = RadialGrid.uniform(study.r_max, n_pts)
+            assert e_prime == solve_self_consistent(replace(req, grid=grid), p).e_prime
+        assert 1.8 < study.observed_orders[0] < 2.1
 
     def test_two_grid_study_is_the_richardson_pair(self):
-        # (6,0) at 0.3 crosses the fallback between 1000 and 2000 points
-        # (|a1| h = 0.60 and 0.30): both grids take r^s alone, as the
-        # 1000-point step decides, and the extrapolant is richardson_extrapolate's
+        # (6,0) at 0.3 on 1000 and 2000 points (|a1| h = 0.60 and 0.30): two
+        # independent solves, and the extrapolant is richardson_extrapolate's
         req = SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.coulomb(), n=6, l=0)
         study = convergence_study(req, P_03, (2000, 1000))
         coarse, fine = (RadialGrid.uniform(study.r_max, size) for size in (1000, 2000))
-        _, a1 = origin_series(req.mode, req.potential, P_03, 0)
-        assert abs(a1) * fine.step <= 0.5 < abs(a1) * coarse.step
         e_coarse, e_fine = (
-            solve_self_consistent(replace(req, grid=grid, origin_step=coarse.step), P_03).e_prime
-            for grid in (coarse, fine)
+            solve_self_consistent(replace(req, grid=grid), P_03).e_prime for grid in (coarse, fine)
         )
         assert study.rows[0] == (1000, e_coarse, None)
         assert study.rows[1] == (
             2000, e_fine, richardson_extrapolate(e_coarse, e_fine, coarse.step / fine.step))
         assert study.observed_orders == ()
         assert study.best_estimate == study.rows[1][2]
+
+    @pytest.mark.parametrize("n, sizes", [(5, (500, 1000)), (6, (1000, 2000))])
+    def test_independent_solves_extrapolate_as_one_discretization(self, n, sizes):
+        # a pair of solves on default grids, extrapolated as a caller that
+        # never builds a study does: each grid's operator follows from its
+        # own step alone, so the pair cannot mix two corrections (8.4e-2
+        # and 4.4e-2 when a step switched r^s exp(a1 r) to r^s alone)
+        req = SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.coulomb(), n=n, l=0)
+        grids = [default_solver_grid(req.mode, req.potential, P_03, n, 0, n_points=size)
+                 for size in sizes]
+        e_coarse, e_fine = (
+            solve_self_consistent(replace(req, grid=grid), P_03).e_prime for grid in grids)
+        exact = energy_level(P_03, n, 0).e_prime
+        extrapolated = richardson_extrapolate(e_coarse, e_fine, grids[0].step / grids[1].step)
+        assert abs(extrapolated - exact) <= 1e-4 * abs(exact)
 
     def test_convergence_study_validation(self):
         req = SolveRequest(mode=SolveMode.KG_VECTOR,

@@ -194,11 +194,12 @@ def test_coarse_start_matches_direct_first_solve(monkeypatch, mode, pot, lam, za
 
 # States that the N // 8 coarse grid does not bind at m = m0 while the
 # 2000-point grid does, with the fine solve's E' and iterations.  A scan of
-# lam = 0.02..2.0 at Zalpha 0.1 and 0.3, n <= 4, in the three Hulthen modes
-# found 169 such cases (and 22 the other way round), so a solve must not
-# stop at StateNotFound from the coarse grid alone.
+# lam = 0.02..2.0 in steps of 0.01 at Zalpha 0.1 and 0.3, n <= 4, in the
+# three Hulthen modes found 152 such cases (52 of them kg-vector, where
+# (1,0) at Zalpha 0.1 spans lam 1.70-1.91) and 22 the other way round, so a
+# solve must not stop at StateNotFound from the coarse grid alone.
 COARSE_UNBOUND = [
-    (SolveMode.KG_VECTOR, "hulthen", 1.69, 0.1, 1, 0, -1.4108e-4, 3),
+    (SolveMode.KG_VECTOR, "hulthen", 1.8, 0.1, 1, 0, -5.1708e-5, 3),
     (SolveMode.SCHRODINGER, "hulthen", 1.8, 0.3, 1, 0, -3.7608e-4, 1),
     (SolveMode.KG_EQUAL, "equal-hulthen", 0.85, 0.1, 2, 0, -1.0701e-4, 3),
 ]
