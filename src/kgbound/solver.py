@@ -39,17 +39,22 @@ Coulomb U^2 term merges with the centrifugal barrier into an effective
 index l(l+1) - Z^2 alpha^2, which is why those modes inherit the
 supercritical-coupling bound Z alpha < l + 1/2.
 
-scipy is imported inside the functions that call it, so importing this
-module loads numpy only: eigh_tridiagonal below forwards to
-scipy.linalg.eigh_tridiagonal, imported on the first cold eigensolve, and
-_refine_eigenpair imports LAPACK dgtsv from scipy.linalg.lapack.
+Importing this module loads numpy only.  The three LAPACK routines the
+solver calls (dstebz, dstein, dgtsv) come from scipy's LAPACK extension
+module scipy.linalg._flapack, loaded by _lapack on the first eigensolve
+without running the scipy.linalg package, whose import was half the start
+of a solving command.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -335,11 +340,53 @@ def _checked_pair(
     return e, u
 
 
-def eigh_tridiagonal(*args, **kwargs):
-    """scipy.linalg.eigh_tridiagonal, imported on the first cold eigensolve."""
-    import scipy.linalg
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension module scipy.linalg._flapack.
 
-    return scipy.linalg.eigh_tridiagonal(*args, **kwargs)
+    Only the top-level scipy package is imported; the extension is found
+    in its linalg directory and executed through its own spec, so
+    scipy/linalg/__init__.py never runs.  It is registered under its full
+    name, so a later import of scipy.linalg shares the module and its
+    routines.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")]
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(name, module)
+
+
+def eigh_tridiagonal(
+    d: np.ndarray, e: np.ndarray, *, select: str, select_range: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs select_range[0]..select_range[1] (from the lowest) of the
+    symmetric tridiagonal matrix with diagonal d and off-diagonal e.
+
+    select must be "i": only selection by index is supported.  This is
+    scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=...) with
+    its default driver, call for call: dstebz bisection (absolute
+    tolerance 0, eigenvalues in block order), dstein inverse iteration for
+    the vectors, then sorting by eigenvalue.  Raises
+    np.linalg.LinAlgError when LAPACK reports a failure.
+    """
+    if select != "i":
+        raise ValueError(f"only select='i' is supported, got {select!r}")
+    lapack = _lapack()
+    lo, hi = select_range
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed (LAPACK info={info})")
+    w = w[:m]
+    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein failed (LAPACK info={info})")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def inner_eigensolve(op: DiscretizedOperator, node_target: int) -> tuple[float, np.ndarray]:
@@ -376,11 +423,9 @@ def _refine_eigenpair(
     solve is singular or the result fails one of inner_eigensolve's checks,
     in which case the caller solves from scratch.
     """
-    from scipy.linalg.lapack import dgtsv
-
     d = op.diag - shift
     for _ in range(2):
-        _, _, _, x, info = dgtsv(op.offdiag, d, op.offdiag, u[:, None])
+        _, _, _, x, info = _lapack().dgtsv(op.offdiag, d, op.offdiag, u[:, None])
         norm = float(np.linalg.norm(x))
         if info != 0 or not math.isfinite(norm):
             return None

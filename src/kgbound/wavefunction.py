@@ -48,9 +48,9 @@ field built by hand goes through SeparableField(radial, angular).  For
 the (2,1,+-1) states the continuity floor max|div J|/max|J_phi| is
 3.4e-13 on grids up to 400x128x128.
 
-scipy is imported only inside spherical_harmonic (scipy.special.lpmv,
-reached by sample_state and the current checks).  Radial wavefunctions
-are built with numpy alone.
+Everything here is numpy alone: the radial factor by the Laguerre
+recurrence, and the angular factor by the upward recurrence for the
+associated Legendre functions (_legendre_p).
 """
 
 from __future__ import annotations
@@ -246,10 +246,25 @@ def count_radial_nodes(R: RadialWavefunction) -> int:
     return _count_sign_changes(rho * R._shape(rho))
 
 
+def _legendre_p(l: int, m: int, x: np.ndarray) -> np.ndarray:
+    """Associated Legendre function P_l^m(x) for 0 <= m <= l, with the
+    Condon-Shortley phase, by the upward recurrence in l
+
+        P_m^m = (-1)^m (2m-1)!! (1-x^2)^(m/2),
+        (k-m) P_k^m = (2k-1) x P_(k-1)^m - (k+m-1) P_(k-2)^m,
+
+    started with P_(m-1)^m = 0, so its first step gives
+    P_(m+1)^m = x (2m+1) P_m^m.
+    """
+    root = np.sqrt((1.0 - x) * (1.0 + x))
+    p_prev, p = 0.0, (-1) ** m * float(math.prod(range(1, 2 * m, 2))) * root ** m
+    for k in range(m + 1, l + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k + m - 1) * p_prev) / (k - m)
+    return p
+
+
 def spherical_harmonic(l: int, m: int, theta, phi):
     """Orthonormal Y_lm(theta, phi), complex: exp(i m phi), Condon-Shortley phase."""
-    from scipy.special import lpmv
-
     if l < 0 or abs(m) > l:
         raise InvalidQuantumNumbers(f"need |m| <= l, l >= 0; got l={l}, m={m}")
     theta = np.asarray(theta, dtype=float)
@@ -258,7 +273,7 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     norm = math.sqrt(
         (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - mm) / math.factorial(l + mm)
     )
-    val = norm * lpmv(mm, l, np.cos(theta)) * np.exp(1j * mm * phi)
+    val = norm * _legendre_p(l, mm, np.cos(theta)) * np.exp(1j * mm * phi)
     if m < 0:
         val = (-1) ** mm * np.conj(val)
     return val if np.ndim(val) else complex(val)

@@ -1,5 +1,6 @@
 """Imports: the package namespace, and a cold start in which scipy loads
-only when a command reaches numerical code.
+only when a command reaches the eigensolver, and then only its top-level
+package and its LAPACK extension module.
 
 Each cold-start test runs the CLI or the library in a fresh interpreter,
 since scipy modules loaded by other tests in this process would hide what
@@ -84,19 +85,21 @@ def test_closed_form_commands_and_error_exits_load_no_scipy():
     assert scipy == set()
 
 
-def test_solve_loads_linalg_only():
-    codes, scipy = run_fresh(["solve", "--grid-n", "400"])
-    assert codes == [0]
-    assert "scipy.linalg" in scipy
-    for name in ("scipy.integrate", "scipy.special"):
+def test_solve_loads_lapack_only():
+    codes, scipy = run_fresh(
+        ["solve", "--grid-n", "400"],
+        ["compare", "--grid-n", "400"],
+        ["convergence", "--sizes", "200,400,800"],
+    )
+    assert codes == [0, 0, 0]
+    assert "scipy.linalg._flapack" in scipy
+    for name in ("scipy.integrate", "scipy.special", "scipy._lib._array_api"):
         assert not _loaded(scipy, name), name
+    assert "scipy.linalg" not in scipy
 
 
-def test_current_diagnostics_load_special_only():
-    scipy = set(_run_probe(_CURRENT_PROBE)["scipy"])
-    assert "scipy.special" in scipy
-    for name in ("scipy.linalg", "scipy.integrate"):
-        assert not _loaded(scipy, name), name
+def test_current_diagnostics_load_no_scipy():
+    assert _run_probe(_CURRENT_PROBE)["scipy"] == []
 
 
 def test_package_namespace_is_the_module_lists():

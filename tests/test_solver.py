@@ -1,6 +1,7 @@
 """Discretization, eigensolve, self-consistency, and convergence studies."""
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -402,6 +403,58 @@ class TestInnerEigensolve:
             SolveMode.KG_VECTOR, PotentialSpec(None, None), p, p.rest_mass, 0, grid)
         with pytest.raises(StateNotFound):
             inner_eigensolve(op, 0)
+
+
+_EIGEN_OPERATORS = [
+    (SolveMode.SCHRODINGER, PotentialSpec.coulomb()),
+    (SolveMode.KG_VECTOR, PotentialSpec.coulomb()),
+    (SolveMode.KG_SCALAR_VECTOR, PotentialSpec(CoulombPart(), HulthenPart(0.2))),
+    (SolveMode.KG_EQUAL, PotentialSpec.equal_hulthen(0.2)),
+]
+
+
+class TestLapack:
+    """solver.eigh_tridiagonal and _lapack against scipy.linalg."""
+
+    @pytest.mark.parametrize("mode, potential", _EIGEN_OPERATORS,
+                             ids=[mode.value for mode, _ in _EIGEN_OPERATORS])
+    @pytest.mark.parametrize("n_points", [3, 250, 4000])
+    def test_eigenpairs_are_scipys_bit_for_bit(self, mode, potential, n_points):
+        from scipy.linalg import eigh_tridiagonal
+
+        grid = RadialGrid.uniform(40.0 * P_03.bohr_radius(), n_points)
+        op = discretize_operator(mode, potential, P_03, P_03.rest_mass, 0, grid)
+        for k in (0, n_points // 2, n_points - 1):
+            w, v = solver.eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(k, k))
+            ref_w, ref_v = eigh_tridiagonal(
+                op.diag, op.offdiag, select="i", select_range=(k, k))
+            assert w.shape == (1,) and v.shape == (n_points, 1)
+            assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v), k
+
+    def test_routines_are_scipys(self):
+        from scipy.linalg import lapack
+
+        for name in ("dstebz", "dstein", "dgtsv"):
+            assert getattr(solver._lapack(), name) is getattr(lapack, name), name
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch, capsys):
+        from kgbound import cli
+
+        real = solver._lapack()
+        stub = SimpleNamespace(
+            dstebz=real.dstebz, dgtsv=real.dgtsv,
+            dstein=lambda d, e, w, iblock, isplit: (np.zeros((d.size, w.size)), 1))
+        monkeypatch.setattr(solver, "_lapack", lambda: stub)
+        grid = RadialGrid.uniform(40.0 * P_01.bohr_radius(), 400)
+        op = discretize_operator(
+            SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0, grid)
+        with pytest.raises(NoConvergence, match="tridiagonal eigensolve failed: dstein"):
+            inner_eigensolve(op, 0)
+        # compare exits on the first failure; solve would report it in a row
+        assert cli.main(["compare", "--grid-n", "400"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("kgbound: NoConvergence: tridiagonal eigensolve failed: dstein")
 
 
 class TestSolveSelfConsistent:

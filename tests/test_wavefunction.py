@@ -11,6 +11,7 @@ from kgbound.errors import InvalidQuantumNumbers
 from kgbound.wavefunction import (
     SeparableField,
     _laguerre,
+    _legendre_p,
     build_radial,
     continuity_check,
     count_radial_nodes,
@@ -231,6 +232,16 @@ class TestSphericalHarmonics:
     def test_invalid(self):
         with pytest.raises(InvalidQuantumNumbers):
             spherical_harmonic(1, 2, 0.3, 0.3)
+
+    def test_legendre_recurrence_matches_scipy(self):
+        from scipy.special import lpmv
+
+        x = np.concatenate([np.linspace(-1.0, 1.0, 2001), [-1.0, 1.0]])
+        for l in range(41):
+            for m in range(l + 1):
+                ref = lpmv(m, l, x)
+                err = np.abs(_legendre_p(l, m, x) - ref).max()
+                assert err <= 2e-14 * np.abs(ref).max(), (l, m)
 
 
 class TestProbabilityCurrent:
@@ -540,8 +551,6 @@ class TestSeparableField:
                 float(np.abs(div).max()), rel=0)
 
     def test_current_diagnostics_allocate_no_dense_field(self):
-        import scipy.special  # noqa: F401  # loaded by the first Y_lm; not the diagnostics' memory
-
         R = build_radial(P_03, 2, 1)
         grid = current_check_grid(R, n_r=400, n_theta=128, n_phi=128)
         m_sys = system_mass(P_03, 2, 1)
