@@ -35,25 +35,16 @@ import configparser
 import io
 import json
 import math
+import numbers
 import sys
 from dataclasses import Field, dataclass, field, fields
 from typing import Callable
 
-import numpy as np
-
-from . import __version__
-from .core import ALPHA_FS, PhysicalParams, PotentialSpec, RadialGrid
+from . import __version__, solver, wavefunction
+from .core import ALPHA_FS, PhysicalParams, PotentialSpec, RadialGrid, SolveMode
 from .coulomb import energy_expansion, energy_level, sigma_closed
 from .errors import ConfigError, NumericalError, PhysicsError
 from .lorentz import BoostSpec, CharacterState, boost_backward, boost_forward, invariant_mass_sq
-from .solver import (
-    SolveMode,
-    SolveRequest,
-    convergence_study,
-    default_solver_grid,
-    solve_self_consistent,
-)
-from .wavefunction import build_radial, count_radial_nodes
 
 __all__ = ["RunConfig", "build_config", "main"]
 
@@ -350,17 +341,17 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[dict, list[dict]]:
 
 def cmd_wavefunction(cfg: RunConfig) -> tuple[dict, list[dict]]:
     p = cfg.physical_params()
-    R = build_radial(p, cfg.n, cfg.l)
+    R = wavefunction.build_radial(p, cfg.n, cfg.l)
     r_max = cfg.rmax if cfg.rmax is not None else R.tail_radius(1e-10)
     r = RadialGrid.uniform(r_max, cfg.samples).points
-    vals = np.asarray(R.evaluate(r))
+    vals = R.evaluate(r)
     meta = {
         "n": cfg.n,
         "l": cfg.l,
         "sigma_l": sigma_closed(p, cfg.l).sigma_l,
         "normalization": R.normalization,
         "rho_scale": R.rho_scale,
-        "node_count": count_radial_nodes(R),
+        "node_count": wavefunction.count_radial_nodes(R),
         "r_max": r_max,
     }
     rows = [
@@ -381,11 +372,11 @@ def cmd_solve(cfg: RunConfig) -> tuple[dict, list[dict]]:
     rows = []
     for n, l in sorted(states):
         try:
-            grid = default_solver_grid(
+            grid = solver.default_solver_grid(
                 mode, potential, p, n, l, n_points=cfg.grid_n, r_max=cfg.rmax
             )
-            req = SolveRequest(mode, potential, n, l, grid, sc_tolerance=cfg.tol)
-            b = solve_self_consistent(req, p)
+            req = solver.SolveRequest(mode, potential, n, l, grid, sc_tolerance=cfg.tol)
+            b = solver.solve_self_consistent(req, p)
         except (PhysicsError, NumericalError, ArithmeticError) as exc:
             values, status = dict.fromkeys(columns), type(exc).__name__
         else:
@@ -405,8 +396,8 @@ def cmd_compare(cfg: RunConfig) -> tuple[dict, list[dict]]:
     rows = []
     for n, l in _requested_states(cfg):
         closed = energy_level(p, n, l).e_prime
-        req = SolveRequest(SolveMode.KG_VECTOR, potential, n, l, sc_tolerance=cfg.tol)
-        numeric = convergence_study(req, p, (cfg.grid_n // 2, cfg.grid_n)).best_estimate
+        req = solver.SolveRequest(SolveMode.KG_VECTOR, potential, n, l, sc_tolerance=cfg.tol)
+        numeric = solver.convergence_study(req, p, (cfg.grid_n // 2, cfg.grid_n)).best_estimate
         schrodinger = -p.z_alpha ** 2 * rest / (2.0 * n ** 2)
         rows.append(
             {
@@ -456,10 +447,10 @@ def cmd_convergence(cfg: RunConfig) -> tuple[dict, list[dict]]:
     mode = SolveMode(cfg.mode)
     potential = _POTENTIALS[cfg.potential](cfg.lam)
     grid = RadialGrid.uniform(cfg.rmax, max(cfg.sizes)) if cfg.rmax is not None else None
-    req = SolveRequest(
+    req = solver.SolveRequest(
         mode=mode, potential=potential, n=cfg.n, l=cfg.l, grid=grid, sc_tolerance=cfg.tol
     )
-    study = convergence_study(req, p, cfg.sizes)
+    study = solver.convergence_study(req, p, cfg.sizes)
     rows = [
         {"n_points": n_pts, "e_prime": e_prime, "richardson": rich, "observed_order": order}
         for (n_pts, e_prime, rich), order in zip(study.rows, (None, None, *study.observed_orders))
@@ -475,9 +466,9 @@ def _cell(value, digits: int, null: str, text: Callable[[str], str]) -> str:
         return null
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         return f"{float(value):.{digits}e}"
     return text(value)
 

@@ -13,20 +13,30 @@ The central quantity throughout is the system mass
 
 the actual mass of the bound system once the (negative) energy E' excluding
 rest energy is accounted for.  Bound states therefore have 0 < m < m0.
+
+Importing this module loads no numpy: the array code (the potential
+parts' evaluate, RadialGrid and the pairing check of BoundState's radial
+samples) imports it where it runs, so the closed-form Coulomb levels and
+the frame transforms run without it.
 """
 
 from __future__ import annotations
 
+import enum
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import InvalidQuantumNumbers, SupercriticalCoupling
 
 __all__ = [
     "ALPHA_FS",
     "PhysicalParams",
+    "SolveMode",
     "QuantumNumbers",
     "CoulombPart",
     "HulthenPart",
@@ -87,6 +97,15 @@ class PhysicalParams:
         return self.hbar ** 2 / (m * self.e_squared)
 
 
+class SolveMode(enum.Enum):
+    """Which radial equation a solve discretizes (see kgbound.solver)."""
+
+    SCHRODINGER = "schrodinger"
+    KG_VECTOR = "kg-vector"
+    KG_SCALAR_VECTOR = "kg-scalar-vector"
+    KG_EQUAL = "kg-equal"
+
+
 @dataclass(frozen=True)
 class QuantumNumbers:
     """(n, l, m) triple indexing a bound state."""
@@ -96,7 +115,7 @@ class QuantumNumbers:
     m: int = 0
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, (int, np.integer)) for v in (self.n, self.l, self.m)):
+        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.l, self.m)):
             raise InvalidQuantumNumbers(f"quantum numbers must be integers, got {self!r}")
         if self.n < 1 or not (0 <= self.l <= self.n - 1) or abs(self.m) > self.l:
             raise InvalidQuantumNumbers(
@@ -113,6 +132,8 @@ class CoulombPart:
     """Attractive Coulomb channel -Z*e_s^2/r (Z and e_s^2 from PhysicalParams)."""
 
     def evaluate(self, r: np.ndarray, p: PhysicalParams) -> np.ndarray:
+        import numpy as np
+
         return -p.z_number * p.e_squared / np.asarray(r, dtype=float)
 
     def origin_coefficients(self, p: PhysicalParams) -> tuple[float, float]:
@@ -139,6 +160,8 @@ class HulthenPart:
         return self.lam / p.bohr_radius()
 
     def evaluate(self, r: np.ndarray, p: PhysicalParams) -> np.ndarray:
+        import numpy as np
+
         lam = self.lam_absolute(p)
         # exp(-lam r)/(1-exp(-lam r)) = 1/expm1(lam r), stable for small lam*r.
         return -p.z_number * p.e_squared * lam / np.expm1(lam * np.asarray(r, dtype=float))
@@ -191,6 +214,8 @@ class RadialGrid:
     r_max: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 3:
@@ -207,11 +232,15 @@ class RadialGrid:
     @staticmethod
     def uniform(r_max: float, n: int) -> "RadialGrid":
         """n interior points of [0, r_max] with Dirichlet ends excluded."""
+        import numpy as np
+
         h = r_max / (n + 1)
         return RadialGrid(h * np.arange(1, n + 1), "uniform", float(r_max))
 
     @staticmethod
     def log_uniform(r_min: float, r_max: float, n: int) -> "RadialGrid":
+        import numpy as np
+
         return RadialGrid(np.geomspace(r_min, r_max, n), "log-uniform", float(r_max))
 
     @property
@@ -241,6 +270,8 @@ class BoundState:
 
     def __post_init__(self) -> None:
         if self.radial_samples:
+            import numpy as np
+
             r, u = self.radial_samples
             if np.shape(r) != np.shape(u):
                 raise ValueError("radial_samples arrays must be paired")

@@ -48,7 +48,6 @@ of a solving command.
 
 from __future__ import annotations
 
-import enum
 import functools
 import importlib.machinery
 import importlib.util
@@ -68,12 +67,12 @@ from .core import (
     QuantumNumbers,
     RadialGrid,
     BoundState,
+    SolveMode,
     validate_params,
 )
 from .errors import NoConvergence, StateNotFound, UnsupportedCombination
 
 __all__ = [
-    "SolveMode",
     "SolveRequest",
     "DiscretizedOperator",
     "effective_radial_equation",
@@ -85,13 +84,6 @@ __all__ = [
     "convergence_study",
     "richardson_extrapolate",
 ]
-
-
-class SolveMode(enum.Enum):
-    SCHRODINGER = "schrodinger"
-    KG_VECTOR = "kg-vector"
-    KG_SCALAR_VECTOR = "kg-scalar-vector"
-    KG_EQUAL = "kg-equal"
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,8 @@ class TestOutputPlumbing:
 
     def test_render_bytes_per_cell_type(self):
         # every cell type a command emits, pinned byte for byte in both formats
-        meta = {"command": "solve", "z": 1.0, "grid_n": 400, "lambda": np.float64(0.2),
+        meta = {"command": "solve", "z": 1.0, "grid_n": 400, "n_max": np.int32(3),
+                "tol": np.float32(0.1), "lambda": np.float64(0.2),
                 "rmax": None, "energies": 'E\' "binding" \\ sector'}
         rows = [
             {"n": 1, "e_prime": None, "converged": True, "iterations": np.int64(4),
@@ -102,6 +103,8 @@ class TestOutputPlumbing:
             "# command = solve\n"
             "# z = 1.00000000000e+00\n"
             "# grid_n = 400\n"
+            "# n_max = 3\n"
+            "# tol = 1.00000001490e-01\n"
             "# lambda = 2.00000000000e-01\n"
             "# rmax = \n"
             "# energies = E' \"binding\" \\ sector\n"
@@ -111,6 +114,7 @@ class TestOutputPlumbing:
         )
         assert cli._render_json(meta, rows) == (
             '{"meta": {"command": "solve", "z": 1.0000000000000000e+00, "grid_n": 400, '
+            '"n_max": 3, "tol": 1.0000000149011612e-01, '
             '"lambda": 2.0000000000000001e-01, "rmax": null, '
             '"energies": "E\' \\"binding\\" \\\\ sector"}, '
             '"rows": [{"n": 1, "e_prime": null, "converged": true, "iterations": 4, '

@@ -65,6 +65,7 @@ class TestQuantumNumbers:
         qn = QuantumNumbers(3, 1, -1)
         assert qn.radial_nodes == 1
         assert QuantumNumbers(1, 0).m == 0
+        assert QuantumNumbers(np.int64(2), np.int32(1)).radial_nodes == 0
 
     @pytest.mark.parametrize(
         "n,l,m",
@@ -77,7 +78,8 @@ class TestQuantumNumbers:
     def test_rejects_non_integers(self):
         with pytest.raises(InvalidQuantumNumbers):
             QuantumNumbers(1.5, 0, 0)
-
+        with pytest.raises(InvalidQuantumNumbers):
+            QuantumNumbers(np.float64(2.0), 0, 0)
     @given(
         n=st.integers(min_value=1, max_value=40),
         l=st.integers(min_value=0, max_value=60),
