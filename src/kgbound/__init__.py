@@ -10,12 +10,14 @@ current diagnostics, and the frame transforms of (E - U, p) are exposed
 here; the `kgbound` console script serves the same functionality as
 tables and data files.
 
+The package is its seven modules; import each name from the module that
+defines it (`from kgbound.solver import solve_self_consistent`).
 Importing the package loads no numpy.  `core`, `coulomb`, `errors` and
 `lorentz` are plain arithmetic and run at import.  The array modules
 `solver`, `special` and `wavefunction` are registered in sys.modules and
 on the package at import, but their code, and with it numpy, runs on the
-first attribute lookup of any of them, or of a package name they define.
-So `spectrum`, `lorentz` and the error exits of the CLI never load numpy.
+first attribute lookup of any of them.  So `spectrum`, `lorentz` and the
+error exits of the CLI never load numpy.
 """
 
 import importlib.machinery
@@ -25,12 +27,10 @@ import threading
 import types
 
 from . import core, coulomb, errors, lorentz
-from .core import *  # noqa: F403
-from .coulomb import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .lorentz import *  # noqa: F403
 
 __version__ = "0.1.0"
+__all__ = ["core", "coulomb", "errors", "lorentz", "solver", "special", "wavefunction",
+           "__version__"]
 
 # One re-entrant lock for every deferred module: the thread that runs one
 # may reach the others (wavefunction imports solver and special) and its own
@@ -70,22 +70,3 @@ def _defer(name: str) -> types.ModuleType:
 solver = _defer("solver")
 special = _defer("special")
 wavefunction = _defer("wavefunction")
-_MODULES = (core, coulomb, errors, lorentz, solver, special, wavefunction)
-
-
-def __getattr__(name: str):
-    """`__all__` and the public names of the deferred modules (PEP 562)."""
-    if name == "__all__":
-        # Each module's __all__ is the one list of its public names.
-        return [*(n for module in _MODULES for n in module.__all__), "__version__"]
-    # `from kgbound import cli` looks cli up here before importing it, and
-    # must not run the array modules on the way
-    if not name.startswith("_") and name != "cli":
-        for module in (solver, special, wavefunction):
-            if name in module.__all__:
-                return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__getattr__("__all__")})

@@ -343,7 +343,7 @@ def cmd_wavefunction(cfg: RunConfig) -> tuple[dict, list[dict]]:
     p = cfg.physical_params()
     R = wavefunction.build_radial(p, cfg.n, cfg.l)
     r_max = cfg.rmax if cfg.rmax is not None else R.tail_radius(1e-10)
-    r = RadialGrid.uniform(r_max, cfg.samples).points
+    r = RadialGrid(r_max, cfg.samples).points
     vals = R.evaluate(r)
     meta = {
         "n": cfg.n,
@@ -446,7 +446,7 @@ def cmd_convergence(cfg: RunConfig) -> tuple[dict, list[dict]]:
     p = cfg.physical_params()
     mode = SolveMode(cfg.mode)
     potential = _POTENTIALS[cfg.potential](cfg.lam)
-    grid = RadialGrid.uniform(cfg.rmax, max(cfg.sizes)) if cfg.rmax is not None else None
+    grid = RadialGrid(cfg.rmax, max(cfg.sizes)) if cfg.rmax is not None else None
     req = solver.SolveRequest(
         mode=mode, potential=potential, n=cfg.n, l=cfg.l, grid=grid, sc_tolerance=cfg.tol
     )

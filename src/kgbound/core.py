@@ -23,6 +23,7 @@ the frame transforms run without it.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -202,53 +203,39 @@ class PotentialSpec:
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Discretization of r in (0, r_max]; the origin itself is never a point.
+    """Uniform Dirichlet grid of r in (0, r_max): the n_points interior
+    points r_i = i*h with step h = r_max/(n_points + 1), read-only and
+    computed on first use.
 
-    r_max is the box the grid was built for, kept as given: a uniform grid
-    ends one step short of it, and rebuilding it from the points can be off
-    by an ulp.
+    r_max is kept as given: rebuilding it from the points can be off by an
+    ulp.  Raises ValueError unless r_max > 0 and n_points >= 3, and
+    OverflowError when r_max is inf or the step underflows to 0.
     """
 
-    points: np.ndarray
-    spacing: str  # "uniform" | "log-uniform"
     r_max: float
+    n_points: int
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size < 3:
-            raise ValueError("grid needs a 1-d array of at least 3 points")
-        if not (np.all(pts > 0) and np.all(np.diff(pts) > 0)):
-            raise ValueError("grid points must be strictly increasing and positive")
-        if self.spacing not in ("uniform", "log-uniform"):
-            raise ValueError(f"unknown spacing tag {self.spacing!r}")
-
-    @property
-    def n_points(self) -> int:
-        return int(self.points.size)
-
-    @staticmethod
-    def uniform(r_max: float, n: int) -> "RadialGrid":
-        """n interior points of [0, r_max] with Dirichlet ends excluded."""
-        import numpy as np
-
-        h = r_max / (n + 1)
-        return RadialGrid(h * np.arange(1, n + 1), "uniform", float(r_max))
-
-    @staticmethod
-    def log_uniform(r_min: float, r_max: float, n: int) -> "RadialGrid":
-        import numpy as np
-
-        return RadialGrid(np.geomspace(r_min, r_max, n), "log-uniform", float(r_max))
+        if not (self.r_max > 0 and self.n_points >= 3):
+            raise ValueError(
+                f"grid needs r_max > 0 and n_points >= 3, not {self.r_max!r}, {self.n_points!r}"
+            )
+        if not (math.isfinite(self.r_max) and self.step > 0):
+            raise OverflowError(
+                f"grid step {self.r_max!r}/{self.n_points + 1} leaves the float range"
+            )
 
     @property
     def step(self) -> float:
-        """Uniform spacing h; for a uniform grid r_i = i*h and r_max = (N+1)*h."""
-        if self.spacing != "uniform":
-            raise ValueError("step is only defined for uniform grids")
-        return float(self.points[0])
+        return self.r_max / (self.n_points + 1)
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        import numpy as np
+
+        points = self.step * np.arange(1, self.n_points + 1)
+        points.flags.writeable = False
+        return points
 
 
 @dataclass(frozen=True, eq=False)

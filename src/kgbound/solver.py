@@ -222,7 +222,7 @@ def discretize_operator(
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         A, v_eff = effective_radial_equation(mode, potential, p, m_sys, l)
-        h = grid.step  # raises for non-uniform grids
+        h = grid.step
         s, a1 = origin_series(mode, potential, p, m_sys, l)
         kin = A / h ** 2
         diag = 2.0 * kin + v_eff(grid.points) + kin * _stencil_error(s, grid.n_points, a1 * h)
@@ -503,7 +503,8 @@ def default_solver_grid(
     a floor of 10 screening lengths keeps shallow states resolvable.  An
     unbound estimate (kappa <= 0) falls back to a wide probe grid and lets
     the eigensolver report StateNotFound.  Raises InvalidQuantumNumbers for
-    an (n, l) that names no state, before n sizes the box.
+    an (n, l) that names no state, before n sizes the box, and OverflowError
+    when the box is inf or its step underflows to 0 (see RadialGrid).
     """
     QuantumNumbers(n=n, l=l)
     if r_max is None:
@@ -525,7 +526,7 @@ def default_solver_grid(
                 r_max = 120.0 * n / lam_abs
         else:
             r_max = 15.0 * n ** 2 * p.bohr_radius() / p.z_number
-    return RadialGrid.uniform(r_max, n_points)
+    return RadialGrid(r_max, n_points)
 
 
 def solve_self_consistent(
@@ -564,7 +565,7 @@ def solve_self_consistent(
         if u is not None:
             pair = _refine_eigenpair(op, node_target, u, e)
         elif grid.n_points >= _COARSE_START_POINTS:
-            coarse = RadialGrid.uniform(grid.r_max, grid.n_points // _COARSE_FACTOR)
+            coarse = RadialGrid(grid.r_max, grid.n_points // _COARSE_FACTOR)
             coarse_op = discretize_operator(req.mode, req.potential, p, m, req.l, coarse)
             pair = _coarse_start(coarse_op, op, node_target)
         else:
@@ -640,7 +641,7 @@ def convergence_study(
     if len(set(sizes)) != len(sizes):
         raise ValueError("grid sizes must be distinct")
     base = req.grid or default_solver_grid(req.mode, req.potential, p, req.n, req.l)
-    grids = [RadialGrid.uniform(base.r_max, n_pts) for n_pts in sizes]
+    grids = [RadialGrid(base.r_max, n_pts) for n_pts in sizes]
     steps = [grid.step for grid in grids]
     energies = [solve_self_consistent(replace(req, grid=grid), p).e_prime for grid in grids]
 

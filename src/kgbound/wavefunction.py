@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import PhysicalParams, QuantumNumbers, RadialGrid, validate_params
+from .core import PhysicalParams, QuantumNumbers, validate_params
 from .coulomb import energy_level, sigma_closed, system_mass
 from .errors import InvalidQuantumNumbers
 from .solver import _count_sign_changes
@@ -182,8 +182,9 @@ def _second_derivative(u: np.ndarray, r: np.ndarray) -> np.ndarray:
     return 2.0 * (hm * u[2:] + hp * u[:-2] - (hm + hp) * u[1:-1]) / (hm * hp * (hm + hp))
 
 
-def radial_ode_residual(R: RadialWavefunction, p: PhysicalParams, grid: RadialGrid) -> float:
-    """Finite-difference residual of the radial equation for R(r).
+def radial_ode_residual(R: RadialWavefunction, p: PhysicalParams, r: np.ndarray) -> float:
+    """Finite-difference residual of the radial equation for R(r) at the
+    increasing radii r (reference_residual_grid gives suitable ones).
 
     The equation, with lam = l(l+1) and all of E', m taken from the closed
     form, reads
@@ -192,14 +193,13 @@ def radial_ode_residual(R: RadialWavefunction, p: PhysicalParams, grid: RadialGr
             + [2m Z e_s^2/(hbar^2 r) + (Z^2 e_s^4/(hbar^2 c^2) - lam)/r^2] R = 0.
 
     The Laplacian term is evaluated as (r R)''/r with central second-order
-    stencils; three points at each boundary are excluded.  Returns
-    max|residual| / max|term|, the residual relative to the largest single
-    term appearing in the equation on the same points.
+    stencils on the possibly nonuniform radii; three points at each end are
+    excluded.  Returns max|residual| / max|term|, the residual relative to
+    the largest single term appearing in the equation on the same points.
     """
     n, l = R.qn.n, R.qn.l
     state = energy_level(p, n, l)
     m_sys = state.system_mass
-    r = grid.points
     R_smp = R.evaluate(r)
     upp = _second_derivative(r * R_smp, r)
 
@@ -222,8 +222,8 @@ def radial_ode_residual(R: RadialWavefunction, p: PhysicalParams, grid: RadialGr
     return float(residual / scale)
 
 
-def reference_residual_grid(R: RadialWavefunction, n_points: int = 12000) -> RadialGrid:
-    """Log-spaced grid spanning the state for residual checks.
+def reference_residual_grid(R: RadialWavefunction, n_points: int = 12000) -> np.ndarray:
+    """Log-spaced radii spanning the state, for radial_ode_residual.
 
     Log spacing keeps the (rR)''/r term second-order accurate near the
     origin, where R goes like a fractional power of r; a uniform grid
@@ -231,7 +231,7 @@ def reference_residual_grid(R: RadialWavefunction, n_points: int = 12000) -> Rad
     The low end starts at rho = 0.1, far below the first lobe of every
     state.
     """
-    return RadialGrid.log_uniform(0.1 / R.rho_scale, R.tail_radius(1e-10), n_points)
+    return np.geomspace(0.1 / R.rho_scale, R.tail_radius(1e-10), n_points)
 
 
 def count_radial_nodes(R: RadialWavefunction) -> int:

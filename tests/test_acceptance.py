@@ -51,6 +51,7 @@ from kgbound.wavefunction import (
     reference_residual_grid,
     sample_state,
 )
+from hulthen_oracle import hulthen_level
 
 COUPLINGS = (0.05, 0.1, 0.2, 0.3)
 
@@ -315,15 +316,7 @@ def test_criterion_7_equal_mode_reduction():
                              n=1, l=0, grid=g), p).e_prime
         # analytic screened l=0 level at doubled coupling and averaged
         # mass, iterated to its own mass fixed point
-        lam_abs = lam / p.bohr_radius()
-        e_prev = 0.0
-        for _ in range(200):
-            m_eff = 0.5 * (2.0 * p.rest_mass + e_prev / p.c ** 2)
-            b = 4.0 * m_eff * p.z_number * p.e_squared / (p.hbar ** 2 * lam_abs)
-            e_new = -(p.hbar ** 2 * lam_abs ** 2 / (8.0 * m_eff)) * (b - 1.0) ** 2
-            if abs(e_new - e_prev) < 1e-16:
-                break
-            e_prev = e_new
+        e_new = hulthen_level(p, lam, 1, equal=True)
         lvl1a = richardson_extrapolate(e[8000], e[16000])
         lvl1b = richardson_extrapolate(e[16000], e[32000])
         extrap = richardson_extrapolate(lvl1a, lvl1b, order=4)

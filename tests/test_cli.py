@@ -373,6 +373,9 @@ class TestOverflowExits:
         # N^s overflows in the stencil correction (s ~ l + 1)
         (("solve", "--n", "80", "--l", "79"), ["NoConvergence"]),
         (("solve", "--n", "151", "--l", "150", "--grid-n", "400"), ["NoConvergence"]),
+        # no grid: the step r_max/(N+1) rounds to 0, or 1/lambda makes r_max inf
+        (("solve", "--rmax", "1e-320"), ["OverflowError"]),
+        (("solve", "--potential", "hulthen", "--lambda", "1e-320"), ["OverflowError"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "-".join(v))
     def test_solve_reports_per_row(self, capsys, argv, statuses):
         solver._stencil_terms.cache_clear()  # a cached correction is not recomputed
@@ -402,6 +405,9 @@ class TestOverflowExits:
         (("wavefunction", "--n", "75", "--l", "0"), "OverflowError"),
         # Gamma(n+l+1)^2 overflows in laguerre_rel
         (("wavefunction", "--n", "50", "--l", "49"), "OverflowError"),
+        # no grid: the step r_max/(N+1) rounds to 0
+        (("convergence", "--rmax", "1e-320"), "OverflowError"),
+        (("wavefunction", "--rmax", "5e-324", "--samples", "3"), "OverflowError"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_exit_4(self, capsys, argv, error):
         # pytest keeps warnings off stderr, so they are recorded here instead
@@ -582,6 +588,10 @@ def fuzz_argv(draw):
 @example(["wavefunction", "--rest-mass", "1e-300", "--samples", "3"])
 @example(["wavefunction", "--n", "75", "--l", "0", "--samples", "3"])
 @example(["wavefunction", "--n", "50", "--l", "49", "--samples", "3"])
+@example(["solve", "--rmax", "1e-320"])
+@example(["convergence", "--rmax", "1e-320"])
+@example(["wavefunction", "--rmax", "5e-324", "--samples", "3"])
+@example(["solve", "--potential", "hulthen", "--lambda", "1e-320"])
 def test_argv_fuzz_exits_with_a_documented_code(argv):
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):

@@ -164,40 +164,36 @@ class TestPotentials:
 
 class TestRadialGrid:
     def test_uniform_layout(self):
-        g = RadialGrid.uniform(10.0, 9)
+        g = RadialGrid(10.0, 9)
         # interior points only: h, 2h, ..., Nh with (N+1) h = r_max
         assert g.n_points == 9
         assert g.r_max == 10.0
         assert g.step == pytest.approx(1.0, rel=1e-15)
         np.testing.assert_allclose(g.points, np.arange(1, 10) * 1.0, rtol=1e-14)
 
-    def test_log_uniform_layout(self):
-        g = RadialGrid.log_uniform(1e-3, 10.0, 50)
-        assert g.n_points == 50
-        assert g.points[0] == pytest.approx(1e-3, rel=1e-12)
-        assert g.points[-1] == pytest.approx(10.0, rel=1e-12)
-        assert g.r_max == 10.0
-        ratios = g.points[1:] / g.points[:-1]
-        np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
-        with pytest.raises(ValueError):
-            g.step  # not defined off the uniform lattice
-
     @pytest.mark.parametrize("r_max, n", [(100.0, 2000), (77.0, 500), (1e-3, 500)])
     def test_uniform_keeps_its_box(self, r_max, n):
         # the box rebuilt from the points misses r_max by an ulp here
-        g = RadialGrid.uniform(r_max, n)
+        g = RadialGrid(r_max, n)
         assert g.points[-1] + g.step != r_max
         assert g.r_max == r_max
 
-    def test_validation(self):
+    @pytest.mark.parametrize("r_max, n", [(0.0, 10), (-1.0, 10), (math.nan, 10), (10.0, 2)])
+    def test_rejects_an_empty_box_or_too_few_points(self, r_max, n):
         with pytest.raises(ValueError):
-            RadialGrid(np.array([1.0, 2.0]), "uniform", 4.0)
-        with pytest.raises(ValueError):
-            RadialGrid(np.array([0.0, 1.0, 2.0]), "uniform", 4.0)
-        with pytest.raises(ValueError):
-            RadialGrid(np.array([1.0, 3.0, 2.0]), "uniform", 4.0)
-        with pytest.raises(ValueError):
-            RadialGrid(np.array([1.0, 2.0, 3.0]), "chebyshev", 4.0)
+            RadialGrid(r_max, n)
+
+    @pytest.mark.parametrize("r_max, n", [(math.inf, 10), (1e-320, 8000), (5e-324, 3)])
+    def test_a_box_outside_the_float_range_overflows(self, r_max, n):
+        # inf, or a step r_max/(n+1) that rounds to 0
+        with pytest.raises(OverflowError):
+            RadialGrid(r_max, n)
+
+    def test_points_are_read_only(self):
+        g = RadialGrid(10.0, 9)
+        assert g.points is g.points
+        with pytest.raises(ValueError, match="read-only"):
+            g.points[0] = 0.0
 
 
 class TestBoundState:
@@ -211,6 +207,6 @@ class TestBoundState:
 
     def test_sample_shape_check(self):
         p = PhysicalParams()
-        grid = RadialGrid.uniform(10.0, 5)
+        grid = RadialGrid(10.0, 5)
         with pytest.raises(ValueError):
             BoundState(QuantumNumbers(1, 0), -0.1, p, radial_samples=(grid.points, np.zeros(4)))

@@ -17,12 +17,15 @@ import kgbound
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# run main() on each argv given as JSON, then report exit codes, whether numpy
-# is loaded, which array modules have not run yet (looked up in sys.modules
+# look up an unknown package name, run main() on each argv given as JSON,
+# then report whether the name was found, exit codes, whether numpy is
+# loaded, which array modules have not run yet (looked up in sys.modules
 # only: any attribute lookup would run them) and the scipy modules loaded
 _PROBE = """
 import contextlib, io, json, sys, types
+import kgbound
 from kgbound import cli
+foo = hasattr(kgbound, "foo")
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -33,7 +36,7 @@ for argv in json.loads(sys.argv[1]):
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 deferred = [m for m in ("solver", "special", "wavefunction")
             if type(sys.modules["kgbound." + m]) is not types.ModuleType]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+print(json.dumps({"foo": foo, "codes": codes, "numpy": "numpy" in sys.modules,
                   "deferred": deferred, "scipy": scipy}))
 """
 
@@ -54,7 +57,7 @@ def work(i):
     try:
         results[i] = solver.solve_self_consistent(
             solver.SolveRequest(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), 1, 0,
-                                solver.RadialGrid.uniform(30.0, 400)), p).e_prime
+                                solver.RadialGrid(30.0, 400)), p).e_prime
     except Exception as exc:
         results[i] = repr(exc)
 
@@ -107,8 +110,9 @@ def test_import_loads_no_numpy_and_registers_the_array_modules_unrun():
     # perfbench's tracer looks the array modules up in sys.modules right
     # after `import kgbound.cli`, so they must be there before they run;
     # the probe imports the CLI as `from kgbound import cli`, which also
-    # looks cli up on the package first
+    # looks cli up on the package first; an unknown name is just absent
     report = fresh_report()
+    assert report["foo"] is False
     assert report["codes"] == [] and not report["numpy"] and report["scipy"] == []
     assert report["deferred"] == ["solver", "special", "wavefunction"]
 
@@ -161,19 +165,15 @@ def test_current_diagnostics_load_no_scipy():
 
 
 def test_package_namespace_is_the_module_lists():
-    modules = ("core", "coulomb", "errors", "lorentz", "solver", "special", "wavefunction")
-    expected = [n for m in modules for n in getattr(kgbound, m).__all__] + ["__version__"]
-    assert kgbound.__all__ == expected
-    assert len(set(kgbound.__all__)) == len(kgbound.__all__)
-    for name in kgbound.__all__:
-        assert hasattr(kgbound, name), name
+    modules = ["core", "coulomb", "errors", "lorentz", "solver", "special", "wavefunction"]
+    assert kgbound.__all__ == [*modules, "__version__"]
     star = {}
     exec("from kgbound import *", star)
     del star["__builtins__"]
     assert sorted(star) == sorted(kgbound.__all__)
-    assert set(kgbound.__all__) <= set(dir(kgbound))
-    assert kgbound.SolveMode is kgbound.solver.SolveMode
+    assert not hasattr(kgbound, "solve_self_consistent")
     for name in modules:
         module = getattr(kgbound, name)
         assert sys.modules[f"kgbound.{name}"] is module
         assert type(module) is types.ModuleType, name
+

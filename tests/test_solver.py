@@ -29,6 +29,7 @@ from kgbound.solver import (
     richardson_extrapolate,
     solve_self_consistent,
 )
+from hulthen_oracle import hulthen_level
 
 P_03 = PhysicalParams(alpha=0.3)
 P_01 = PhysicalParams(alpha=0.1)
@@ -183,7 +184,7 @@ class TestOriginSeries:
 
 class TestDiscretizeOperator:
     def test_plain_stencil_when_exponent_integer(self):
-        grid = RadialGrid.uniform(30.0, 200)
+        grid = RadialGrid(30.0, 200)
         op = discretize_operator(
             SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 1, grid)
         A, v_eff = effective_radial_equation(
@@ -197,7 +198,7 @@ class TestDiscretizeOperator:
         # at i = 1, Q+ = 2^s - 1 - s and Q- = s - 1 (the stencil sees
         # f = r^s exp(a1 r) at 0, h and 2h), with a1 at the operator's mass;
         # the far-field constant and the 1/i tail are left out
-        grid = RadialGrid.uniform(30.0, 100)
+        grid = RadialGrid(30.0, 100)
         op = discretize_operator(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0, grid)
         A, v_eff = effective_radial_equation(
             SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0)
@@ -211,7 +212,7 @@ class TestDiscretizeOperator:
         assert got_shift == pytest.approx(want_shift, rel=1e-12)
 
     def test_correction_decays_into_the_bulk(self):
-        grid = RadialGrid.uniform(30.0, 500)
+        grid = RadialGrid(30.0, 500)
         op = discretize_operator(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0, grid)
         A, v_eff = effective_radial_equation(
             SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, 0.95, 0)
@@ -223,7 +224,7 @@ class TestDiscretizeOperator:
         # (T f)_i = -A f''(r_i) + V f(r_i) for f = r^s exp(a1 r), with a1 at
         # the operator's mass, up to the far-field constant, which shifts
         # every entry alike, and the 1/i tail 2 s (sinh x - x)/i
-        grid = RadialGrid.uniform(30.0, 400)
+        grid = RadialGrid(30.0, 400)
         mode, pot = SolveMode.KG_VECTOR, PotentialSpec.hulthen(0.3)
         s, a1 = origin_series(mode, pot, P_03, 0.95, 0)
         op = discretize_operator(mode, pot, P_03, 0.95, 0, grid)
@@ -257,7 +258,7 @@ class TestDiscretizeOperator:
                 if s < 1.0:
                     continue
                 for n in (250, 2000):
-                    grid = RadialGrid.uniform(40.0, n)
+                    grid = RadialGrid(40.0, n)
                     op = discretize_operator(mode, potential, p, 0.97, l, grid)
                     A, v_eff = effective_radial_equation(mode, potential, p, 0.97, l)
                     kin = A / grid.step ** 2
@@ -311,7 +312,7 @@ class TestCountSignChanges:
 class TestInnerEigensolve:
     def test_schrodinger_hydrogen_levels(self):
         p = P_01
-        grid = RadialGrid.uniform(15.0 * 4 * p.bohr_radius(), 6000)
+        grid = RadialGrid(15.0 * 4 * p.bohr_radius(), 6000)
         op = discretize_operator(
             SolveMode.SCHRODINGER, PotentialSpec.coulomb(), p, p.rest_mass, 0, grid)
         for n in (1, 2):
@@ -323,7 +324,7 @@ class TestInnerEigensolve:
 
     def test_eigenvector_normalized_and_oriented(self):
         p = P_01
-        grid = RadialGrid.uniform(40.0 * p.bohr_radius(), 2000)
+        grid = RadialGrid(40.0 * p.bohr_radius(), 2000)
         op = discretize_operator(
             SolveMode.SCHRODINGER, PotentialSpec.coulomb(), p, p.rest_mass, 0, grid)
         _, u = inner_eigensolve(op, 1)
@@ -332,7 +333,7 @@ class TestInnerEigensolve:
         assert first_big > 0
 
     def test_node_target_beyond_grid(self):
-        grid = RadialGrid.uniform(10.0, 5)
+        grid = RadialGrid(10.0, 5)
         op = discretize_operator(
             SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03, P_03.rest_mass, 0, grid)
         for node_target in (5, 8):
@@ -346,7 +347,7 @@ class TestInnerEigensolve:
     def test_refinement_rejects_the_wrong_state(self):
         # inverse iteration shifted onto the ground state cannot pass as the
         # one-node state; the caller then solves from scratch
-        grid = RadialGrid.uniform(40.0 * P_01.bohr_radius(), 2000)
+        grid = RadialGrid(40.0 * P_01.bohr_radius(), 2000)
         op = discretize_operator(
             SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0, grid)
         e0, _ = inner_eigensolve(op, 0)
@@ -367,7 +368,7 @@ class TestInnerEigensolve:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(solver, "eigh_tridiagonal", counting)
-        grid = RadialGrid.uniform(40.0 * P_01.bohr_radius(), 2000)
+        grid = RadialGrid(40.0 * P_01.bohr_radius(), 2000)
         op = discretize_operator(
             SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0, grid)
         inner_eigensolve(op, 1)
@@ -388,7 +389,7 @@ class TestInnerEigensolve:
         # no such operator can be made, so neither LAPACK (which would raise
         # a bare ValueError) nor inverse iteration (which took an inf
         # off-diagonal for a finite pair) ever sees one
-        grid = RadialGrid.uniform(40.0 * P_01.bohr_radius(), 400)
+        grid = RadialGrid(40.0 * P_01.bohr_radius(), 400)
         op = discretize_operator(
             SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0, grid)
         entries = getattr(op, field).copy()
@@ -398,7 +399,7 @@ class TestInnerEigensolve:
 
     def test_no_bound_state_in_free_potential(self):
         p = P_01
-        grid = RadialGrid.uniform(50.0, 500)
+        grid = RadialGrid(50.0, 500)
         op = discretize_operator(
             SolveMode.KG_VECTOR, PotentialSpec(None, None), p, p.rest_mass, 0, grid)
         with pytest.raises(StateNotFound):
@@ -422,7 +423,7 @@ class TestLapack:
     def test_eigenpairs_are_scipys_bit_for_bit(self, mode, potential, n_points):
         from scipy.linalg import eigh_tridiagonal
 
-        grid = RadialGrid.uniform(40.0 * P_03.bohr_radius(), n_points)
+        grid = RadialGrid(40.0 * P_03.bohr_radius(), n_points)
         op = discretize_operator(mode, potential, P_03, P_03.rest_mass, 0, grid)
         for k in (0, n_points // 2, n_points - 1):
             w, v = solver.eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(k, k))
@@ -445,7 +446,7 @@ class TestLapack:
             dstebz=real.dstebz, dgtsv=real.dgtsv,
             dstein=lambda d, e, w, iblock, isplit: (np.zeros((d.size, w.size)), 1))
         monkeypatch.setattr(solver, "_lapack", lambda: stub)
-        grid = RadialGrid.uniform(40.0 * P_01.bohr_radius(), 400)
+        grid = RadialGrid(40.0 * P_01.bohr_radius(), 400)
         op = discretize_operator(
             SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0, grid)
         with pytest.raises(NoConvergence, match="tridiagonal eigensolve failed: dstein"):
@@ -483,7 +484,7 @@ class TestSolveSelfConsistent:
     def test_schrodinger_needs_one_pass(self):
         req = SolveRequest(mode=SolveMode.SCHRODINGER,
                            potential=PotentialSpec.coulomb(), n=1, l=0,
-                           grid=RadialGrid.uniform(15.0 * P_01.bohr_radius(), 2000))
+                           grid=RadialGrid(15.0 * P_01.bohr_radius(), 2000))
         state, trace = solve_self_consistent(req, P_01, with_trace=True)
         assert state.iterations == 1
         assert state.residual == 0.0
@@ -608,45 +609,35 @@ class TestRayleighQuotient:
         assert state.iterations == 6
 
 
+def _hulthen_cases():
+    for mode in (SolveMode.SCHRODINGER, SolveMode.KG_EQUAL):
+        for za in (0.1, 0.3):
+            for lam in (0.1, 0.3, 0.5, 0.9, 1.5):
+                for n in (1, 2, 3):
+                    marks = ()
+                    if mode is SolveMode.KG_EQUAL and lam == 0.9 and n == 2:
+                        # b/n^2 = 1.11: 8k/16k Richardson is off by 9.9e-6,
+                        # an h^4 remainder of resolution (ROADMAP item 2)
+                        marks = pytest.mark.xfail(strict=True, reason="resolution-limited")
+                    yield pytest.param(mode, za, lam, n, marks=marks,
+                                       id=f"{mode.value}-za{za}-lam{lam}-n{n}")
+
+
 class TestEqualModeReduction:
-    def test_operator_equals_schrodinger_with_half_mass_sum(self):
-        # at the converged mass, the kg-equal operator must be entry-exact
-        # the schrodinger operator built with mass (m0+m)/2 and potential 2U
-        lam = 0.2
-        p = P_03
-        req = SolveRequest(mode=SolveMode.KG_EQUAL,
-                           potential=PotentialSpec.equal_hulthen(lam), n=1, l=0)
-        state = solve_self_consistent(req, p)
-        m = state.system_mass
-        grid = default_solver_grid(req.mode, req.potential, p, 1, 0)
-
-        A_eq, _ = effective_radial_equation(SolveMode.KG_EQUAL, req.potential, p, m, 0)
-        op_eq = discretize_operator(SolveMode.KG_EQUAL, req.potential, p, m, 0, grid)
-
-        class DoubledPart:
-            # 2U with U frozen at the original parameter set: the screened
-            # range is stated in the original mass's length unit
-            def __init__(self, inner, params):
-                self.inner = inner
-                self.params = params
-
-            def evaluate(self, r, _params):
-                return 2.0 * self.inner.evaluate(r, self.params)
-
-            def origin_coefficients(self, _params):
-                c_1, c_0 = self.inner.origin_coefficients(self.params)
-                return 2.0 * c_1, 2.0 * c_0
-
-        p_half = replace(p, rest_mass=0.5 * (p.rest_mass + m))
-        pot_sch = PotentialSpec(DoubledPart(req.potential.vector_part, p), None)
-        A_s, _ = effective_radial_equation(
-            SolveMode.SCHRODINGER, pot_sch, p_half, p_half.rest_mass, 0)
-        op_s = discretize_operator(
-            SolveMode.SCHRODINGER, pot_sch, p_half, p_half.rest_mass, 0, grid)
-
-        assert A_eq == A_s
-        np.testing.assert_array_equal(op_eq.diag, op_s.diag)
-        np.testing.assert_array_equal(op_eq.offdiag, op_s.offdiag)
+    @pytest.mark.parametrize("mode, za, lam, n", _hulthen_cases())
+    def test_hulthen_l0_against_the_oracle(self, mode, za, lam, n):
+        # bound exactly where the oracle binds, and within 1e-7 there
+        p = PhysicalParams(alpha=za)
+        equal = mode is SolveMode.KG_EQUAL
+        pot = PotentialSpec.equal_hulthen(lam) if equal else PotentialSpec.hulthen(lam)
+        want = hulthen_level(p, lam, n, equal)
+        try:
+            got = convergence_study(SolveRequest(mode, pot, n, 0), p, (8000, 16000))
+        except StateNotFound:
+            assert want is None
+        else:
+            assert want is not None
+            assert abs(got.best_estimate - want) <= 1e-7 * abs(want)
 
     def test_screened_ground_state_against_mapped_oracle(self):
         # fixed point of e'(m) with the analytic screened l=0 level at
@@ -663,15 +654,7 @@ class TestEqualModeReduction:
                                n=1, l=0, grid=grid_ref)
             e[n_pts] = solve_self_consistent(req, p).e_prime
 
-        lam_abs = lam / p.bohr_radius()
-        e_prev = 0.0
-        for _ in range(200):
-            m_eff = 0.5 * (p.rest_mass + p.rest_mass + e_prev / p.c ** 2)
-            b = 4.0 * m_eff * p.z_number * p.e_squared / (p.hbar ** 2 * lam_abs)
-            e_new = -(p.hbar ** 2 * lam_abs ** 2 / (8.0 * m_eff)) * (b - 1.0) ** 2
-            if abs(e_new - e_prev) < 1e-16:
-                break
-            e_prev = e_new
+        e_new = hulthen_level(p, lam, 1, equal=True)
         lvl1a = richardson_extrapolate(e[4000], e[8000])
         lvl1b = richardson_extrapolate(e[8000], e[16000])
         extrap = richardson_extrapolate(lvl1a, lvl1b, order=4)
@@ -767,7 +750,7 @@ class TestGridsAndStudies:
             assert 1.88 < order < 2.05
 
     @pytest.mark.parametrize("p, n, grid, sc_tolerance, sizes", [
-        (P_03, 1, RadialGrid.uniform(100.0, 2000), 1e-9, (500, 1000, 2000)),
+        (P_03, 1, RadialGrid(100.0, 2000), 1e-9, (500, 1000, 2000)),
         (PhysicalParams(z_number=0.3, alpha=0.3), 3, None, 1e-12, (100, 200, 400)),
         (P_03, 8, None, 1e-12, (2000, 4000, 8000)),
     ], ids=["za0.3-1-rmax100", "z0.3-alpha0.3-3-100", "za0.3-8-2000"])
@@ -783,7 +766,7 @@ class TestGridsAndStudies:
         if grid is not None:
             assert study.r_max == grid.r_max
         for n_pts, e_prime, _ in study.rows:
-            grid = RadialGrid.uniform(study.r_max, n_pts)
+            grid = RadialGrid(study.r_max, n_pts)
             assert e_prime == solve_self_consistent(replace(req, grid=grid), p).e_prime
         assert 1.8 < study.observed_orders[0] < 2.1
 
@@ -792,7 +775,7 @@ class TestGridsAndStudies:
         # independent solves, and the extrapolant is richardson_extrapolate's
         req = SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.coulomb(), n=6, l=0)
         study = convergence_study(req, P_03, (2000, 1000))
-        coarse, fine = (RadialGrid.uniform(study.r_max, size) for size in (1000, 2000))
+        coarse, fine = (RadialGrid(study.r_max, size) for size in (1000, 2000))
         e_coarse, e_fine = (
             solve_self_consistent(replace(req, grid=grid), P_03).e_prime for grid in (coarse, fine)
         )

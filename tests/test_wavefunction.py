@@ -183,19 +183,21 @@ class TestOdeResidual:
 
     def test_reference_grid_shape(self):
         R = build_radial(P_03, 2, 0)
-        grid = reference_residual_grid(R, n_points=5000)
-        assert grid.n_points == 5000
-        assert grid.spacing == "log-uniform"
-        assert grid.points[0] == pytest.approx(0.1 / R.rho_scale, rel=1e-12)
+        r = reference_residual_grid(R, n_points=5000)
+        assert r.shape == (5000,)
+        assert r[0] == pytest.approx(0.1 / R.rho_scale, rel=1e-12)
+        assert r[-1] == pytest.approx(R.tail_radius(1e-10), rel=1e-12)
+        ratios = r[1:] / r[:-1]
+        np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
 
     def test_residual_detects_wrong_parameters(self):
         # evaluating the (Z alpha)-dependent equation with a 1% different
         # coupling must blow the residual up by orders of magnitude
         R = build_radial(P_03, 2, 1)
-        grid = reference_residual_grid(R)
-        res_right = radial_ode_residual(R, P_03, grid)
+        r = reference_residual_grid(R)
+        res_right = radial_ode_residual(R, P_03, r)
         res_wrong = radial_ode_residual(
-            R, PhysicalParams(alpha=0.3 * 1.01), grid)
+            R, PhysicalParams(alpha=0.3 * 1.01), r)
         assert res_wrong > 10.0 * res_right
 
 
