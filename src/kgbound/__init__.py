@@ -33,7 +33,7 @@ __all__ = ["core", "coulomb", "errors", "lorentz", "solver", "special", "wavefun
            "__version__"]
 
 # One re-entrant lock for every deferred module: the thread that runs one
-# may reach the others (wavefunction imports solver and special) and its own
+# may reach the others (wavefunction imports solver) and its own
 # attributes (the loader reads __name__ and __dict__); other threads wait.
 _run_lock = threading.RLock()
 _running = set()

@@ -22,10 +22,10 @@ parameters) in front.
 Exit codes: 0 success, 2 configuration error (ConfigError), 3
 physics-domain error (PhysicsError: supercritical coupling, invalid state,
 unbound, unsupported mode/channel combination, superluminal boost), 4
-numerical failure (NumericalError: no convergence, a Gamma pole; or float
-overflow and division by zero, ArithmeticError).  The
-`solve` command instead reports per-state failures in a `status` column
-and exits 0 once the table is written.
+numerical failure (NumericalError: no convergence; or float overflow and
+division by zero, ArithmeticError).  The `solve` command instead reports
+per-state failures in a `status` column and exits 0 once the table is
+written.
 """
 
 from __future__ import annotations

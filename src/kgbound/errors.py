@@ -7,7 +7,7 @@ base fixes the CLI exit code:
 - PhysicsError: the request has no answer in the physics (invalid regime,
   no such state), exit 3;
 - NumericalError: the computation broke down (an iteration or eigensolve
-  failure, a Gamma pole), exit 4.
+  failure), exit 4.
 
 Float overflow is not wrapped: the CLI maps OverflowError to exit 4 as
 well, and build_radial raises it when a radial state leaves the float
@@ -22,7 +22,6 @@ __all__ = [
     "NumericalError",
     "SupercriticalCoupling",
     "InvalidQuantumNumbers",
-    "PoleError",
     "StateNotFound",
     "NoConvergence",
     "SuperluminalBoost",
@@ -49,10 +48,6 @@ class SupercriticalCoupling(PhysicsError):
 
 class InvalidQuantumNumbers(PhysicsError):
     """(n, l, m) outside 0 <= l <= n-1, |m| <= l."""
-
-
-class PoleError(NumericalError):
-    """Gamma function evaluated at a nonpositive integer."""
 
 
 class StateNotFound(PhysicsError):

@@ -224,7 +224,11 @@ def discretize_operator(
         A, v_eff = effective_radial_equation(mode, potential, p, m_sys, l)
         h = grid.step
         s, a1 = origin_series(mode, potential, p, m_sys, l)
-        kin = A / h ** 2
+        try:
+            kin = A / h ** 2
+        except (OverflowError, ZeroDivisionError) as exc:  # h^2 overflows, or underflows to 0
+            message = f"grid step {h!r} (r_max = {grid.r_max!r}) squared leaves the float range"
+            raise type(exc)(message) from None
         diag = 2.0 * kin + v_eff(grid.points) + kin * _stencil_error(s, grid.n_points, a1 * h)
     return DiscretizedOperator(diag=diag, offdiag=np.full(grid.n_points - 1, -kin), grid=grid)
 

@@ -1,8 +1,8 @@
-"""Gamma function, the eta correction product, and the relativistic
-associated Laguerre polynomials.
+"""The eta correction product and the relativistic associated Laguerre
+polynomials, as plain coefficient arrays, lowest power first.
 
-gamma_fn is math.gamma behind a pole check.  The polynomials are plain
-coefficient arrays, lowest power first.
+This is the paper's coefficient table.  No runtime path runs it; the
+tests use it as the oracle for wavefunction.py's closed form.
 
 The polynomial family generalizes the classical associated Laguerre
 polynomials L^{2l+1}_{n+l} (in the older quantum-mechanics convention with
@@ -26,9 +26,10 @@ a Gamma ratio,
 
 and the polynomial is c_top (-1)^k k! L_k^(a)(rho), with k = n-l-1, c_top
 its rho^k coefficient and L_k^(a) the classical generalized Laguerre
-polynomial of non-integer order a.  wavefunction.py evaluates L_k^(a) and
-normalizes with the classical integral; the tests check the identity
-against scipy.special.genlaguerre.
+polynomial of non-integer order a.  At nu = k the ratio leaves |c_top| k!
+= [(n+l)!]^2 Gamma(a+1) / (Gamma(a+k+1) Gamma(1-sigma_l) Gamma(2l+2-sigma_l)),
+which wavefunction.py takes by math.lgamma; the tests check both identities,
+against scipy.special.genlaguerre and against laguerre_rel.
 """
 
 from __future__ import annotations
@@ -39,27 +40,8 @@ import numpy as np
 
 from .core import PhysicalParams, QuantumNumbers
 from .coulomb import sigma_closed
-from .errors import PoleError
 
-__all__ = [
-    "gamma_fn",
-    "eta_product",
-    "laguerre_rel",
-    "laguerre_classical",
-]
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x that is not a nonpositive integer.
-
-    math.gamma does the work; this wrapper rejects NaN with ValueError and
-    reports the poles as PoleError, which the CLI maps to a numerical failure.
-    """
-    if math.isnan(x):
-        raise ValueError("gamma_fn called with NaN")
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"Gamma has a pole at {x:g}")
-    return math.gamma(x)
+__all__ = ["eta_product", "laguerre_rel", "laguerre_classical"]
 
 
 def eta_product(l: int, nu: int, z_alpha: float, sigma_l: float) -> float:
@@ -81,30 +63,26 @@ def laguerre_rel(p: PhysicalParams, n: int, l: int) -> np.ndarray:
     """Coefficients of L^{2l+1-sigma_l}_{n+l}(rho) per the defining formula.
 
     Entry nu multiplies rho^nu, nu = 0 .. n-l-1.  The leading (-1)^(nu+1)
-    sign is kept verbatim, which makes the nu=0 coefficient negative;
-    wavefunction assembly uses only |c_top|.  Raises OverflowError when
-    [(n+l)!]^2 leaves the float range, from n + l = 99 on.
+    sign is kept verbatim, which makes the nu=0 coefficient negative.
+    Raises OverflowError when [(n+l)!]^2 leaves the float range, from
+    n + l = 99 on.
     """
-    QuantumNumbers(n=n, l=l)  # raises InvalidQuantumNumbers
-    return np.array([_laguerre_coefficient(p, n, l, nu) for nu in range(n - l)])
-
-
-def _laguerre_coefficient(p: PhysicalParams, n: int, l: int, nu: int) -> float:
-    """Entry nu of laguerre_rel(p, n, l), computed alone (same errors, same bits)."""
     QuantumNumbers(n=n, l=l)  # raises InvalidQuantumNumbers
     sigma = sigma_closed(p, l).sigma_l
     try:
-        fac_nl_sq = gamma_fn(n + l + 1.0) ** 2
+        fac_nl_sq = math.gamma(n + l + 1.0) ** 2
     except OverflowError:
         raise OverflowError(f"[(n+l)!]^2 leaves the float range for (n={n}, l={l})") from None
-    sign = -1.0 if nu % 2 == 0 else 1.0  # (-1)^(nu+1)
-    denom = (
-        gamma_fn(n - l - nu)  # (n-l-1-nu)!
-        * gamma_fn(2 * l + nu + 2.0 - sigma)
-        * gamma_fn(nu + 1.0 - sigma)
-        * eta_product(l, nu, p.z_alpha, sigma)
-    )
-    return sign * fac_nl_sq / denom
+    out = np.empty(n - l)
+    for nu in range(n - l):
+        denom = (
+            math.gamma(n - l - nu)  # (n-l-1-nu)!
+            * math.gamma(2 * l + nu + 2.0 - sigma)
+            * math.gamma(nu + 1.0 - sigma)
+            * eta_product(l, nu, p.z_alpha, sigma)
+        )
+        out[nu] = (-1.0 if nu % 2 == 0 else 1.0) * fac_nl_sq / denom  # (-1)^(nu+1)
+    return out
 
 
 def laguerre_classical(n: int, l: int) -> np.ndarray:

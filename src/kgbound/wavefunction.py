@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,6 @@ from .core import PhysicalParams, QuantumNumbers, validate_params
 from .coulomb import energy_level, sigma_closed, system_mass
 from .errors import InvalidQuantumNumbers
 from .solver import _count_sign_changes
-from .special import _laguerre_coefficient
 
 __all__ = [
     "RadialWavefunction",
@@ -91,7 +91,8 @@ class RadialWavefunction:
 
     exponent = l - sigma_l, a = 2*exponent + 1 and k = n-l-1.
     `normalization` is the constant in front of the paper's polynomial
-    laguerre_rel, amplitude / (|c_top| k!); both are positive.
+    laguerre_rel, amplitude / (|c_top| k!) with |c_top| k! the Gamma ratio
+    of special.py.  Both are positive; the normalization is a normal float.
     """
 
     qn: QuantumNumbers
@@ -143,7 +144,8 @@ def _laguerre(k: int, a: float, x: np.ndarray) -> np.ndarray:
 def build_radial(p: PhysicalParams, n: int, l: int) -> RadialWavefunction:
     """Assemble the normalized R_nl for the Coulomb closed-form state.
 
-    Raises OverflowError when u or the amplitude leaves the float range.
+    Raises OverflowError, naming the state, when u, the amplitude or the
+    normalization leaves the float range.
     """
     qn = QuantumNumbers(n=n, l=l)
     validate_params(p, qn)
@@ -151,20 +153,27 @@ def build_radial(p: PhysicalParams, n: int, l: int) -> RadialWavefunction:
     m_sys = system_mass(p, n, l)
     a0 = p.bohr_radius(m_sys)
     rho_scale = 2.0 * p.z_number / ((n - sigma) * a0)
-    c_top = _laguerre_coefficient(p, n, l, n - l - 1)
     k, a = n - l - 1, 2.0 * (l - sigma) + 1.0
-    amplitude = math.sqrt(
-        rho_scale ** 3 * math.factorial(k) / (math.gamma(k + a + 1.0) * (2 * k + a + 1.0))
-    )
-    if not (math.isfinite(amplitude) and amplitude > 0):
+    try:
+        amplitude = math.sqrt(
+            rho_scale ** 3 * math.factorial(k) / (math.gamma(k + a + 1.0) * (2 * k + a + 1.0))
+        )
+        log_top = (  # log(|c_top| k!) by the Gamma ratio in special.py
+            2.0 * math.lgamma(n + l + 1.0) + math.lgamma(a + 1.0) - math.lgamma(a + k + 1.0)
+            - math.lgamma(1.0 - sigma) - math.lgamma(2 * l + 2.0 - sigma)
+        )
+        normalization = amplitude * math.exp(-log_top)
+    except OverflowError:  # math.gamma's bare "math range error", among others
+        amplitude = normalization = math.nan
+    if not (0.0 < amplitude < math.inf and sys.float_info.min <= normalization < math.inf):
         raise OverflowError(
-            f"the amplitude leaves the float range ({amplitude!r}) at rho_scale = "
+            f"the amplitude or the normalization leaves the float range at rho_scale = "
             f"{rho_scale:g} for (n={n}, l={l})"
         )
     R = RadialWavefunction(
         qn=qn,
         rho_scale=rho_scale,
-        normalization=amplitude / (abs(c_top) * math.factorial(k)),
+        normalization=normalization,
         amplitude=amplitude,
         exponent=l - sigma,
     )

@@ -322,7 +322,7 @@ class TestSolve:
 
     # the exit code of every error, written out so that none moves unseen
     @pytest.mark.parametrize("error", [
-        errors.NoConvergence, errors.PoleError, OverflowError,
+        errors.NoConvergence, OverflowError,
     ], ids=lambda e: e.__name__)
     def test_numerical_failure_exits_4(self, capsys, monkeypatch, error):
         def explode(cfg):
@@ -403,11 +403,14 @@ class TestOverflowExits:
         (("wavefunction", "--rmax", "1e300", "--samples", "5"), "OverflowError"),
         # u passes 1e308 on the tail probe before exp(-rho/2) damps it
         (("wavefunction", "--n", "75", "--l", "0"), "OverflowError"),
-        # Gamma(n+l+1)^2 overflows in laguerre_rel
-        (("wavefunction", "--n", "50", "--l", "49"), "OverflowError"),
         # no grid: the step r_max/(N+1) rounds to 0
         (("convergence", "--rmax", "1e-320"), "OverflowError"),
         (("wavefunction", "--rmax", "5e-324", "--samples", "3"), "OverflowError"),
+        # the squared grid step overflows, or underflows to 0, in the operator
+        (("compare", "--n-max", "1", "--grid-n", "16", "--rest-mass", "1e-300"),
+         "OverflowError: grid step"),
+        (("convergence", "--potential", "hulthen", "--lambda", "1e300", "--sizes", "16,32,64"),
+         "ZeroDivisionError: grid step"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_exit_4(self, capsys, argv, error):
         # pytest keeps warnings off stderr, so they are recorded here instead
@@ -415,21 +418,23 @@ class TestOverflowExits:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, *argv)
         assert code == 4 and out == ""
-        assert err.startswith(f"kgbound: {error}: ") and err.count("\n") == 1
+        name, _, detail = error.partition(": ")
+        assert err.startswith(f"kgbound: {name}: {detail}") and err.count("\n") == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-    @pytest.mark.parametrize("n, l", [(50, 49), (100, 99)])
+    @pytest.mark.parametrize("n, l", [(100, 99), (75, 54)])
     def test_laguerre_overflow_names_the_state(self, capsys, n, l):
-        # the square of (n+l)! overflows from n + l = 99, Gamma itself from 171
+        # Gamma(k+a+1) in the amplitude overflows from n + l = 171; the
+        # normalization amplitude / (|c_top| k!) underflows from n + l = 121
         code, out, err = run_cli(capsys, "wavefunction", "--n", str(n), "--l", str(l))
         assert code == 4 and out == ""
-        assert err == (f"kgbound: OverflowError: [(n+l)!]^2 leaves the float range "
-                       f"for (n={n}, l={l})\n")
+        assert err.startswith("kgbound: OverflowError: the amplitude or the normalization ")
+        assert err.endswith(f" for (n={n}, l={l})\n") and err.count("\n") == 1
 
 
 class TestWavefunctionCommand:
-    @pytest.mark.parametrize("n, l", [(17, 0), (35, 34), (40, 0)])
+    @pytest.mark.parametrize("n, l", [(17, 0), (35, 34), (40, 0), (50, 49), (57, 56), (75, 37)])
     def test_large_states_build(self, capsys, n, l):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

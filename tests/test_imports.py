@@ -134,7 +134,8 @@ def test_closed_form_commands_and_error_exits_load_no_numpy():
 
 def test_wavefunction_loads_numpy_but_no_scipy():
     report = fresh_report(["wavefunction", "--samples", "50"])
-    assert report["codes"] == [0] and report["numpy"] and report["deferred"] == []
+    # wavefunction needs nothing from special, so special never runs
+    assert report["codes"] == [0] and report["numpy"] and report["deferred"] == ["special"]
     assert report["scipy"] == []
 
 

@@ -1,16 +1,14 @@
-"""Gamma evaluation, recurrence products, and the radial polynomials."""
+"""The eta products and the radial polynomials."""
 import math
 
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kgbound.core import ALPHA_FS, PhysicalParams
 from kgbound.coulomb import sigma_closed
-from kgbound.errors import InvalidQuantumNumbers, PoleError
-from kgbound.special import eta_product, gamma_fn, laguerre_classical, laguerre_rel
+from kgbound.errors import InvalidQuantumNumbers
+from kgbound.special import eta_product, laguerre_classical, laguerre_rel
 
 P_03 = PhysicalParams(alpha=0.3)
 P_01 = PhysicalParams(alpha=0.1)
@@ -26,42 +24,6 @@ def series_coefficient_ratio(s, nu, beta, l, z_alpha):
     which builds its coefficients from Gamma functions instead.
     """
     return (s + nu - beta) / ((s + nu) * (s + nu + 1.0) - l * (l + 1.0) + z_alpha ** 2)
-
-
-class TestGamma:
-    def test_integer_factorials(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert gamma_fn(2.0) == pytest.approx(1.0, rel=1e-14)
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-13)
-        assert gamma_fn(10.0) == pytest.approx(362880.0, rel=1e-13)
-
-    def test_half_integer(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-        assert gamma_fn(1.5) == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-13)
-
-    def test_against_scipy_on_grid(self):
-        xs = np.concatenate([
-            np.linspace(0.05, 0.45, 9),      # reflection region
-            np.linspace(0.55, 30.0, 60),
-            [-0.5, -1.5, -2.5, -5.5],        # negative non-integers
-        ])
-        for x in xs:
-            assert gamma_fn(float(x)) == pytest.approx(
-                float(sps.gamma(x)), rel=5e-13), x
-
-    def test_poles(self):
-        for x in (0.0, -1.0, -2.0, -7.0):
-            with pytest.raises(PoleError):
-                gamma_fn(x)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_fn(math.nan)
-
-    @given(x=st.floats(min_value=0.1, max_value=40.0))
-    @settings(max_examples=200)
-    def test_recurrence(self, x):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
 
 
 class TestEtaProduct:

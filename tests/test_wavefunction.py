@@ -8,6 +8,7 @@ import pytest
 from kgbound.core import ALPHA_FS, PhysicalParams
 from kgbound.coulomb import sigma_closed, system_mass
 from kgbound.errors import InvalidQuantumNumbers
+from kgbound.special import laguerre_rel
 from kgbound.wavefunction import (
     SeparableField,
     _laguerre,
@@ -56,7 +57,8 @@ class TestBuildRadial:
         # trapezoid on a dense log lattice, nothing shared with the
         # closed form that fixed the constant
         for p, n, l in ((P_03, 1, 0), (P_03, 3, 1), (P_03, 6, 5), (P_03, 6, 0),
-                        (P_FS, 35, 34), (P_FS, 40, 0), (P_FS, 49, 48), (P_FS, 74, 0)):
+                        (P_FS, 35, 34), (P_FS, 40, 0), (P_FS, 49, 48), (P_FS, 74, 0),
+                        (P_FS, 50, 49), (P_03, 75, 37)):
             R = build_radial(p, n, l)
             r = np.geomspace(1e-7 / R.rho_scale, R.tail_radius(1e-13), 400_000)
             integ = np.trapezoid((r * R.evaluate(r)) ** 2, r)
@@ -79,9 +81,25 @@ class TestBuildRadial:
         # u passes 1e308 on the tail_radius probe before exp(-rho/2) damps it
         with pytest.raises(OverflowError, match="u leaves the float range"):
             build_radial(P_FS, 75, 0)
-        # Gamma(n+l+1)^2 overflows in laguerre_rel
-        with pytest.raises(OverflowError):
-            build_radial(P_FS, 50, 49)
+        # Gamma(k+a+1) overflows in the amplitude, and the normalization
+        # amplitude / (|c_top| k!) underflows
+        for n, l in ((100, 99), (75, 54)):
+            with pytest.raises(OverflowError, match=rf"normalization .* \(n={n}, l={l}\)"):
+                build_radial(P_FS, n, l)
+
+    def test_normalization_against_laguerre_rel(self):
+        # the Gamma ratio for |c_top| k! against the paper's coefficient
+        # table, wherever [(n+l)!]^2 fits a float
+        for p in (P_FS, P_03):
+            for n in range(1, 99):
+                for l in range(min(n, 99 - n)):
+                    try:
+                        R = build_radial(p, n, l)
+                    except OverflowError:  # the tail probe, from n = 75 at l = 0
+                        continue
+                    c_top = laguerre_rel(p, n, l)[-1]
+                    ref = R.amplitude / (abs(c_top) * math.factorial(n - l - 1))
+                    assert R.normalization == pytest.approx(ref, rel=1e-12), (n, l)
 
 
 # R of two n = 16 states at a few radii, generated with mpmath at 50
@@ -134,8 +152,9 @@ class TestClosedForm:
 class TestNodesAndNormalize:
     @pytest.mark.parametrize("p", [P_FS, P_03], ids=["alpha_fs", "alpha_0.3"])
     def test_node_counts(self, p):
-        # every state that builds: l = 0 up to n = 74, l = n-1 up to n = 49,
-        # and none from n + l = 99 on, where Gamma(n+l+1)^2 overflows
+        # every state that builds: u passes 1e308 on the tail probe at
+        # l = 0 from n = 75 and at l = n-1 from n = 58, and the
+        # normalization leaves the normal floats from n + l = 121
         built = 0
         for n in range(1, 100):
             for l in range(n):
@@ -145,7 +164,7 @@ class TestNodesAndNormalize:
                     continue
                 built += 1
                 assert count_radial_nodes(R) == n - l - 1, (n, l)
-        assert built == 2280
+        assert built == (3277 if p is P_FS else 3296)
 
 
     @pytest.mark.parametrize("n, l", [(1, 0), (4, 1), (17, 0)])

@@ -5,9 +5,11 @@
 Runs each argv through `kgbound.cli.main` in two long-lived worker
 processes, one importing kgbound from this checkout's src/ and one from
 OTHER_CHECKOUT/src/, and compares exit codes and stdout.  The argvs are
-the eleven cli-cold runs of perfbench/workloads.py, the bad-value argvs of
-TestBadValuesExit2 in tests/test_cli.py and N derandomised draws of that
-file's fuzz_argv() strategy (default 1000); each is also run as a
+the eleven cli-cold runs of perfbench/workloads.py; from
+tests/test_cli.py the bad-value argvs of TestBadValuesExit2, the
+float-range argvs of TestOverflowExits and the explicit examples of
+test_argv_fuzz_exits_with_a_documented_code; and N derandomised draws of
+that file's fuzz_argv() strategy (default 1000).  Each is also run as a
 config-file twin, its flags written as `key = value` lines in the
 command's section.  The top-level and per-command --help texts are
 compared too.  Prints every run whose exit code or stdout differs, with
@@ -79,7 +81,8 @@ class Worker:
 
 
 def argvs(n_fuzz: int) -> list[list[str]]:
-    """cli-cold, TestBadValuesExit2 and n_fuzz fuzz_argv() draws, deduplicated."""
+    """cli-cold, the edge argvs of tests/test_cli.py and n_fuzz fuzz_argv() draws,
+    deduplicated."""
     for sub in ("src", "tests", "perfbench"):
         sys.path.insert(0, os.path.join(ROOT, sub))
     from hypothesis import HealthCheck, given, settings
@@ -90,6 +93,11 @@ def argvs(n_fuzz: int) -> list[list[str]]:
     found = [list(inv.argv) for inv in workloads.CliCold(seed=0).script]
     bad = test_cli.TestBadValuesExit2.test_config_error.pytestmark[0].args[1]
     found += [list(argv) for argv in bad]
+    for test in (test_cli.TestOverflowExits.test_solve_reports_per_row,
+                 test_cli.TestOverflowExits.test_exit_4):
+        found += [list(argv) for argv, _ in test.pytestmark[0].args[1]]
+    fuzz = test_cli.test_argv_fuzz_exits_with_a_documented_code
+    found += [list(ex.args[0]) for ex in fuzz.hypothesis_explicit_examples]
 
     @settings(max_examples=n_fuzz, derandomize=True, database=None, deadline=None,
               suppress_health_check=list(HealthCheck))
