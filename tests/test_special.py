@@ -99,6 +99,40 @@ class TestRelativisticLaguerre:
         with pytest.raises(InvalidQuantumNumbers):
             laguerre_rel(P_03, 2, 2)
 
+    def test_against_the_defining_formula_in_scipy(self):
+        # every entry of the defining formula, with scipy's Gamma in place
+        # of math.gamma, up to n + l = 98 where [(n+l)!]^2 nears 1e308
+        for p in (PhysicalParams(alpha=ALPHA_FS), P_01, P_03):
+            za = p.z_alpha
+            for n, l in ((1, 0), (4, 2), (9, 0), (17, 5), (30, 29), (60, 38), (50, 48)):
+                sig = sigma_closed(p, l).sigma_l
+                want = [
+                    (-1.0) ** (nu + 1) * sps.gamma(n + l + 1.0) ** 2 / (
+                        sps.gamma(n - l - nu) * sps.gamma(2 * l + nu + 2.0 - sig)
+                        * sps.gamma(nu + 1.0 - sig) * eta_product(l, nu, za, sig))
+                    for nu in range(n - l)
+                ]
+                np.testing.assert_allclose(laguerre_rel(p, n, l), want, rtol=1e-12,
+                                           err_msg=str((za, n, l)))
+
+    def test_top_coefficient_is_a_gamma_ratio(self):
+        # |c_top| k! = [(n+l)!]^2 Gamma(a+1) / (Gamma(a+k+1) Gamma(1-sigma)
+        # Gamma(2l+2-sigma)), k = n-l-1, a = 2l+1-2 sigma: the identity
+        # that lets wavefunction.py skip the coefficient table
+        for p in (PhysicalParams(alpha=ALPHA_FS), P_03):
+            for n in range(1, 50):
+                for l in range(n):
+                    if n + l > 98:
+                        break
+                    sig = sigma_closed(p, l).sigma_l
+                    k, a = n - l - 1, 2 * l + 1 - 2 * sig
+                    log_top = (2 * sps.gammaln(n + l + 1.0) + sps.gammaln(a + 1.0)
+                               - sps.gammaln(a + k + 1.0) - sps.gammaln(1.0 - sig)
+                               - sps.gammaln(2 * l + 2.0 - sig))
+                    c_top = laguerre_rel(p, n, l)[-1]
+                    assert math.log(abs(c_top) * math.factorial(k)) == pytest.approx(
+                        log_top, rel=1e-13, abs=1e-11), (p.z_alpha, n, l)
+
     def test_overflow_names_the_state(self):
         assert np.isfinite(laguerre_rel(P_03, 50, 48)).all()  # n + l = 98
         for n, l in ((50, 49), (100, 99)):  # (n+l)!^2, then Gamma itself, overflow
