@@ -13,15 +13,18 @@ builds the operator at the current mass and costs one eigenpair.  The
 first is found by index (the state with k nodes is eigenpair k of the
 tridiagonal operator), on grids of 2000 points or more by way of the
 operator on a grid eight times coarser, whose eigenvector is refined on
-the fine grid (see _coarse_start); later ones refine the previous
-eigenvector by shifted inverse iteration, since one mass step changes the
-operator only slightly.  discretize_operator is the one builder: it takes
-the mode, the potential, the parameters, the mass, l and the grid, and
-makes every operator of a solve, coarse and fine.  Its diagonal carries
-an origin correction for r^s exp(a1 r), the first two Frobenius terms of
-the regular solution, wherever s < 1 (l = 0 with a squared vector 1/r
-channel); that keeps the eigenvalue error O(h^2) there.  The correction
-depends on that operator alone: a1 at its own mass, its own step.
+the fine grid by two sweeps of inverse iteration (see _coarse_start).
+One mass step changes the operator only slightly, so each later
+eigenpair is one sweep of inverse iteration from the previous
+eigenvector, shifted by that vector's Rayleigh quotient on the new
+operator: one tridiagonal solve per step.  discretize_operator is the
+one builder: it takes the mode, the potential, the parameters, the mass,
+l and the grid, and makes every operator of a solve, coarse and fine.
+Its diagonal carries an origin correction for r^s exp(a1 r), the first
+two Frobenius terms of the regular solution, wherever s < 1 (l = 0 with a
+squared vector 1/r channel); that keeps the eigenvalue error O(h^2)
+there.  The correction depends on that operator alone: a1 at its own
+mass, its own step.
 
 Mode dictionary, writing msum = m0 + m, U for the vector part and S for
 the scalar part:
@@ -136,17 +139,25 @@ def effective_radial_equation(
     p: PhysicalParams,
     m_sys: float,
     l: int,
-) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
-    """Kinetic coefficient A and effective potential V_eff(r) for u = r*R."""
+) -> tuple[float, Callable[[np.ndarray | RadialGrid], np.ndarray]]:
+    """Kinetic coefficient A and effective potential V_eff(r) for u = r*R.
+
+    V_eff also takes a RadialGrid for its points.  Its mass-free terms
+    (r^2 and the potential parts with their squares) are then read from a
+    cache of the last two grids, the fine and the coarse grid of a solve,
+    so the mass steps of a solve evaluate the potential once per grid.
+    """
     _check_combination(mode, potential)
     mass_param = 2.0 * p.rest_mass if mode is SolveMode.SCHRODINGER else p.rest_mass + m_sys
     A = p.hbar ** 2 / mass_param
     cent_coef = l * (l + 1) * p.hbar ** 2 / mass_param
 
-    def v_eff(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        v = cent_coef / r ** 2
-        U = potential.vector_part.evaluate(r, p) if potential.vector_part is not None else None
+    def v_eff(r: np.ndarray | RadialGrid) -> np.ndarray:
+        if isinstance(r, RadialGrid):
+            r2, U, U2, S, S2 = _grid_terms(potential, p, r)
+        else:
+            r2, U, U2, S, S2 = _channel_terms(potential, p, np.asarray(r, dtype=float))
+        v = cent_coef / r2
         if mode is SolveMode.SCHRODINGER:
             if U is not None:
                 v = v + U
@@ -154,13 +165,35 @@ def effective_radial_equation(
             v = v + 2.0 * U
         else:
             if U is not None:
-                v = v + 2.0 * m_sys * U / mass_param - U ** 2 / (mass_param * p.c ** 2)
-            if mode is SolveMode.KG_SCALAR_VECTOR and potential.scalar_part is not None:
-                S = potential.scalar_part.evaluate(r, p)
-                v = v + 2.0 * p.rest_mass * S / mass_param + S ** 2 / (mass_param * p.c ** 2)
+                v = v + 2.0 * m_sys * U / mass_param - U2 / (mass_param * p.c ** 2)
+            if mode is SolveMode.KG_SCALAR_VECTOR and S is not None:
+                v = v + 2.0 * p.rest_mass * S / mass_param + S2 / (mass_param * p.c ** 2)
         return v
 
     return A, v_eff
+
+
+def _channel_terms(
+    potential: PotentialSpec, p: PhysicalParams, r: np.ndarray
+) -> tuple[np.ndarray | None, ...]:
+    """r^2, U, U^2, S and S^2 at r (None for an absent part)."""
+    terms = [r ** 2]
+    for part in (potential.vector_part, potential.scalar_part):
+        values = part.evaluate(r, p) if part is not None else None
+        terms += [values, None if values is None else values ** 2]
+    return tuple(terms)
+
+
+@functools.lru_cache(maxsize=2)
+def _grid_terms(
+    potential: PotentialSpec, p: PhysicalParams, grid: RadialGrid
+) -> tuple[np.ndarray | None, ...]:
+    """_channel_terms on grid's points, read-only."""
+    terms = _channel_terms(potential, p, grid.points)
+    for array in terms:
+        if array is not None:
+            array.flags.writeable = False
+    return terms
 
 
 def origin_series(
@@ -229,7 +262,7 @@ def discretize_operator(
         except (OverflowError, ZeroDivisionError) as exc:  # h^2 overflows, or underflows to 0
             message = f"grid step {h!r} (r_max = {grid.r_max!r}) squared leaves the float range"
             raise type(exc)(message) from None
-        diag = 2.0 * kin + v_eff(grid.points) + kin * _stencil_error(s, grid.n_points, a1 * h)
+        diag = 2.0 * kin + v_eff(grid) + kin * _stencil_error(s, grid.n_points, a1 * h)
     return DiscretizedOperator(diag=diag, offdiag=np.full(grid.n_points - 1, -kin), grid=grid)
 
 
@@ -286,9 +319,15 @@ def _stencil_terms(s: float, n: int) -> tuple[np.ndarray, ...]:
     return terms
 
 
-def _count_sign_changes(u: np.ndarray) -> int:
-    vals = u[np.abs(u) > 1e-9 * np.abs(u).max()]
-    signs = np.sign(vals)
+def _significant_signs(u: np.ndarray) -> np.ndarray:
+    """Signs of the entries of u above 1e-9 of its largest magnitude."""
+    magnitude = np.abs(u)
+    return np.sign(u[magnitude > 1e-9 * magnitude.max()])
+
+
+def _count_sign_changes(u: np.ndarray, signs: np.ndarray | None = None) -> int:
+    if signs is None:
+        signs = _significant_signs(u)
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
@@ -307,11 +346,19 @@ def _rayleigh_quotient(op: DiscretizedOperator, u: np.ndarray) -> float:
     """
     kin = -float(op.offdiag[0])
     v = op.diag - 2.0 * kin  # recovers the potential as rounded into diag
-    diff = np.diff(u)
-    kinetic = kin * (float(u[0]) ** 2 + float(u[-1]) ** 2 + float(np.sum(diff * diff)))
-    potential = float(np.sum(v * u * u))
-    norm = float(np.sum(u * u))
+    diff = u[1:] - u[:-1]
+    kinetic = kin * (float(u[0]) ** 2 + float(u[-1]) ** 2 + float((diff * diff).sum()))
+    potential = float((v * u * u).sum())
+    norm = float((u * u).sum())
     return (kinetic + potential) / norm
+
+
+def _rayleigh_shift(op: DiscretizedOperator, u: np.ndarray) -> float:
+    """u^T T u / u^T u in the plain form, three dot products: a shift for
+    inverse iteration, where its eps * ||T|| noise does no harm."""
+    return float(
+        ((op.diag * u) @ u + 2.0 * float(op.offdiag[0]) * (u[:-1] @ u[1:])) / (u @ u)
+    )
 
 
 def _checked_pair(
@@ -323,13 +370,12 @@ def _checked_pair(
     negative Rayleigh quotient; otherwise returns (E', u) with u normalized
     to sum(u^2) = 1 and its first significant entry positive.
     """
-    nodes = _count_sign_changes(u)
+    signs = _significant_signs(u)
+    nodes = _count_sign_changes(u, signs)
     if nodes != node_target:
         raise StateNotFound(f"eigenpair {node_target} has {nodes} nodes, not {node_target}")
-    u = u / math.sqrt(float(np.sum(u ** 2)))
-    first = np.flatnonzero(np.abs(u) > 1e-9 * np.abs(u).max())[0]
-    if u[first] < 0:
-        u = -u
+    scale = math.sqrt(float(u @ u))
+    u = u / (-scale if signs[0] < 0 else scale)
     e = _rayleigh_quotient(op, u)
     if e >= 0.0:
         raise StateNotFound(f"the state with {node_target} nodes is not bound (E' = {e:.6g})")
@@ -358,23 +404,24 @@ def _lapack():
 
 
 def eigh_tridiagonal(
-    d: np.ndarray, e: np.ndarray, *, select: str, select_range: tuple[int, int]
+    d: np.ndarray, e: np.ndarray, *, select: str, select_range: tuple[int, int],
+    tol: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs select_range[0]..select_range[1] (from the lowest) of the
     symmetric tridiagonal matrix with diagonal d and off-diagonal e.
 
     select must be "i": only selection by index is supported.  This is
-    scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=...) with
-    its default driver, call for call: dstebz bisection (absolute
-    tolerance 0, eigenvalues in block order), dstein inverse iteration for
-    the vectors, then sorting by eigenvalue.  Raises
+    scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=..., tol=...)
+    with its default driver, call for call: dstebz bisection (to absolute
+    tolerance tol, eigenvalues in block order), dstein inverse iteration
+    for the vectors, then sorting by eigenvalue.  Raises
     np.linalg.LinAlgError when LAPACK reports a failure.
     """
     if select != "i":
         raise ValueError(f"only select='i' is supported, got {select!r}")
     lapack = _lapack()
     lo, hi = select_range
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "B")
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "B")
     if info != 0:
         raise np.linalg.LinAlgError(f"dstebz failed (LAPACK info={info})")
     w = w[:m]
@@ -390,38 +437,51 @@ def inner_eigensolve(op: DiscretizedOperator, node_target: int) -> tuple[float, 
 
     The off-diagonal of the operator is negative, so by Sturm-sequence
     theory eigenpair number node_target (counting from the lowest) is the
-    state with node_target nodes; only that pair is computed, and the node
-    count is checked rather than searched for.  Returns (E', u) with u
-    normalized to sum(u^2) = 1 and its first significant entry positive;
-    E' is polished with a difference-form Rayleigh quotient so repeated solves
-    at nearby potentials differ smoothly.  Raises StateNotFound when the
-    grid has no such pair, its node count is off, or it is not bound
-    (E' >= 0), and NoConvergence when LAPACK fails on it.
+    state with node_target nodes; only that pair is computed, by bisection
+    to full precision, and the node count is checked rather than searched
+    for.  Returns (E', u) with u normalized to sum(u^2) = 1 and its first
+    significant entry positive; E' is polished with a difference-form
+    Rayleigh quotient so repeated solves at nearby potentials differ
+    smoothly.  Raises StateNotFound when the grid has no such pair, its
+    node count is off, or it is not bound (E' >= 0), and NoConvergence when
+    LAPACK fails on it.
     """
+    try:
+        return _pair_by_index(op, node_target, 0.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
+
+
+def _pair_by_index(
+    op: DiscretizedOperator, node_target: int, tol: float
+) -> tuple[float, np.ndarray]:
+    """inner_eigensolve with the bisection run to absolute tolerance tol;
+    LAPACK failures propagate as np.linalg.LinAlgError."""
     n = op.diag.size
     if node_target >= n:
         raise StateNotFound(f"a grid of {n} points holds no state with {node_target} nodes")
-    try:
-        _, vecs = eigh_tridiagonal(
-            op.diag, op.offdiag, select="i", select_range=(node_target, node_target)
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
+    _, vecs = eigh_tridiagonal(
+        op.diag, op.offdiag, select="i", select_range=(node_target, node_target), tol=tol
+    )
     return _checked_pair(op, vecs[:, 0], node_target)
 
 
 def _refine_eigenpair(
-    op: DiscretizedOperator, node_target: int, u: np.ndarray, shift: float
+    op: DiscretizedOperator, node_target: int, u: np.ndarray, shift: float, sweeps: int = 2
 ) -> tuple[float, np.ndarray] | None:
-    """Two sweeps of inverse iteration on (T - shift) from a nearby eigenvector.
+    """Sweeps of inverse iteration on T from a nearby eigenvector u.
 
-    Returns the pair as inner_eigensolve would, or None when a tridiagonal
-    solve is singular or the result fails one of inner_eigensolve's checks,
-    in which case the caller solves from scratch.
+    The first sweep solves (T - shift) x = u; each later one is shifted by
+    the Rayleigh quotient of the last sweep's vector (_rayleigh_shift), so
+    the iteration converges cubically once the vector is close.  Returns
+    the pair as inner_eigensolve would, or None when a tridiagonal solve is
+    singular or the result fails one of inner_eigensolve's checks, in which
+    case the caller solves from scratch.
     """
-    d = op.diag - shift
-    for _ in range(2):
-        _, _, _, x, info = _lapack().dgtsv(op.offdiag, d, op.offdiag, u[:, None])
+    for sweep in range(sweeps):
+        if sweep:
+            shift = _rayleigh_shift(op, u)
+        _, _, _, x, info = _lapack().dgtsv(op.offdiag, op.diag - shift, op.offdiag, u[:, None])
         norm = float(np.linalg.norm(x))
         if info != 0 or not math.isfinite(norm):
             return None
@@ -433,11 +493,13 @@ def _refine_eigenpair(
 
 
 # Fine grids of at least this many points take their first eigenpair from a
-# grid _COARSE_FACTOR times coarser (see _coarse_start), refined at most
-# _COARSE_REFINES times.  A relativistic solve raises NoConvergence after
-# _MAX_SC_ITERS mass steps.
+# grid _COARSE_FACTOR times coarser (see _coarse_start), bisected to
+# _COARSE_TOL times its kinetic scale and refined at most _COARSE_REFINES
+# times.  A relativistic solve raises NoConvergence after _MAX_SC_ITERS mass
+# steps.
 _COARSE_START_POINTS = 2000
 _COARSE_FACTOR = 8
+_COARSE_TOL = 1e-6
 _COARSE_REFINES = 3
 _MAX_SC_ITERS = 200
 
@@ -456,22 +518,26 @@ def _coarse_start(
     """First eigenpair of op, started from coarse_op, the same equation on a
     grid _COARSE_FACTOR times coarser over the same box.
 
-    coarse_op is solved by index, so bisection runs on N/8 points
-    instead of N.  Its eigenvector, interpolated onto op's grid, is refined
-    by _refine_eigenpair with the coarse E' as shift, then with each
-    refined E', until ||(T - E')u|| / kin is at most eps * sqrt(N).  A
-    direct eigensolve leaves at most ~0.1 eps * sqrt(N) there (measured
-    for N = 2000..200000), so the accepted pair is as converged as the one
-    bisection on the fine grid would give.  One refinement usually does
-    it; a shallow state, whose coarse E' can be off by more than the
-    level spacing, takes more.  Returns None when the coarse grid holds no
-    such bound state, a refined pair fails a check or the residual is
+    coarse_op is solved by index, so bisection runs on N/8 points instead
+    of N, and only to _COARSE_TOL times the coarse kinetic scale: the pair
+    only seeds the refinement.  Its eigenvector, interpolated onto op's
+    grid, is refined by _refine_eigenpair, each time two sweeps: the first
+    shifted by the last E' (at first the coarse one; a Rayleigh shift from
+    the interpolated vector misses the state more often) and the second by
+    the Rayleigh quotient, until ||(T - E')u|| / kin is at most
+    eps * sqrt(N).  A direct eigensolve leaves at most ~0.1 eps * sqrt(N)
+    there (measured for N = 2000..200000), so the accepted pair is as
+    converged as the one bisection on the fine grid would give.  One
+    refinement does it for every state of the criterion-1 sweep; a shallow
+    state, whose coarse E' can be off by more than the level spacing, may
+    take more.  Returns None when the coarse grid holds no such bound state
+    or LAPACK fails on it, a refined pair fails a check or the residual is
     still above that floor after _COARSE_REFINES refinements; the caller
     then solves op from scratch.
     """
     try:
-        e, u = inner_eigensolve(coarse_op, node_target)
-    except StateNotFound:
+        e, u = _pair_by_index(coarse_op, node_target, _COARSE_TOL * -float(coarse_op.offdiag[0]))
+    except (StateNotFound, np.linalg.LinAlgError):
         return None
     u = np.interp(op.grid.points, coarse_op.grid.points, u)
     floor = np.finfo(float).eps * math.sqrt(op.grid.n_points)
@@ -547,9 +613,10 @@ def solve_self_consistent(
     |g|/m0 < sc_tolerance, or raises NoConvergence (reporting the last
     residuals) after _MAX_SC_ITERS steps.  discretize_operator makes every
     operator of the solve.  The first eigenpair comes from a coarser grid
-    when the grid is large (see _coarse_start), and from the second
-    iteration on it is refined from the previous one (see
-    _refine_eigenpair); either falls back to inner_eigensolve when it
+    when the grid is large (see _coarse_start).  From the second iteration
+    on it is one sweep of inverse iteration from the previous eigenvector,
+    shifted by its Rayleigh quotient on the new operator (see
+    _refine_eigenpair).  Either falls back to inner_eigensolve when it
     fails.  With with_trace=True the per-iteration residual history |g|/m0
     is returned alongside the state.
     """
@@ -567,7 +634,7 @@ def solve_self_consistent(
     for iterations in range(1, _MAX_SC_ITERS + 1):
         op = discretize_operator(req.mode, req.potential, p, m, req.l, grid)
         if u is not None:
-            pair = _refine_eigenpair(op, node_target, u, e)
+            pair = _refine_eigenpair(op, node_target, u, _rayleigh_shift(op, u), 1)
         elif grid.n_points >= _COARSE_START_POINTS:
             coarse = RadialGrid(grid.r_max, grid.n_points // _COARSE_FACTOR)
             coarse_op = discretize_operator(req.mode, req.potential, p, m, req.l, coarse)

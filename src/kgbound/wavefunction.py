@@ -133,11 +133,17 @@ def _laguerre(k: int, a: float, x: np.ndarray) -> np.ndarray:
     """L_k^(a)(x) by (j+1) L_{j+1} = (2j+1+a-x) L_j - (j+a) L_{j-1}, from L_0 = 1.
 
     Each step divides by j+1 before it multiplies, so no intermediate
-    outgrows the result.
+    outgrows the result.  The step ((2j+1+a - x)/(j+1)) L_j - ((j+a)/(j+1))
+    L_{j-1} is evaluated in place, in that order, into the buffer of L_{j-1}.
     """
-    prev, cur = np.zeros_like(x), np.ones_like(x)
+    prev, cur, step = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
     for j in range(k):
-        prev, cur = cur, (2 * j + 1 + a - x) / (j + 1) * cur - (j + a) / (j + 1) * prev
+        np.subtract(2 * j + 1 + a, x, out=step)
+        step /= j + 1
+        step *= cur
+        prev *= (j + a) / (j + 1)
+        np.subtract(step, prev, out=prev)
+        prev, cur = cur, prev
     return cur
 
 

@@ -35,6 +35,22 @@ P_03 = PhysicalParams(alpha=0.3)
 P_01 = PhysicalParams(alpha=0.1)
 
 
+class CountingLapack:
+    """Stand-in for solver._lapack(): records (routine, args) of each call."""
+
+    def __init__(self, lapack):
+        self.lapack, self.calls = lapack, []
+
+    def __getattr__(self, name):
+        routine = getattr(self.lapack, name)
+
+        def call(*args):
+            self.calls.append((name, args))
+            return routine(*args)
+
+        return call
+
+
 def coulomb_request(p, n, l, n_points=3000, **kw):
     grid = default_solver_grid(
         SolveMode.KG_VECTOR, PotentialSpec.coulomb(), p, n, l, n_points=n_points)
@@ -346,13 +362,23 @@ class TestInnerEigensolve:
 
     def test_refinement_rejects_the_wrong_state(self):
         # inverse iteration shifted onto the ground state cannot pass as the
-        # one-node state; the caller then solves from scratch
+        # one-node state; the caller then solves from scratch.  The start
+        # carries a 1e-6 ground-state admixture, so that what the shifted
+        # sweep amplifies is not rounding: from u1 alone, one sweep at e0
+        # leaves a one-node mixture whose E' is 1.3e-3 off
         grid = RadialGrid(40.0 * P_01.bohr_radius(), 2000)
         op = discretize_operator(
             SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0, grid)
-        e0, _ = inner_eigensolve(op, 0)
+        e0, u0 = inner_eigensolve(op, 0)
         e1, u1 = inner_eigensolve(op, 1)
-        assert _refine_eigenpair(op, 1, u1, e0) is None
+        start = u1 + 1e-6 * u0
+        assert _refine_eigenpair(op, 1, start, e0, 1) is None
+        # later sweeps are shifted by the Rayleigh quotient: they may steer
+        # back onto the one-node state, but never pass off another one
+        pair = _refine_eigenpair(op, 1, start, e0)
+        if pair is not None:
+            assert _count_sign_changes(pair[1]) == 1
+            assert pair[0] == pytest.approx(e1, rel=1e-12)
         e, u = _refine_eigenpair(op, 1, u1, e1)
         assert e == pytest.approx(e1, rel=1e-12)
         np.testing.assert_allclose(u, u1, atol=1e-10)
@@ -457,6 +483,27 @@ class TestLapack:
         assert out == ""
         assert err.startswith("kgbound: NoConvergence: tridiagonal eigensolve failed: dstein")
 
+    def test_coarse_lapack_failure_falls_back_to_the_fine_grid(self, monkeypatch):
+        # the coarse pair only seeds the fine grid: when LAPACK fails on it,
+        # the solve bisects the fine grid as when the coarse grid binds nothing
+        req = coulomb_request(P_03, 2, 0, 2000)
+        warm = solve_self_consistent(req, P_03)
+        real = solver._lapack()
+
+        def dstein(d, e, w, iblock, isplit):
+            if d.size == 2000 // 8:
+                return np.zeros((d.size, w.size)), 1
+            return real.dstein(d, e, w, iblock, isplit)
+
+        proxy = CountingLapack(SimpleNamespace(dstebz=real.dstebz, dgtsv=real.dgtsv,
+                                               dstein=dstein))
+        monkeypatch.setattr(solver, "_lapack", lambda: proxy)
+        state = solve_self_consistent(req, P_03)
+        sizes = [args[0].size for name, args in proxy.calls if name == "dstein"]
+        assert sizes == [2000 // 8, 2000]
+        assert state.e_prime == pytest.approx(warm.e_prime, rel=1e-12)
+        assert state.iterations == warm.iterations
+
 
 class TestSolveSelfConsistent:
     def test_matches_closed_form_after_extrapolation(self):
@@ -501,12 +548,58 @@ class TestSolveSelfConsistent:
         state = solve_self_consistent(coulomb_request(P_03, 1, 0, 2000), P_03)
         assert state.iterations <= 6
 
-    def test_cold_solves_give_the_same_state(self, monkeypatch):
-        warm = solve_self_consistent(coulomb_request(P_03, 2, 0, 2000), P_03)
+    @pytest.mark.parametrize("mode, potential, za, n, l, n_points", [
+        (SolveMode.KG_VECTOR, PotentialSpec.coulomb(), 0.3, 2, 0, 2000),
+        # near the supercritical bound Zalpha = l + 1/2
+        (SolveMode.KG_VECTOR, PotentialSpec.coulomb(), 0.45, 1, 0, 8000),
+        (SolveMode.KG_VECTOR, PotentialSpec.coulomb(), 0.45, 2, 0, 8000),
+        # large l, where the origin correction is r^s alone
+        (SolveMode.KG_VECTOR, PotentialSpec.coulomb(), 0.3, 4, 3, 8000),
+        (SolveMode.KG_SCALAR_VECTOR, PotentialSpec(CoulombPart(), HulthenPart(0.2)),
+         0.3, 2, 0, 4000),
+        # near unbinding: b = 4/lam puts n = 2 just inside
+        (SolveMode.KG_EQUAL, PotentialSpec.equal_hulthen(0.9), 0.1, 2, 0, 8000),
+        # bound on the fine grid only (tests/test_solver_reference.py)
+        (SolveMode.KG_VECTOR, PotentialSpec.hulthen(1.8), 0.1, 1, 0, 2000),
+    ], ids=["kg-vector-za0.3-20-2000", "kg-vector-za0.45-10-8000", "kg-vector-za0.45-20-8000",
+            "kg-vector-za0.3-43-8000", "kg-scalar-vector-za0.3-20-4000",
+            "kg-equal-hulthen-lam0.9-20-8000", "kg-vector-hulthen-lam1.8-10-2000"])
+    def test_cold_solves_give_the_same_state(self, monkeypatch, mode, potential, za, n, l,
+                                             n_points):
+        # the warm path (coarse start, Rayleigh-shifted refinement) against
+        # bisection on the fine grid at every mass step
+        p = PhysicalParams(alpha=za)
+        grid = default_solver_grid(mode, potential, p, n, l, n_points=n_points)
+        req = SolveRequest(mode=mode, potential=potential, n=n, l=l, grid=grid)
+        warm = solve_self_consistent(req, p)
         monkeypatch.setattr("kgbound.solver._refine_eigenpair", lambda *args: None)
-        cold = solve_self_consistent(coulomb_request(P_03, 2, 0, 2000), P_03)
+        cold = solve_self_consistent(req, p)
         assert warm.e_prime == pytest.approx(cold.e_prime, rel=1e-12)
         assert warm.iterations == cold.iterations
+
+    def test_lapack_work_per_solve(self, monkeypatch):
+        # criterion 1's states: the coarse start bisects N // 8 points to a
+        # loose tolerance and refines once with two tridiagonal solves, and
+        # every later mass step costs one solve; without the coarse start
+        # the fine grid is bisected to full precision
+        proxy = CountingLapack(solver._lapack())
+        monkeypatch.setattr(solver, "_lapack", lambda: proxy)
+        states = [(za, n, l, n_points) for za in (0.05, 0.1, 0.2, 0.3)
+                  for n in range(1, 5) for l in range(n) for n_points in (4000, 8000)]
+        for coarse_start, grid_factor, extra_solves in ((True, 8, 1), (False, 1, -1)):
+            if not coarse_start:
+                monkeypatch.setattr(solver, "_coarse_start", lambda *args: None)
+            for za, n, l, n_points in states:
+                p = PhysicalParams(alpha=za)
+                proxy.calls.clear()
+                state = solve_self_consistent(coulomb_request(p, n, l, n_points), p)
+                case = (za, n, l, n_points, coarse_start)
+                solves = [args for name, args in proxy.calls if name == "dgtsv"]
+                assert len(solves) == state.iterations + extra_solves, case
+                (bisection,) = [args for name, args in proxy.calls if name == "dstebz"]
+                assert bisection[0].size == n_points // grid_factor, case
+                abstol = bisection[7]
+                assert abstol > 0.0 if coarse_start else abstol == 0.0, case
 
     def test_overtight_tolerance_converges_or_raises(self):
         req = coulomb_request(P_03, 1, 0, 2000, sc_tolerance=1e-15)

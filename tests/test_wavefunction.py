@@ -140,6 +140,21 @@ class TestClosedForm:
                     err = np.abs(_laguerre(k, a, x) - ref).max()
                     assert err <= 1e-13 * np.abs(ref).max(), (n, l)
 
+    @pytest.mark.parametrize("k, a, n", [(0, 1.0, 1), (3, 1.0, 5), (40, 3.2, 41), (98, 1.9, 70),
+                                         (98, 60.5, 99)])
+    def test_in_place_recurrence_keeps_the_bits(self, k, a, n):
+        # the recurrence as written before it ran in place, one new array
+        # per step: the same operations in the same order
+        def reference(k, a, x):
+            prev, cur = np.zeros_like(x), np.ones_like(x)
+            for j in range(k):
+                prev, cur = cur, (2 * j + 1 + a - x) / (j + 1) * cur - (j + a) / (j + 1) * prev
+            return cur
+
+        x = np.geomspace(1e-6, 80.0 * n ** 2, 4096)  # the tail probe of state n
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(_laguerre(k, a, x), reference(k, a, x), equal_nan=True)
+
     @pytest.mark.parametrize("alpha, n, l", sorted(_FROZEN_R))
     def test_against_frozen_mpmath(self, alpha, n, l):
         R = build_radial(PhysicalParams(alpha=alpha), n, l)
