@@ -13,15 +13,17 @@ builds the operator at the current mass and costs one eigenpair.  The
 first is found by index (the state with k nodes is eigenpair k of the
 tridiagonal operator), on grids of 2000 points or more by way of the
 operator on a grid eight times coarser, whose eigenvector is refined on
-the fine grid by two sweeps of inverse iteration (see _coarse_start).
-One mass step changes the operator only slightly, so each later
-eigenpair is one sweep of inverse iteration from the previous
-eigenvector, shifted by that vector's Rayleigh quotient on the new
-operator: one tridiagonal solve per step.  discretize_operator is the
-one builder: it takes the mode, the potential, the parameters, the mass,
-l and the grid, and makes every operator of a solve, coarse and fine.
-Its diagonal carries an origin correction for r^s exp(a1 r), the first
-two Frobenius terms of the regular solution, wherever s < 1 (l = 0 with a
+the fine grid by inverse iteration until its residual is as small as
+bisection's (see _coarse_start).  One mass step changes the operator only
+slightly, so each later step is one sweep of inverse iteration from the
+previous eigenvector, shifted by that vector's Rayleigh quotient on the
+new operator: one tridiagonal solve per step.  That sweep steers the
+mass and need not converge; the pair a solve returns must, and is found
+by bisection when it has not.  discretize_operator is the one builder:
+it takes the mode, the potential, the parameters, the mass, l and the
+grid, and makes every operator of a solve, coarse and fine.  Its
+diagonal carries an origin correction for r^s exp(a1 r), the first two
+Frobenius terms of the regular solution, wherever s < 1 (l = 0 with a
 squared vector 1/r channel); that keeps the eigenvalue error O(h^2)
 there.  The correction depends on that operator alone: a1 at its own
 mass, its own step.
@@ -139,25 +141,17 @@ def effective_radial_equation(
     p: PhysicalParams,
     m_sys: float,
     l: int,
-) -> tuple[float, Callable[[np.ndarray | RadialGrid], np.ndarray]]:
-    """Kinetic coefficient A and effective potential V_eff(r) for u = r*R.
-
-    V_eff also takes a RadialGrid for its points.  Its mass-free terms
-    (r^2 and the potential parts with their squares) are then read from a
-    cache of the last two grids, the fine and the coarse grid of a solve,
-    so the mass steps of a solve evaluate the potential once per grid.
-    """
+) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
+    """Kinetic coefficient A and effective potential V_eff(r) for u = r*R."""
     _check_combination(mode, potential)
     mass_param = 2.0 * p.rest_mass if mode is SolveMode.SCHRODINGER else p.rest_mass + m_sys
     A = p.hbar ** 2 / mass_param
     cent_coef = l * (l + 1) * p.hbar ** 2 / mass_param
 
-    def v_eff(r: np.ndarray | RadialGrid) -> np.ndarray:
-        if isinstance(r, RadialGrid):
-            r2, U, U2, S, S2 = _grid_terms(potential, p, r)
-        else:
-            r2, U, U2, S, S2 = _channel_terms(potential, p, np.asarray(r, dtype=float))
-        v = cent_coef / r2
+    def v_eff(r: np.ndarray) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        v = cent_coef / r ** 2
+        U = potential.vector_part.evaluate(r, p) if potential.vector_part is not None else None
         if mode is SolveMode.SCHRODINGER:
             if U is not None:
                 v = v + U
@@ -165,35 +159,13 @@ def effective_radial_equation(
             v = v + 2.0 * U
         else:
             if U is not None:
-                v = v + 2.0 * m_sys * U / mass_param - U2 / (mass_param * p.c ** 2)
-            if mode is SolveMode.KG_SCALAR_VECTOR and S is not None:
-                v = v + 2.0 * p.rest_mass * S / mass_param + S2 / (mass_param * p.c ** 2)
+                v = v + 2.0 * m_sys * U / mass_param - U ** 2 / (mass_param * p.c ** 2)
+            if mode is SolveMode.KG_SCALAR_VECTOR and potential.scalar_part is not None:
+                S = potential.scalar_part.evaluate(r, p)
+                v = v + 2.0 * p.rest_mass * S / mass_param + S ** 2 / (mass_param * p.c ** 2)
         return v
 
     return A, v_eff
-
-
-def _channel_terms(
-    potential: PotentialSpec, p: PhysicalParams, r: np.ndarray
-) -> tuple[np.ndarray | None, ...]:
-    """r^2, U, U^2, S and S^2 at r (None for an absent part)."""
-    terms = [r ** 2]
-    for part in (potential.vector_part, potential.scalar_part):
-        values = part.evaluate(r, p) if part is not None else None
-        terms += [values, None if values is None else values ** 2]
-    return tuple(terms)
-
-
-@functools.lru_cache(maxsize=2)
-def _grid_terms(
-    potential: PotentialSpec, p: PhysicalParams, grid: RadialGrid
-) -> tuple[np.ndarray | None, ...]:
-    """_channel_terms on grid's points, read-only."""
-    terms = _channel_terms(potential, p, grid.points)
-    for array in terms:
-        if array is not None:
-            array.flags.writeable = False
-    return terms
 
 
 def origin_series(
@@ -262,7 +234,7 @@ def discretize_operator(
         except (OverflowError, ZeroDivisionError) as exc:  # h^2 overflows, or underflows to 0
             message = f"grid step {h!r} (r_max = {grid.r_max!r}) squared leaves the float range"
             raise type(exc)(message) from None
-        diag = 2.0 * kin + v_eff(grid) + kin * _stencil_error(s, grid.n_points, a1 * h)
+        diag = 2.0 * kin + v_eff(grid.points) + kin * _stencil_error(s, grid.n_points, a1 * h)
     return DiscretizedOperator(diag=diag, offdiag=np.full(grid.n_points - 1, -kin), grid=grid)
 
 
@@ -325,9 +297,8 @@ def _significant_signs(u: np.ndarray) -> np.ndarray:
     return np.sign(u[magnitude > 1e-9 * magnitude.max()])
 
 
-def _count_sign_changes(u: np.ndarray, signs: np.ndarray | None = None) -> int:
-    if signs is None:
-        signs = _significant_signs(u)
+def _count_sign_changes(u: np.ndarray) -> int:
+    signs = _significant_signs(u)
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
@@ -353,14 +324,6 @@ def _rayleigh_quotient(op: DiscretizedOperator, u: np.ndarray) -> float:
     return (kinetic + potential) / norm
 
 
-def _rayleigh_shift(op: DiscretizedOperator, u: np.ndarray) -> float:
-    """u^T T u / u^T u in the plain form, three dot products: a shift for
-    inverse iteration, where its eps * ||T|| noise does no harm."""
-    return float(
-        ((op.diag * u) @ u + 2.0 * float(op.offdiag[0]) * (u[:-1] @ u[1:])) / (u @ u)
-    )
-
-
 def _checked_pair(
     op: DiscretizedOperator, u: np.ndarray, node_target: int
 ) -> tuple[float, np.ndarray]:
@@ -371,7 +334,7 @@ def _checked_pair(
     to sum(u^2) = 1 and its first significant entry positive.
     """
     signs = _significant_signs(u)
-    nodes = _count_sign_changes(u, signs)
+    nodes = int(np.count_nonzero(signs[1:] != signs[:-1]))
     if nodes != node_target:
         raise StateNotFound(f"eigenpair {node_target} has {nodes} nodes, not {node_target}")
     scale = math.sqrt(float(u @ u))
@@ -466,50 +429,68 @@ def _pair_by_index(
     return _checked_pair(op, vecs[:, 0], node_target)
 
 
-def _refine_eigenpair(
-    op: DiscretizedOperator, node_target: int, u: np.ndarray, shift: float, sweeps: int = 2
+def _sweep(
+    op: DiscretizedOperator, node_target: int, u: np.ndarray, shift: float
 ) -> tuple[float, np.ndarray] | None:
-    """Sweeps of inverse iteration on T from a nearby eigenvector u.
-
-    The first sweep solves (T - shift) x = u; each later one is shifted by
-    the Rayleigh quotient of the last sweep's vector (_rayleigh_shift), so
-    the iteration converges cubically once the vector is close.  Returns
-    the pair as inner_eigensolve would, or None when a tridiagonal solve is
-    singular or the result fails one of inner_eigensolve's checks, in which
-    case the caller solves from scratch.
+    """One sweep of inverse iteration: (T - shift) x = u, then x checked and
+    normalized by _checked_pair.  Returns None when the tridiagonal solve
+    is singular or x fails one of _checked_pair's checks.
     """
-    for sweep in range(sweeps):
-        if sweep:
-            shift = _rayleigh_shift(op, u)
-        _, _, _, x, info = _lapack().dgtsv(op.offdiag, op.diag - shift, op.offdiag, u[:, None])
-        norm = float(np.linalg.norm(x))
-        if info != 0 or not math.isfinite(norm):
-            return None
-        u = x[:, 0] / norm
+    _, _, _, x, info = _lapack().dgtsv(op.offdiag, op.diag - shift, op.offdiag, u[:, None])
+    norm = float(np.linalg.norm(x))
+    if info != 0 or not math.isfinite(norm):
+        return None
     try:
-        return _checked_pair(op, u, node_target)
+        return _checked_pair(op, x[:, 0] / norm, node_target)
     except StateNotFound:
         return None
 
 
-# Fine grids of at least this many points take their first eigenpair from a
-# grid _COARSE_FACTOR times coarser (see _coarse_start), bisected to
-# _COARSE_TOL times its kinetic scale and refined at most _COARSE_REFINES
-# times.  A relativistic solve raises NoConvergence after _MAX_SC_ITERS mass
-# steps.
-_COARSE_START_POINTS = 2000
-_COARSE_FACTOR = 8
-_COARSE_TOL = 1e-6
-_COARSE_REFINES = 3
-_MAX_SC_ITERS = 200
+def _converged(op: DiscretizedOperator, e: float, u: np.ndarray) -> bool:
+    """Whether ||(T - e)u|| is at most eps * sqrt(N) times kin = A/h^2.
 
-
-def _residual_norm(op: DiscretizedOperator, e: float, u: np.ndarray) -> float:
-    """||(T - e) u|| in units of the kinetic scale kin = A/h^2."""
+    A direct eigensolve leaves at most ~0.1 eps * sqrt(N) kin there
+    (measured for N = 2000..200000), so a pair that passes is as converged
+    as the one bisection would give.
+    """
     r = (op.diag - e) * u
     r[:-1] += op.offdiag * u[1:]
     r[1:] += op.offdiag * u[:-1]
-    return float(np.linalg.norm(r)) / -float(op.offdiag[0])
+    kin = -float(op.offdiag[0])
+    return float(np.linalg.norm(r)) / kin <= np.finfo(float).eps * math.sqrt(u.size)
+
+
+def _refine_eigenpair(
+    op: DiscretizedOperator, node_target: int, u: np.ndarray, shift: float, sweeps: int = 2
+) -> tuple[float, np.ndarray] | None:
+    """At most sweeps sweeps of inverse iteration on T from a nearby
+    eigenvector u.
+
+    The first sweep is shifted by shift, each later one by the E' (the
+    Rayleigh quotient) of the last sweep's vector, so the iteration
+    converges cubically once the vector is close.  Returns the first pair
+    that is _converged, as inner_eigensolve would give it, or None when a
+    sweep fails (see _sweep) or none is converged; the caller then solves
+    from scratch.
+    """
+    for _ in range(sweeps):
+        pair = _sweep(op, node_target, u, shift)
+        if pair is None:
+            return None
+        shift, u = pair
+        if _converged(op, shift, u):
+            return pair
+    return None
+
+
+# Fine grids of at least this many points take their first eigenpair from a
+# grid _COARSE_FACTOR times coarser (see _coarse_start), refined by at most
+# _COARSE_SWEEPS sweeps.  A relativistic solve raises NoConvergence after
+# _MAX_SC_ITERS mass steps.
+_COARSE_START_POINTS = 2000
+_COARSE_FACTOR = 8
+_COARSE_SWEEPS = 6
+_MAX_SC_ITERS = 200
 
 
 def _coarse_start(
@@ -519,36 +500,26 @@ def _coarse_start(
     grid _COARSE_FACTOR times coarser over the same box.
 
     coarse_op is solved by index, so bisection runs on N/8 points instead
-    of N, and only to _COARSE_TOL times the coarse kinetic scale: the pair
-    only seeds the refinement.  Its eigenvector, interpolated onto op's
-    grid, is refined by _refine_eigenpair, each time two sweeps: the first
-    shifted by the last E' (at first the coarse one; a Rayleigh shift from
-    the interpolated vector misses the state more often) and the second by
-    the Rayleigh quotient, until ||(T - E')u|| / kin is at most
-    eps * sqrt(N).  A direct eigensolve leaves at most ~0.1 eps * sqrt(N)
-    there (measured for N = 2000..200000), so the accepted pair is as
-    converged as the one bisection on the fine grid would give.  One
-    refinement does it for every state of the criterion-1 sweep; a shallow
-    state, whose coarse E' can be off by more than the level spacing, may
-    take more.  Returns None when the coarse grid holds no such bound state
-    or LAPACK fails on it, a refined pair fails a check or the residual is
-    still above that floor after _COARSE_REFINES refinements; the caller
-    then solves op from scratch.
+    of N, and only to the kinetic scale of the box, A/r_max^2: the pair
+    only seeds the refinement.  That tolerance does not grow with N, and
+    on the Coulomb boxes default_solver_grid sizes it is at most 5.9e-3 of
+    the spacing to the neighbouring levels (n <= 6, measured), so the
+    bisection cannot stop nearer a neighbour.  The eigenvector, interpolated onto op's grid, is
+    refined by _refine_eigenpair, the first sweep shifted by the coarse E'
+    (a Rayleigh shift from the interpolated vector misses the state more
+    often).  Two sweeps converge every state of the criterion-1 sweep; a
+    shallow state, whose coarse E' can be off by more than the level
+    spacing, may take more.  Returns None when the coarse grid holds no
+    such bound state, LAPACK fails on it or the refinement fails; the
+    caller then solves op from scratch.
     """
+    box_scale = -float(coarse_op.offdiag[0]) / (coarse_op.grid.n_points + 1) ** 2
     try:
-        e, u = _pair_by_index(coarse_op, node_target, _COARSE_TOL * -float(coarse_op.offdiag[0]))
+        e, u = _pair_by_index(coarse_op, node_target, box_scale)
     except (StateNotFound, np.linalg.LinAlgError):
         return None
     u = np.interp(op.grid.points, coarse_op.grid.points, u)
-    floor = np.finfo(float).eps * math.sqrt(op.grid.n_points)
-    for _ in range(_COARSE_REFINES):
-        pair = _refine_eigenpair(op, node_target, u, e)
-        if pair is None:
-            return None
-        e, u = pair
-        if _residual_norm(op, e, u) <= floor:
-            return pair
-    return None
+    return _refine_eigenpair(op, node_target, u, e, _COARSE_SWEEPS)
 
 
 def default_solver_grid(
@@ -614,11 +585,15 @@ def solve_self_consistent(
     residuals) after _MAX_SC_ITERS steps.  discretize_operator makes every
     operator of the solve.  The first eigenpair comes from a coarser grid
     when the grid is large (see _coarse_start).  From the second iteration
-    on it is one sweep of inverse iteration from the previous eigenvector,
-    shifted by its Rayleigh quotient on the new operator (see
-    _refine_eigenpair).  Either falls back to inner_eigensolve when it
-    fails.  With with_trace=True the per-iteration residual history |g|/m0
-    is returned alongside the state.
+    on it is one _sweep of inverse iteration from the previous
+    eigenvector, shifted by its Rayleigh quotient on the new operator.
+    Either falls back to inner_eigensolve when it fails.  A sweep's pair
+    need not be converged (the first mass step of a strongly bound state
+    leaves up to ~1e5 times the residual floor), so the pair that meets
+    the tolerance is checked (_converged) and, if it is not, replaced by
+    inner_eigensolve's on the same operator before the test.  With
+    with_trace=True the per-iteration residual history |g|/m0 is returned
+    alongside the state.
     """
     qn = QuantumNumbers(n=req.n, l=req.l)
     _check_combination(req.mode, req.potential)
@@ -634,7 +609,7 @@ def solve_self_consistent(
     for iterations in range(1, _MAX_SC_ITERS + 1):
         op = discretize_operator(req.mode, req.potential, p, m, req.l, grid)
         if u is not None:
-            pair = _refine_eigenpair(op, node_target, u, _rayleigh_shift(op, u), 1)
+            pair = _sweep(op, node_target, u, _rayleigh_quotient(op, u))
         elif grid.n_points >= _COARSE_START_POINTS:
             coarse = RadialGrid(grid.r_max, grid.n_points // _COARSE_FACTOR)
             coarse_op = discretize_operator(req.mode, req.potential, p, m, req.l, coarse)
@@ -647,6 +622,12 @@ def solve_self_consistent(
             break
         g = p.rest_mass + e / p.c ** 2 - m
         residual = abs(g) / p.rest_mass
+        if residual < req.sc_tolerance and not _converged(op, e, u):
+            # a mass step's one sweep need not converge, but the pair a
+            # solve returns must be as converged as bisection's
+            e, u = inner_eigensolve(op, node_target)
+            g = p.rest_mass + e / p.c ** 2 - m
+            residual = abs(g) / p.rest_mass
         trace.append(residual)
         if residual < req.sc_tolerance:
             break

@@ -18,8 +18,10 @@ from kgbound.errors import (
 from kgbound.solver import (
     SolveMode,
     SolveRequest,
+    _converged,
     _count_sign_changes,
     _refine_eigenpair,
+    _sweep,
     convergence_study,
     default_solver_grid,
     discretize_operator,
@@ -362,23 +364,26 @@ class TestInnerEigensolve:
 
     def test_refinement_rejects_the_wrong_state(self):
         # inverse iteration shifted onto the ground state cannot pass as the
-        # one-node state; the caller then solves from scratch.  The start
-        # carries a 1e-6 ground-state admixture, so that what the shifted
-        # sweep amplifies is not rounding: from u1 alone, one sweep at e0
-        # leaves a one-node mixture whose E' is 1.3e-3 off
+        # one-node state; the caller then solves from scratch
         grid = RadialGrid(40.0 * P_01.bohr_radius(), 2000)
         op = discretize_operator(
             SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0, grid)
-        e0, u0 = inner_eigensolve(op, 0)
+        e0, _ = inner_eigensolve(op, 0)
         e1, u1 = inner_eigensolve(op, 1)
-        start = u1 + 1e-6 * u0
-        assert _refine_eigenpair(op, 1, start, e0, 1) is None
-        # later sweeps are shifted by the Rayleigh quotient: they may steer
+        # one sweep at e0 amplifies the rounding-level ground state into a
+        # one-node mixture far off e1: only its residual gives it away
+        e, u = _sweep(op, 1, u1, e0)
+        assert _count_sign_changes(u) == 1 and abs(e / e1 - 1) > 1e-4
+        assert not _converged(op, e, u)
+        assert _refine_eigenpair(op, 1, u1, e0, 1) is None
+        assert _refine_eigenpair(op, 1, u1, e0) is None
+        # later sweeps are shifted by E': given more of them they may steer
         # back onto the one-node state, but never pass off another one
-        pair = _refine_eigenpair(op, 1, start, e0)
-        if pair is not None:
-            assert _count_sign_changes(pair[1]) == 1
-            assert pair[0] == pytest.approx(e1, rel=1e-12)
+        for sweeps in (3, 6):
+            pair = _refine_eigenpair(op, 1, u1, e0, sweeps)
+            if pair is not None:
+                assert _count_sign_changes(pair[1]) == 1
+                assert pair[0] == pytest.approx(e1, rel=1e-12)
         e, u = _refine_eigenpair(op, 1, u1, e1)
         assert e == pytest.approx(e1, rel=1e-12)
         np.testing.assert_allclose(u, u1, atol=1e-10)
@@ -561,9 +566,12 @@ class TestSolveSelfConsistent:
         (SolveMode.KG_EQUAL, PotentialSpec.equal_hulthen(0.9), 0.1, 2, 0, 8000),
         # bound on the fine grid only (tests/test_solver_reference.py)
         (SolveMode.KG_VECTOR, PotentialSpec.hulthen(1.8), 0.1, 1, 0, 2000),
+        # a coarse grid of 25000 points
+        (SolveMode.KG_VECTOR, PotentialSpec.coulomb(), 0.3, 2, 1, 200000),
     ], ids=["kg-vector-za0.3-20-2000", "kg-vector-za0.45-10-8000", "kg-vector-za0.45-20-8000",
             "kg-vector-za0.3-43-8000", "kg-scalar-vector-za0.3-20-4000",
-            "kg-equal-hulthen-lam0.9-20-8000", "kg-vector-hulthen-lam1.8-10-2000"])
+            "kg-equal-hulthen-lam0.9-20-8000", "kg-vector-hulthen-lam1.8-10-2000",
+            "kg-vector-za0.3-21-200000"])
     def test_cold_solves_give_the_same_state(self, monkeypatch, mode, potential, za, n, l,
                                              n_points):
         # the warm path (coarse start, Rayleigh-shifted refinement) against
@@ -572,20 +580,24 @@ class TestSolveSelfConsistent:
         grid = default_solver_grid(mode, potential, p, n, l, n_points=n_points)
         req = SolveRequest(mode=mode, potential=potential, n=n, l=l, grid=grid)
         warm = solve_self_consistent(req, p)
-        monkeypatch.setattr("kgbound.solver._refine_eigenpair", lambda *args: None)
+        for name in ("_refine_eigenpair", "_sweep"):
+            monkeypatch.setattr(solver, name, lambda *args: None)
         cold = solve_self_consistent(req, p)
         assert warm.e_prime == pytest.approx(cold.e_prime, rel=1e-12)
         assert warm.iterations == cold.iterations
 
     def test_lapack_work_per_solve(self, monkeypatch):
         # criterion 1's states: the coarse start bisects N // 8 points to a
-        # loose tolerance and refines once with two tridiagonal solves, and
+        # loose tolerance and refines with two tridiagonal solves, and
         # every later mass step costs one solve; without the coarse start
-        # the fine grid is bisected to full precision
+        # the fine grid is bisected to full precision.  The coarse
+        # tolerance, A/r_max^2, does not grow with N, so on 200000 points
+        # the fine grid is still never bisected
         proxy = CountingLapack(solver._lapack())
         monkeypatch.setattr(solver, "_lapack", lambda: proxy)
         states = [(za, n, l, n_points) for za in (0.05, 0.1, 0.2, 0.3)
                   for n in range(1, 5) for l in range(n) for n_points in (4000, 8000)]
+        states += [(za, n, l, 200000) for za in (0.05, 0.3) for n, l in ((1, 0), (2, 1))]
         for coarse_start, grid_factor, extra_solves in ((True, 8, 1), (False, 1, -1)):
             if not coarse_start:
                 monkeypatch.setattr(solver, "_coarse_start", lambda *args: None)
@@ -595,11 +607,42 @@ class TestSolveSelfConsistent:
                 state = solve_self_consistent(coulomb_request(p, n, l, n_points), p)
                 case = (za, n, l, n_points, coarse_start)
                 solves = [args for name, args in proxy.calls if name == "dgtsv"]
-                assert len(solves) == state.iterations + extra_solves, case
+                if coarse_start and n_points > 8000:
+                    # the floor grows with kin = A/h^2: one sweep may reach it
+                    assert len(solves) <= state.iterations + extra_solves, case
+                else:
+                    assert len(solves) == state.iterations + extra_solves, case
                 (bisection,) = [args for name, args in proxy.calls if name == "dstebz"]
                 assert bisection[0].size == n_points // grid_factor, case
                 abstol = bisection[7]
                 assert abstol > 0.0 if coarse_start else abstol == 0.0, case
+
+    def test_an_unconverged_last_mass_step_is_not_returned(self, monkeypatch):
+        # a mass step is one sweep, which need not converge; the pair that
+        # meets the mass tolerance must, or the solve bisects its operator.
+        # Noise on every sweep's vector (its E' left exact) keeps the coarse
+        # start and the last mass step off the residual floor
+        req = coulomb_request(P_03, 2, 0, 2000)
+        warm = solve_self_consistent(req, P_03)
+        sweep = solver._sweep
+        noise = 1e-7 * np.random.default_rng(1).standard_normal(2000)
+
+        def noisy(*args):
+            pair = sweep(*args)
+            return None if pair is None else (pair[0], pair[1] + noise)
+
+        proxy = CountingLapack(solver._lapack())
+        monkeypatch.setattr(solver, "_lapack", lambda: proxy)
+        monkeypatch.setattr(solver, "_sweep", noisy)
+        state = solve_self_consistent(req, P_03)
+        bisected = [args[0].size for name, args in proxy.calls if name == "dstebz"]
+        # the coarse grid, then the fine grid at the first and the last mass step
+        assert bisected == [2000 // 8, 2000, 2000]
+        assert state.e_prime == pytest.approx(warm.e_prime, rel=1e-12)
+        assert state.iterations == warm.iterations
+        h = state.radial_samples[0][0]
+        np.testing.assert_allclose(state.radial_samples[1] * math.sqrt(h),
+                                   warm.radial_samples[1] * math.sqrt(h), atol=1e-9)
 
     def test_overtight_tolerance_converges_or_raises(self):
         req = coulomb_request(P_03, 1, 0, 2000, sc_tolerance=1e-15)
