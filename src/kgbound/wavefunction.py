@@ -46,7 +46,11 @@ They take SeparableFields only: a plain array, or a slice or arithmetic
 result of a field (a dense ndarray), raises TypeError.  A separable
 field built by hand goes through SeparableField(radial, angular).  For
 the (2,1,+-1) states the continuity floor max|div J|/max|J_phi| is
-3.4e-13 on grids up to 400x128x128.
+3.4e-13 on grids up to 400x128x128.  An m = 0 current is exact zeros;
+continuity_check returns 0.0 for it without a slab, since each term of
+div J then has one factor all zeros and the other finite.  The
+colatitudes and their weights are computed once per n_theta and shared,
+read-only, by the grids.
 
 Everything here is numpy alone: the radial factor by the Laguerre
 recurrence, and the angular factor by the upward recurrence for the
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -314,19 +319,43 @@ class SphericalGrid3D:
         return (self.r.size, self.theta.size, self.phi.size)
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _colatitudes(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, weights): the n_theta Gauss-Legendre colatitudes in
+    increasing order and their weights.  They depend only on n_theta, so
+    they are cached and read-only; grids with the same n_theta share them.
+    typed=True keeps n_theta = 2.0 from hitting the entry of np.int64(2),
+    so it still raises leggauss's TypeError.
+    """
+    x, w = leggauss(n_theta)
+    order = np.argsort(-x)  # theta increasing means cos(theta) decreasing
+    theta, weights = np.arccos(x[order]), w[order]
+    theta.flags.writeable = weights.flags.writeable = False
+    return theta, weights
+
+
 def current_check_grid(
     R: RadialWavefunction,
     n_r: int = 200,
     n_theta: int = 64,
     n_phi: int = 64,
 ) -> SphericalGrid3D:
-    x, w = leggauss(n_theta)
-    order = np.argsort(-x)  # theta increasing means cos(theta) decreasing
+    """The product grid of n_r log radii up to R's 1e-8 tail radius,
+    n_theta Gauss-Legendre colatitudes and n_phi uniform azimuths.
+
+    theta and theta_weights are read-only and shared by every grid with
+    the same n_theta.  A count below 1 raises ValueError naming it; a
+    count that is not an integer raises TypeError.
+    """
+    for name, count in (("n_r", n_r), ("n_theta", n_theta), ("n_phi", n_phi)):
+        if operator.index(count) < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
+    theta, weights = _colatitudes(n_theta)
     r_hi = R.tail_radius(1e-8)
     return SphericalGrid3D(
         r=np.geomspace(1e-3 * r_hi, r_hi, n_r),
-        theta=np.arccos(x[order]),
-        theta_weights=w[order],
+        theta=theta,
+        theta_weights=weights,
         phi=2.0 * math.pi * np.arange(n_phi) / n_phi,
     )
 
@@ -469,16 +498,13 @@ def probability_current(
 _SLAB_ROWS = 4
 
 
-def _divergence_slabs(
+def _divergence_terms(
     J: tuple[SeparableField, SeparableField, SeparableField], grid: SphericalGrid3D
-):
-    """Yield div J on the grid interior (see divergence_field), radial rows in order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(radial, angular): the factors of the three terms of div J on the grid interior.
 
-    Each term of div J is the outer product of a radial and an angular
-    difference, so a slab of radial rows is one (rows, 3) @ (3, interior
-    angles) product.  A slab holds _SLAB_ROWS to 2 * _SLAB_ROWS - 1 rows
-    (fewer only when the whole interior is smaller), never one row of a
-    longer interior, whose product BLAS rounds through another kernel.
+    Term k of div J is the outer product of radial[:, k], shape
+    (n_r - 4,), and angular[k], shape (n_theta - 2, n_phi).
     """
     n_r, n_theta, n_phi = grid.shape
     if n_r < 5 or n_theta < 3 or n_phi < 1:
@@ -497,9 +523,27 @@ def _divergence_slabs(
         np.gradient(sin_t * b_theta, grid.theta, axis=0) / sin_t,
         (np.roll(b_phi, -1, axis=1) - np.roll(b_phi, 1, axis=1)) / (2.0 * d_phi * sin_t),
     ])[:, 1:-1, :]
+    return radial, angular
+
+
+def _divergence_slabs(radial: np.ndarray, angular: np.ndarray):
+    """Yield div J from its _divergence_terms, radial rows in order.
+
+    A slab of radial rows is one (rows, 3) @ (3, interior angles)
+    product.  A slab holds _SLAB_ROWS to 2 * _SLAB_ROWS - 1 rows (fewer
+    only when the whole interior is smaller), never one row of a longer
+    interior, whose product BLAS rounds through another kernel.
+    """
     flat = angular.reshape(3, -1)
     for rows in np.array_split(radial, max(1, len(radial) // _SLAB_ROWS)):
         yield (rows @ flat).reshape(-1, *angular.shape[1:])
+
+
+def _term_is_zero(radial: np.ndarray, angular: np.ndarray) -> bool:
+    """Whether every product of the factors is +-0: one factor all zeros, the other finite."""
+    if not radial.any():
+        return bool(np.isfinite(angular).all())
+    return not angular.any() and bool(np.isfinite(radial).all())
 
 
 def divergence_field(
@@ -517,7 +561,7 @@ def divergence_field(
     returns; anything else raises TypeError.  The block is built from
     the same slabs that continuity_check reduces.
     """
-    return np.concatenate(list(_divergence_slabs(J, grid)))
+    return np.concatenate(list(_divergence_slabs(*_divergence_terms(J, grid))))
 
 
 def continuity_check(
@@ -528,6 +572,12 @@ def continuity_check(
     For a stationary state the probability density is time-independent, so
     conservation demands div J = 0; the returned number is the numerical
     residual of that statement.  It equals np.abs(divergence_field(J,
-    grid)).max() without allocating that block.
+    grid)).max() without allocating that block.  When every term of div J
+    has one factor all zeros and the other finite (every m = 0 current),
+    each product is +-0, and 0.0 comes back without a slab.
     """
-    return float(np.max([np.abs(slab, out=slab).max() for slab in _divergence_slabs(J, grid)]))
+    radial, angular = _divergence_terms(J, grid)
+    if all(_term_is_zero(radial[:, k], angular[k]) for k in range(3)):
+        return 0.0
+    slabs = _divergence_slabs(radial, angular)
+    return float(np.max([np.abs(slab, out=slab).max() for slab in slabs]))

@@ -1,9 +1,13 @@
 """Radial wavefunctions, harmonics, and current diagnostics."""
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+
+from kgbound import wavefunction
 
 from kgbound.core import ALPHA_FS, PhysicalParams
 from kgbound.coulomb import sigma_closed, system_mass
@@ -11,6 +15,7 @@ from kgbound.errors import InvalidQuantumNumbers
 from kgbound.special import laguerre_rel
 from kgbound.wavefunction import (
     SeparableField,
+    SphericalGrid3D,
     _laguerre,
     _legendre_p,
     build_radial,
@@ -280,6 +285,45 @@ class TestSphericalHarmonics:
                 assert err <= 2e-14 * np.abs(ref).max(), (l, m)
 
 
+class TestCheckGrid:
+    @pytest.mark.parametrize("n_theta", [1, 2, 3, 8, 32, 128])
+    def test_colatitudes_are_the_gauss_legendre_nodes(self, n_theta):
+        R = build_radial(P_03, 2, 1)
+        x, w = leggauss(n_theta)
+        order = np.argsort(-x)
+        grid = current_check_grid(R, n_r=5, n_theta=n_theta, n_phi=4)
+        assert grid.theta.tobytes() == np.arccos(x[order]).tobytes()
+        assert grid.theta_weights.tobytes() == w[order].tobytes()
+        for array in (grid.theta, grid.theta_weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        again = current_check_grid(build_radial(P_03, 3, 2), n_r=7, n_theta=n_theta, n_phi=3)
+        assert again.theta is grid.theta and again.theta_weights is grid.theta_weights
+
+    def test_a_float_n_theta_misses_the_cache(self):
+        R = build_radial(P_03, 2, 1)
+        current_check_grid(R, n_theta=2)
+        with pytest.raises(TypeError):
+            current_check_grid(R, n_theta=2.0)
+        # an untyped cache keys np.int64(2) and 2.0 alike (a bare int takes
+        # another key), so 2.0 would hit the entry instead of raising
+        wavefunction._colatitudes(np.int64(2))
+        with pytest.raises(TypeError):
+            wavefunction._colatitudes(2.0)
+
+    @pytest.mark.parametrize("name", ["n_r", "n_theta", "n_phi"])
+    @pytest.mark.parametrize("count, error", [
+        (0, ValueError), (-1, ValueError), (2.0, TypeError), (0.5, TypeError), ("8", TypeError),
+    ])
+    def test_bad_point_counts(self, name, count, error):
+        R = build_radial(P_03, 2, 1)
+        counts = {"n_r": 10, "n_theta": 4, "n_phi": 4, name: count}
+        before = wavefunction._colatitudes.cache_info()
+        with pytest.raises(error, match=name if error is ValueError else None):
+            current_check_grid(R, **counts)
+        assert wavefunction._colatitudes.cache_info() == before
+
+
 class TestProbabilityCurrent:
     def test_real_states_give_exact_zero(self):
         for n, l, m in ((1, 0, 0), (2, 1, 0)):
@@ -443,7 +487,8 @@ class TestFactoredCurrent:
             with pytest.raises(TypeError, match="sample_state or SeparableField"):
                 probability_current(field, grid, P_03, m_sys)
         for bad in (tuple(np.asarray(c) for c in J), (np.asarray(J[0]), J[1], J[2]),
-                    (J[0], J[1][:], J[2]), (J[0], J[1], J[2] * 1)):
+                    (J[0], J[1][:], J[2]), (J[0], J[1], J[2] * 1),
+                    (np.zeros(grid.shape),) * 3):
             with pytest.raises(TypeError, match="sample_state or SeparableField"):
                 divergence_field(bad, grid)
             with pytest.raises(TypeError, match="sample_state or SeparableField"):
@@ -455,8 +500,10 @@ class TestFactoredCurrent:
         for shape in ((4, 8, 8), (5, 2, 8), (2, 3, 4)):
             grid = current_check_grid(R, *shape)
             J = probability_current(sample_state(P_03, R, 1, grid), grid, P_03, m_sys)
-            with pytest.raises(ValueError, match="n_r >= 5, n_theta >= 3"):
-                continuity_check(J, grid)
+            zeros = (SeparableField(np.zeros(shape[0]), np.zeros(shape[1:])),) * 3
+            for current in (J, zeros):
+                with pytest.raises(ValueError, match="n_r >= 5, n_theta >= 3"):
+                    continuity_check(current, grid)
         # the smallest grid with an interior works
         grid = current_check_grid(R, 5, 3, 1)
         J = probability_current(sample_state(P_03, R, 1, grid), grid, P_03, m_sys)
@@ -472,6 +519,67 @@ class TestFactoredCurrent:
         psi = sample_state(P_03, R, 1, current_check_grid(R, n_r=11, n_theta=6, n_phi=8))
         with pytest.raises(ValueError, match="match the grid"):
             probability_current(psi, grid, P_03, system_mass(P_03, 2, 1))
+
+
+    @staticmethod
+    def _counting_slabs(monkeypatch):
+        calls = []
+        slabs = wavefunction._divergence_slabs
+
+        def counting(radial, angular):
+            calls.append(radial.shape)
+            return slabs(radial, angular)
+
+        monkeypatch.setattr(wavefunction, "_divergence_slabs", counting)
+        return calls
+
+    @staticmethod
+    def _assert_check_is_the_max(J, grid, calls, slab_passes):
+        """continuity_check, through slab_passes slab passes, is max|divergence_field| bit for bit."""
+        del calls[:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            check = continuity_check(J, grid)
+            assert len(calls) == slab_passes
+            want = float(np.abs(divergence_field(J, grid)).max())
+        assert struct.pack("<d", check) == struct.pack("<d", want)
+        return check
+
+    @pytest.mark.parametrize("shape", [(100, 32, 32), (200, 64, 64), (400, 128, 128)])
+    def test_zero_current_skips_the_slabs(self, monkeypatch, shape):
+        calls = self._counting_slabs(monkeypatch)
+        R = build_radial(P_03, 2, 1)
+        grid = current_check_grid(R, *shape)
+        J = probability_current(sample_state(P_03, R, 0, grid), grid, P_03,
+                                system_mass(P_03, 2, 1))
+        assert self._assert_check_is_the_max(J, grid, calls, 0) == 0.0
+
+    def test_zero_current_on_degenerate_grids_is_nan(self, monkeypatch):
+        # A repeated interior radius makes the radial difference 0/0 and an
+        # interior colatitude at the pole the angular ones; the J factors
+        # are all zeros and finite, the terms of div J are not.
+        calls = self._counting_slabs(monkeypatch)
+        base = current_check_grid(build_radial(P_03, 2, 1), n_r=12, n_theta=8, n_phi=6)
+        r, theta = base.r.copy(), base.theta.copy()
+        r[5] = r[4]
+        theta[3] = 0.0
+        zeros = SeparableField(np.zeros(12), np.zeros((8, 6)))
+        for grid in (SphericalGrid3D(r, base.theta, base.theta_weights, base.phi),
+                     SphericalGrid3D(base.r, theta, base.theta_weights, base.phi)):
+            check = self._assert_check_is_the_max((zeros,) * 3, grid, calls, 1)
+            assert math.isnan(check)
+
+    def test_one_zero_term_goes_through_the_slabs(self, monkeypatch):
+        calls = self._counting_slabs(monkeypatch)
+        R = build_radial(P_03, 2, 1)
+        grid = current_check_grid(R, n_r=30, n_theta=10, n_phi=15)
+        s = grid.r / grid.r[-1]
+        th, ph = grid.theta[:, None], grid.phi[None, :]
+        J = (
+            SeparableField(np.zeros(30), np.cos(th) * (1.0 + np.sin(ph))),
+            SeparableField(np.exp(-2.0 * s), np.sin(2.0 * th) * np.cos(ph)),
+            SeparableField(s ** 2 * np.exp(-s), np.sin(th) * np.sin(2.0 * ph)),
+        )
+        assert self._assert_check_is_the_max(J, grid, calls, 1) > 0.0
 
 
 class TestSeparableField:
