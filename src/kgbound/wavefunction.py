@@ -40,17 +40,20 @@ Y(theta, phi) of the samples R(r) Y(theta, phi), never the n_r x n_theta
 x n_phi grid itself; np.asarray(field) is the way to get the dense
 samples.  The finite differences are linear, so probability_current
 works on the 1-D radial and 2-D angular factors and returns factored
-components, and continuity_check reduces div J a few radial rows at a
-time; the current diagnostics allocate no array of the full grid's size.
+components, and continuity_check reduces div J in blocks of 128 interior
+(theta, phi) columns over every interior radius; the current diagnostics
+allocate no array of the full grid's size.
 They take SeparableFields only: a plain array, or a slice or arithmetic
 result of a field (a dense ndarray), raises TypeError.  A separable
 field built by hand goes through SeparableField(radial, angular).  For
 the (2,1,+-1) states the continuity floor max|div J|/max|J_phi| is
 3.4e-13 on grids up to 400x128x128.  An m = 0 current is exact zeros;
-continuity_check returns 0.0 for it without a slab, since each term of
-div J then has one factor all zeros and the other finite.  The
-colatitudes and their weights are computed once per n_theta and shared,
-read-only, by the grids.
+continuity_check returns 0.0 for it before building the terms of div J.
+SphericalGrid3D checks its axes when it is built, so no difference of a
+zero current divides by zero.  The colatitudes and their weights are
+computed once per n_theta, and the tail probe's radii once per n; both
+are shared, read-only.  numpy.polynomial, for the Gauss-Legendre nodes,
+is imported only when a check grid first needs them.
 
 Everything here is numpy alone: the radial factor by the Laguerre
 recurrence, and the angular factor by the upward recurrence for the
@@ -66,7 +69,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .core import PhysicalParams, QuantumNumbers, validate_params
 from .coulomb import energy_level, sigma_closed, system_mass
@@ -112,16 +114,17 @@ class RadialWavefunction:
         return np.exp(-0.5 * rho) * rho ** self.exponent * _laguerre(k, a, rho)
 
     @functools.cached_property
-    def _probe(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rho, u / amplitude) on the log grid that tail_radius scans.
+    def _probe(self) -> tuple[np.ndarray, np.ndarray, np.floating]:
+        """(rho, |u| / amplitude, its max) on the log grid that tail_radius scans.
 
         Computed once per state (build_radial's range check, then every
-        tail_radius call) and read-only.
+        tail_radius call) and read-only; rho is _probe_radii(n).
         """
-        rho = np.geomspace(1e-6, 80.0 * self.qn.n ** 2, 4096)
+        rho = _probe_radii(self.qn.n)
         u = rho * self._shape(rho)
-        rho.flags.writeable = u.flags.writeable = False
-        return rho, u
+        np.abs(u, out=u)
+        u.flags.writeable = False
+        return rho, u, u.max()
 
     def evaluate(self, r: np.ndarray | float) -> np.ndarray | float:
         out = self.amplitude * self._shape(self.rho_scale * np.asarray(r, dtype=float))
@@ -129,9 +132,20 @@ class RadialWavefunction:
 
     def tail_radius(self, threshold: float = 1e-10) -> float:
         """Radius past which |u| stays below threshold * max|u|."""
-        rho, u = self._probe
-        u = np.abs(u)
-        return 1.1 * rho[np.flatnonzero(u >= threshold * u.max())[-1]] / self.rho_scale
+        rho, u, peak = self._probe
+        return 1.1 * rho[np.flatnonzero(u >= threshold * peak)[-1]] / self.rho_scale
+
+
+@functools.lru_cache(maxsize=32)
+def _probe_radii(n: int) -> np.ndarray:
+    """The 4096 log-spaced rho in [1e-6, 80 n^2] of the tail probe.
+
+    They depend only on n, so they are cached and read-only; the states
+    of one n share them.
+    """
+    rho = np.geomspace(1e-6, 80.0 * n ** 2, 4096)
+    rho.flags.writeable = False
+    return rho
 
 
 def _laguerre(k: int, a: float, x: np.ndarray) -> np.ndarray:
@@ -189,8 +203,8 @@ def build_radial(p: PhysicalParams, n: int, l: int) -> RadialWavefunction:
         exponent=l - sigma,
     )
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        rho, u = R._probe
-    if not np.isfinite(u).all():
+        rho, _, peak = R._probe
+    if not np.isfinite(peak):  # max|u| is NaN or inf when any |u| is
         raise OverflowError(f"u leaves the float range on rho <= {rho[-1]:g} for (n={n}, l={l})")
     return R
 
@@ -249,9 +263,13 @@ def reference_residual_grid(R: RadialWavefunction, n_points: int = 12000) -> np.
     origin, where R goes like a fractional power of r; a uniform grid
     loses an order there because its first interior points sit at r ~ h.
     The low end starts at rho = 0.1, far below the first lobe of every
-    state.
+    state.  The radii are exp of evenly spaced logarithms, with both ends
+    set to exactly lo and hi.
     """
-    return np.geomspace(0.1 / R.rho_scale, R.tail_radius(1e-10), n_points)
+    lo, hi = 0.1 / R.rho_scale, R.tail_radius(1e-10)
+    r = np.exp(np.linspace(math.log(lo), math.log(hi), n_points))
+    r[-1:], r[:1] = hi, lo
+    return r
 
 
 def count_radial_nodes(R: RadialWavefunction) -> int:
@@ -307,12 +325,31 @@ class SphericalGrid3D:
     weights integrate smooth functions of cos(theta) exactly enough for
     norm checks), azimuths are uniform with the endpoint excluded so the
     direction is periodic.
+
+    Construction raises ValueError, naming the axis, unless r is finite,
+    positive and strictly increasing, theta is finite and strictly
+    increasing with its interior rows in (0, pi), and theta_weights is as
+    long as theta: then the differences of div J divide by no zero.
     """
 
     r: np.ndarray
     theta: np.ndarray
     theta_weights: np.ndarray
     phi: np.ndarray
+
+    def __post_init__(self) -> None:
+        r, theta = np.asarray(self.r), np.asarray(self.theta)
+        if not (np.isfinite(r).all() and (r > 0.0).all() and (np.diff(r) > 0.0).all()):
+            raise ValueError("grid r must be finite, positive and strictly increasing")
+        if not (np.isfinite(theta).all() and (np.diff(theta) > 0.0).all()):
+            raise ValueError("grid theta must be finite and strictly increasing")
+        if not ((theta[1:-1] > 0.0) & (theta[1:-1] < math.pi)).all():
+            raise ValueError("grid theta must lie in (0, pi) on its interior rows")
+        if np.size(self.theta_weights) != theta.size:
+            raise ValueError(
+                f"grid theta_weights has {np.size(self.theta_weights)} entries, "
+                f"theta has {theta.size}"
+            )
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -325,8 +362,11 @@ def _colatitudes(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     increasing order and their weights.  They depend only on n_theta, so
     they are cached and read-only; grids with the same n_theta share them.
     typed=True keeps n_theta = 2.0 from hitting the entry of np.int64(2),
-    so it still raises leggauss's TypeError.
+    so it still raises leggauss's TypeError.  numpy.polynomial is imported
+    here, so building radial states never loads it.
     """
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(n_theta)
     order = np.argsort(-x)  # theta increasing means cos(theta) decreasing
     theta, weights = np.arccos(x[order]), w[order]
@@ -492,27 +532,36 @@ def probability_current(
     )
 
 
-# Radial rows per slab of div J (see _divergence_slabs).  Measured at
-# 400x128x128 on a 2-vCPU VM with OpenBLAS: continuity_check takes about
-# 9 ms at 4 rows, 10-14 ms at 6-16, 15-17 ms at 24 and 33 ms in one block.
-_SLAB_ROWS = 4
+# Interior angle columns per block of div J (see _divergence_blocks).
+# Measured with OpenBLAS on a 2-vCPU VM, continuity_check at widths
+# 64/128/256 takes 0.43/0.36/0.40 ms at 100x32x32, 1.13/1.01/1.21 ms at
+# 200x64x64 and 5.6/5.2/6.9 ms at 400x128x128: 128 is the fastest at all
+# three (4-row radial slabs took 0.39, 1.08 and 7.5 ms).
+_BLOCK_COLS = 128
+
+
+def _current_factors(
+    J: tuple[SeparableField, SeparableField, SeparableField], grid: SphericalGrid3D
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (radial, angular) factors of J_r, J_theta and J_phi on a grid with an interior."""
+    n_r, n_theta, n_phi = grid.shape
+    if n_r < 5 or n_theta < 3 or n_phi < 1:
+        raise ValueError(
+            f"div J needs n_r >= 5, n_theta >= 3 and n_phi >= 1; the grid is {grid.shape}"
+        )
+    return [_factors_on(grid, c) for c in J]
 
 
 def _divergence_terms(
-    J: tuple[SeparableField, SeparableField, SeparableField], grid: SphericalGrid3D
+    factors: list[tuple[np.ndarray, np.ndarray]], grid: SphericalGrid3D
 ) -> tuple[np.ndarray, np.ndarray]:
     """(radial, angular): the factors of the three terms of div J on the grid interior.
 
     Term k of div J is the outer product of radial[:, k], shape
     (n_r - 4,), and angular[k], shape (n_theta - 2, n_phi).
     """
-    n_r, n_theta, n_phi = grid.shape
-    if n_r < 5 or n_theta < 3 or n_phi < 1:
-        raise ValueError(
-            f"div J needs n_r >= 5, n_theta >= 3 and n_phi >= 1; the grid is {grid.shape}"
-        )
-    (a_r, b_r), (a_theta, b_theta), (a_phi, b_phi) = (_factors_on(grid, c) for c in J)
-    d_phi = 2.0 * math.pi / n_phi
+    (a_r, b_r), (a_theta, b_theta), (a_phi, b_phi) = factors
+    d_phi = 2.0 * math.pi / grid.phi.size
     r = grid.r
     sin_t = np.sin(grid.theta)[:, None]
     radial = np.stack(
@@ -526,24 +575,19 @@ def _divergence_terms(
     return radial, angular
 
 
-def _divergence_slabs(radial: np.ndarray, angular: np.ndarray):
-    """Yield div J from its _divergence_terms, radial rows in order.
+def _divergence_blocks(radial: np.ndarray, angular: np.ndarray):
+    """Yield div J from its _divergence_terms, in blocks of flattened angle columns.
 
-    A slab of radial rows is one (rows, 3) @ (3, interior angles)
-    product.  A slab holds _SLAB_ROWS to 2 * _SLAB_ROWS - 1 rows (fewer
-    only when the whole interior is smaller), never one row of a longer
-    interior, whose product BLAS rounds through another kernel.
+    A block is one (n_r - 4, 3) @ (3, columns) product over every
+    interior radius and _BLOCK_COLS interior (theta, phi) columns, taken
+    in order.  A lone last column joins the block before it: BLAS rounds
+    a one-column product through another kernel.
     """
     flat = angular.reshape(3, -1)
-    for rows in np.array_split(radial, max(1, len(radial) // _SLAB_ROWS)):
-        yield (rows @ flat).reshape(-1, *angular.shape[1:])
-
-
-def _term_is_zero(radial: np.ndarray, angular: np.ndarray) -> bool:
-    """Whether every product of the factors is +-0: one factor all zeros, the other finite."""
-    if not radial.any():
-        return bool(np.isfinite(angular).all())
-    return not angular.any() and bool(np.isfinite(radial).all())
+    cols = flat.shape[1]
+    starts = list(range(0, max(cols - 1, 1), _BLOCK_COLS))  # the last block has 2+ columns
+    for lo, hi in zip(starts, starts[1:] + [cols]):
+        yield radial @ flat[:, lo:hi]
 
 
 def divergence_field(
@@ -559,25 +603,29 @@ def divergence_field(
 
     Each component must be a SeparableField, as probability_current
     returns; anything else raises TypeError.  The block is built from
-    the same slabs that continuity_check reduces.
+    the same column blocks that continuity_check reduces.
     """
-    return np.concatenate(list(_divergence_slabs(*_divergence_terms(J, grid))))
+    radial, angular = _divergence_terms(_current_factors(J, grid), grid)
+    blocks = np.concatenate(list(_divergence_blocks(radial, angular)), axis=1)
+    return blocks.reshape(len(radial), *angular.shape[1:])
 
 
 def continuity_check(
     J: tuple[SeparableField, SeparableField, SeparableField], grid: SphericalGrid3D
 ) -> float:
-    """max |div J| over the grid interior, one slab of radial rows at a time.
+    """max |div J| over the grid interior, one block of angle columns at a time.
 
     For a stationary state the probability density is time-independent, so
     conservation demands div J = 0; the returned number is the numerical
     residual of that statement.  It equals np.abs(divergence_field(J,
-    grid)).max() without allocating that block.  When every term of div J
-    has one factor all zeros and the other finite (every m = 0 current),
-    each product is +-0, and 0.0 comes back without a slab.
+    grid)).max() without allocating that block.  When every factor of J
+    is all zeros (every m = 0 current), 0.0 comes back before the terms
+    of div J are built: on a grid that passed SphericalGrid3D's checks
+    each term is then +-0, as long as r^2 and the difference weights do
+    not leave the float range.
     """
-    radial, angular = _divergence_terms(J, grid)
-    if all(_term_is_zero(radial[:, k], angular[k]) for k in range(3)):
+    factors = _current_factors(J, grid)
+    if not any(f.any() for pair in factors for f in pair):
         return 0.0
-    slabs = _divergence_slabs(radial, angular)
-    return float(np.max([np.abs(slab, out=slab).max() for slab in slabs]))
+    blocks = _divergence_blocks(*_divergence_terms(factors, grid))
+    return float(np.max([np.abs(block, out=block).max() for block in blocks]))

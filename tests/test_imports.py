@@ -85,6 +85,26 @@ scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"scipy": scipy}))
 """
 
+# the wavefunction command and the radial checks, then a check grid;
+# whether numpy.polynomial (Gauss-Legendre nodes only) is loaded after each
+_RADIAL_PROBE = """
+import contextlib, io, json, sys
+from kgbound import cli
+from kgbound.core import PhysicalParams
+from kgbound.wavefunction import (
+    build_radial, count_radial_nodes, current_check_grid, radial_ode_residual,
+    reference_residual_grid)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["wavefunction", "--n", "3", "--l", "1", "--samples", "50"])
+p = PhysicalParams(alpha=0.3)
+R = build_radial(p, 2, 1)
+radial_ode_residual(R, p, reference_residual_grid(R))
+count_radial_nodes(R)
+radial = "numpy.polynomial" in sys.modules
+current_check_grid(R, n_r=20, n_theta=8, n_phi=8)
+print(json.dumps({"code": code, "radial": radial, "grid": "numpy.polynomial" in sys.modules}))
+"""
+
 
 def _run_probe(probe, *args):
     proc = subprocess.run(
@@ -163,6 +183,10 @@ def test_solve_loads_lapack_only():
 
 def test_current_diagnostics_load_no_scipy():
     assert _run_probe(_CURRENT_PROBE)["scipy"] == []
+
+
+def test_radial_states_load_no_numpy_polynomial():
+    assert _run_probe(_RADIAL_PROBE) == {"code": 0, "radial": False, "grid": True}
 
 
 def test_package_namespace_is_the_module_lists():

@@ -212,6 +212,15 @@ class TestNodesAndNormalize:
         with pytest.raises(ValueError, match="read-only"):
             R._probe[1][0] = 0.0
 
+    @pytest.mark.parametrize("n", [1, 4, 17])
+    def test_probe_radii_are_the_geomspace_shared_per_n(self, n):
+        rho = wavefunction._probe_radii(n)
+        assert rho.tobytes() == np.geomspace(1e-6, 80.0 * n ** 2, 4096).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            rho[0] = 0.0
+        states = [build_radial(P_03, n, l) for l in range(min(n, 3))]
+        assert all(R._probe[0] is rho for R in states)
+
 
 class TestOdeResidual:
     def test_reference_grid_residual_small(self):
@@ -228,6 +237,14 @@ class TestOdeResidual:
         assert r[-1] == pytest.approx(R.tail_radius(1e-10), rel=1e-12)
         ratios = r[1:] / r[:-1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
+
+    @pytest.mark.parametrize("n, l", [(1, 0), (3, 1), (6, 5)])
+    @pytest.mark.parametrize("n_points", [2, 7, 12000])
+    def test_reference_grid_ends_are_exact(self, n, l, n_points):
+        R = build_radial(P_03, n, l)
+        r = reference_residual_grid(R, n_points)
+        assert r[0] == 0.1 / R.rho_scale and r[-1] == R.tail_radius(1e-10)
+        assert (np.diff(r) > 0.0).all()
 
     def test_residual_detects_wrong_parameters(self):
         # evaluating the (Z alpha)-dependent equation with a 1% different
@@ -430,6 +447,16 @@ _FACTORED_CASES = (
 )
 
 
+def _slab_divergence(J, grid):
+    """divergence_field by 4-row radial slabs, (rows, 3) @ (3, interior angles): the reference."""
+    radial, angular = wavefunction._divergence_terms(wavefunction._current_factors(J, grid), grid)
+    flat = angular.reshape(3, -1)
+    return np.concatenate([
+        (rows @ flat).reshape(-1, *angular.shape[1:])
+        for rows in np.array_split(radial, max(1, len(radial) // 4))
+    ])
+
+
 class TestFactoredCurrent:
     """The factored current and divergence against dense differences."""
 
@@ -475,6 +502,36 @@ class TestFactoredCurrent:
         div_d = _dense_divergence(J, grid)
         assert div_f.shape == div_d.shape == (26, 8, 15)
         assert np.abs(div_f - div_d).max() <= 1e-12 * np.abs(div_d).max()
+
+    # interior angle columns 1, 8, 100, 129 (two of them), 185, 257 and
+    # 430: a lone column, a 1-column remainder after 128 and other widths
+    @pytest.mark.parametrize("shape", [
+        (5, 3, 1), (6, 3, 8), (37, 12, 10), (9, 3, 129), (20, 5, 43), (13, 7, 37),
+        (30, 3, 257), (400, 12, 43),
+    ])
+    def test_blocks_match_the_radial_slabs_bit_for_bit(self, shape):
+        R = build_radial(P_03, 2, 1)
+        grid = current_check_grid(R, *shape)
+        rng = np.random.default_rng(shape[0] * shape[2])
+        with_nan = rng.standard_normal(shape[1:])
+        with_nan[1, 0] = np.nan
+        currents = [
+            probability_current(sample_state(P_03, R, 1, grid), grid, P_03,
+                                system_mass(P_03, 2, 1)),
+            tuple(SeparableField(rng.standard_normal(shape[0]), rng.standard_normal(shape[1:]))
+                  for _ in range(3)),
+            (SeparableField(R.evaluate(grid.r), with_nan),
+             SeparableField(-R.evaluate(grid.r), rng.standard_normal(shape[1:])),
+             SeparableField(rng.standard_normal(shape[0]), np.zeros(shape[1:]))),
+        ]
+        for J in currents:
+            with np.errstate(invalid="ignore"):
+                want = _slab_divergence(J, grid)
+                got = divergence_field(J, grid)
+                check = continuity_check(J, grid)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert struct.pack("<d", check) == struct.pack("<d", np.abs(want).max())
+        assert math.isnan(check)
 
     def test_fields_without_factors_raise_type_error(self):
         R = build_radial(P_03, 2, 1)
@@ -523,29 +580,30 @@ class TestFactoredCurrent:
 
     @staticmethod
     def _counting_slabs(monkeypatch):
+        """Record, in order, the name of every _divergence_terms and _divergence_blocks call."""
         calls = []
-        slabs = wavefunction._divergence_slabs
+        for name in ("_divergence_terms", "_divergence_blocks"):
+            def counting(*args, _name=name, _f=getattr(wavefunction, name)):
+                calls.append(_name)
+                return _f(*args)
 
-        def counting(radial, angular):
-            calls.append(radial.shape)
-            return slabs(radial, angular)
-
-        monkeypatch.setattr(wavefunction, "_divergence_slabs", counting)
+            monkeypatch.setattr(wavefunction, name, counting)
         return calls
 
     @staticmethod
     def _assert_check_is_the_max(J, grid, calls, slab_passes):
-        """continuity_check, through slab_passes slab passes, is max|divergence_field| bit for bit."""
+        """continuity_check, through slab_passes block passes, is max|divergence_field| bit for bit."""
         del calls[:]
         with np.errstate(divide="ignore", invalid="ignore"):
             check = continuity_check(J, grid)
-            assert len(calls) == slab_passes
+            assert calls == ["_divergence_terms", "_divergence_blocks"] * slab_passes
             want = float(np.abs(divergence_field(J, grid)).max())
         assert struct.pack("<d", check) == struct.pack("<d", want)
         return check
 
     @pytest.mark.parametrize("shape", [(100, 32, 32), (200, 64, 64), (400, 128, 128)])
     def test_zero_current_skips_the_slabs(self, monkeypatch, shape):
+        # an all-zeros J returns before the terms of div J are built
         calls = self._counting_slabs(monkeypatch)
         R = build_radial(P_03, 2, 1)
         grid = current_check_grid(R, *shape)
@@ -553,20 +611,52 @@ class TestFactoredCurrent:
                                 system_mass(P_03, 2, 1))
         assert self._assert_check_is_the_max(J, grid, calls, 0) == 0.0
 
-    def test_zero_current_on_degenerate_grids_is_nan(self, monkeypatch):
-        # A repeated interior radius makes the radial difference 0/0 and an
-        # interior colatitude at the pole the angular ones; the J factors
-        # are all zeros and finite, the terms of div J are not.
-        calls = self._counting_slabs(monkeypatch)
+    def test_degenerate_grids_raise_at_construction(self):
+        # A repeated radius would make the radial difference 0/0 and an
+        # interior colatitude at a pole the angular ones; the grid refuses
+        # both, and every other grid on which a zero current's div J
+        # could be NaN, naming the axis.
         base = current_check_grid(build_radial(P_03, 2, 1), n_r=12, n_theta=8, n_phi=6)
-        r, theta = base.r.copy(), base.theta.copy()
-        r[5] = r[4]
-        theta[3] = 0.0
+        SphericalGrid3D(base.r, base.theta, base.theta_weights, base.phi)
+        bad_r, bad_theta = [], []
+        for i, value in ((5, "repeat"), (0, 0.0), (0, -1.0), (11, math.inf), (3, math.nan),
+                         (11, "reverse")):
+            r = base.r.copy()
+            if value == "repeat":
+                r[i] = r[i - 1]
+            elif value == "reverse":
+                r = r[::-1].copy()
+            else:
+                r[i] = value
+            bad_r.append(r)
+        for changes, message in (
+            ({3: 0.0}, "be finite and strictly increasing"),
+            ({4: "repeat"}, "be finite and strictly increasing"),
+            ({3: math.nan}, "be finite and strictly increasing"),
+            ({7: math.inf}, "be finite and strictly increasing"),
+            ({0: -0.5, 1: 0.0}, r"lie in \(0, pi\) on its interior rows"),
+            ({6: math.pi, 7: 3.5}, r"lie in \(0, pi\) on its interior rows"),
+        ):
+            theta = base.theta.copy()
+            for i, value in changes.items():
+                theta[i] = theta[i - 1] if value == "repeat" else value
+            bad_theta.append((theta, message))
+        for r in bad_r:
+            with pytest.raises(ValueError, match="grid r must be finite, positive"):
+                SphericalGrid3D(r, base.theta, base.theta_weights, base.phi)
+        for theta, message in bad_theta:
+            with pytest.raises(ValueError, match="grid theta must " + message):
+                SphericalGrid3D(base.r, theta, base.theta_weights, base.phi)
+        with pytest.raises(ValueError, match="grid theta_weights has 7 entries, theta has 8"):
+            SphericalGrid3D(base.r, base.theta, base.theta_weights[:-1], base.phi)
+        # the end colatitudes may sit on the poles, as in a closed grid
+        theta = base.theta.copy()
+        theta[0], theta[-1] = 0.0, math.pi
+        grid = SphericalGrid3D(base.r, theta, base.theta_weights, base.phi)
         zeros = SeparableField(np.zeros(12), np.zeros((8, 6)))
-        for grid in (SphericalGrid3D(r, base.theta, base.theta_weights, base.phi),
-                     SphericalGrid3D(base.r, theta, base.theta_weights, base.phi)):
-            check = self._assert_check_is_the_max((zeros,) * 3, grid, calls, 1)
-            assert math.isnan(check)
+        assert continuity_check((zeros,) * 3, grid) == 0.0
+        with np.errstate(invalid="ignore"):  # 0/0 on the dropped polar rows
+            assert not divergence_field((zeros,) * 3, grid).any()
 
     def test_one_zero_term_goes_through_the_slabs(self, monkeypatch):
         calls = self._counting_slabs(monkeypatch)
@@ -680,7 +770,7 @@ class TestSeparableField:
 
     @pytest.mark.parametrize("n_r", [5, 37, 401])
     def test_continuity_check_is_the_max_of_divergence_field(self, n_r):
-        # n_r - 4 interior rows: 1, 33 and 397, none a whole number of slabs
+        # n_r - 4 interior rows: 1, 33 and 397; 100 interior angle columns
         R = build_radial(P_03, 2, 1)
         m_sys = system_mass(P_03, 2, 1)
         grid = current_check_grid(R, n_r=n_r, n_theta=12, n_phi=10)
