@@ -40,19 +40,23 @@ Y(theta, phi) of the samples R(r) Y(theta, phi), never the n_r x n_theta
 x n_phi grid itself; np.asarray(field) is the way to get the dense
 samples.  The finite differences are linear, so probability_current
 works on the 1-D radial and 2-D angular factors and returns factored
-components, and continuity_check reduces div J in blocks of 128 interior
+components.  J_r's angular factor is exact zeros and J_theta and J_phi
+share their radial factor, so div J of every sampled state is one outer
+product a(r) (x) (B_theta + B_phi): continuity_check takes its max from
+the two factors and divergence_field builds the product.  A hand-built
+current of rank 2 or more goes through blocks of 128 interior
 (theta, phi) columns over every interior radius; the current diagnostics
 allocate no array of the full grid's size.
 They take SeparableFields only: a plain array, or a slice or arithmetic
 result of a field (a dense ndarray), raises TypeError.  A separable
 field built by hand goes through SeparableField(radial, angular).  For
 the (2,1,+-1) states the continuity floor max|div J|/max|J_phi| is
-3.4e-13 on grids up to 400x128x128.  An m = 0 current is exact zeros;
-continuity_check returns 0.0 for it before building the terms of div J.
-SphericalGrid3D checks its axes when it is built, so no difference of a
-zero current divides by zero.  The colatitudes and their weights are
-computed once per n_theta, and the tail probe's radii once per n; both
-are shared, read-only.  numpy.polynomial, for the Gauss-Legendre nodes,
+3.4e-13 on grids up to 400x128x128.  An m = 0 current is exact zeros,
+and so is its div J on any grid, without building the terms of div J.
+SphericalGrid3D checks its axes when it is built, so no difference step
+is zero.  The colatitudes and their weights are computed once per
+n_theta, and the tail probe's radii once per n; both are shared,
+read-only.  numpy.polynomial, for the Gauss-Legendre nodes,
 is imported only when a check grid first needs them.
 
 Everything here is numpy alone: the radial factor by the Laguerre
@@ -509,9 +513,11 @@ def probability_current(
     component comes back as a SeparableField.  The r and theta gradients
     are second-order differences; the phi one is spectral (the grid is
     periodic and uniform), so single-mode phases e^(i m phi) are
-    differentiated to machine accuracy.  A real Y has identically zero
-    current and is short-circuited to exact zeros, which covers every
-    m = 0 eigenstate.
+    differentiated to machine accuracy.  R is real, so J_r's angular
+    factor Im(conj(Y) Y) = Im|Y|^2 is exact zeros (its radial factor is
+    pref R R'), and J_theta and J_phi share the radial factor
+    pref R^2/r.  A real Y has identically zero current and is
+    short-circuited to exact zeros, which covers every m = 0 eigenstate.
 
     psi must be a SeparableField; anything else raises TypeError.
     """
@@ -523,7 +529,7 @@ def probability_current(
     conj = np.conj(Y)
     tangential = pref * R ** 2 / grid.r
     return (
-        SeparableField(pref * R * np.gradient(R, grid.r), np.imag(conj * Y)),
+        SeparableField(pref * R * np.gradient(R, grid.r), np.zeros(Y.shape)),
         SeparableField(tangential, np.imag(conj * np.gradient(Y, grid.theta, axis=0))),
         SeparableField(
             tangential,
@@ -532,11 +538,13 @@ def probability_current(
     )
 
 
-# Interior angle columns per block of div J (see _divergence_blocks).
-# Measured with OpenBLAS on a 2-vCPU VM, continuity_check at widths
-# 64/128/256 takes 0.43/0.36/0.40 ms at 100x32x32, 1.13/1.01/1.21 ms at
-# 200x64x64 and 5.6/5.2/6.9 ms at 400x128x128: 128 is the fastest at all
-# three (4-row radial slabs took 0.39, 1.08 and 7.5 ms).
+# Interior angle columns per block of div J (see _divergence_blocks), which
+# only a current of rank 2 or more reaches: every stationary state's div J
+# has rank 1 (see _reduced_divergence).  Measured with OpenBLAS on a 2-vCPU
+# VM, continuity_check at widths 64/128/256 took 0.43/0.36/0.40 ms at
+# 100x32x32, 1.13/1.01/1.21 ms at 200x64x64 and 5.6/5.2/6.9 ms at
+# 400x128x128 on a rank-3 current: 128 is the fastest at all three (4-row
+# radial slabs took 0.39, 1.08 and 7.5 ms).
 _BLOCK_COLS = 128
 
 
@@ -575,6 +583,32 @@ def _divergence_terms(
     return radial, angular
 
 
+def _reduced_divergence(
+    J: tuple[SeparableField, SeparableField, SeparableField], grid: SphericalGrid3D
+) -> SeparableField | tuple[np.ndarray, np.ndarray]:
+    """div J on the grid interior as one SeparableField when its rank is 0 or 1.
+
+    A term of div J whose factor of J is all zeros is zero and dropped,
+    and terms with equal radial columns are merged into one.  That leaves
+    rank 1 for every stationary state (J_r's angular factor is zeros, and
+    J_theta and J_phi share their radial factor), returned as the field
+    radial (x) summed angular, and rank 0 for every m = 0 current, whose
+    zeros come back before the terms are built.  A current of rank 2 or
+    more comes back as the (radial, angular) pair of _divergence_terms,
+    all three terms, for _divergence_blocks.
+    """
+    factors = _current_factors(J, grid)
+    live = [k for k, (a, b) in enumerate(factors) if a.any() and b.any()]
+    if not live:
+        n_r, n_theta, n_phi = grid.shape
+        return SeparableField(np.zeros(n_r - 4), np.zeros((n_theta - 2, n_phi)))
+    radial, angular = _divergence_terms(factors, grid)
+    column = radial[:, live[0]]
+    if all(np.array_equal(radial[:, k], column) for k in live[1:]):
+        return SeparableField(column, angular[live].sum(axis=0))
+    return radial, angular
+
+
 def _divergence_blocks(radial: np.ndarray, angular: np.ndarray):
     """Yield div J from its _divergence_terms, in blocks of flattened angle columns.
 
@@ -602,10 +636,15 @@ def divergence_field(
     5 x 3 x 1 have no interior and raise ValueError.
 
     Each component must be a SeparableField, as probability_current
-    returns; anything else raises TypeError.  The block is built from
-    the same column blocks that continuity_check reduces.
+    returns; anything else raises TypeError.  A div J of rank 0 or 1
+    (every current of probability_current) is the outer product of its
+    two factors, zeros for an all-zeros current; one of higher rank joins
+    the column blocks that continuity_check reduces.
     """
-    radial, angular = _divergence_terms(_current_factors(J, grid), grid)
+    div = _reduced_divergence(J, grid)
+    if isinstance(div, SeparableField):
+        return np.asarray(div)
+    radial, angular = div
     blocks = np.concatenate(list(_divergence_blocks(radial, angular)), axis=1)
     return blocks.reshape(len(radial), *angular.shape[1:])
 
@@ -613,19 +652,19 @@ def divergence_field(
 def continuity_check(
     J: tuple[SeparableField, SeparableField, SeparableField], grid: SphericalGrid3D
 ) -> float:
-    """max |div J| over the grid interior, one block of angle columns at a time.
+    """max |div J| over the grid interior, without building div J.
 
     For a stationary state the probability density is time-independent, so
     conservation demands div J = 0; the returned number is the numerical
     residual of that statement.  It equals np.abs(divergence_field(J,
-    grid)).max() without allocating that block.  When every factor of J
-    is all zeros (every m = 0 current), 0.0 comes back before the terms
-    of div J are built: on a grid that passed SphericalGrid3D's checks
-    each term is then +-0, as long as r^2 and the difference weights do
-    not leave the float range.
+    grid)).max() bit for bit.  A div J of rank 0 or 1 (every current of
+    probability_current) takes it from the corner products of its two
+    factors, since rounding is monotone, and gives 0.0 for an all-zeros
+    current; one of higher rank is reduced one block of angle columns at
+    a time.
     """
-    factors = _current_factors(J, grid)
-    if not any(f.any() for pair in factors for f in pair):
-        return 0.0
-    blocks = _divergence_blocks(*_divergence_terms(factors, grid))
+    div = _reduced_divergence(J, grid)
+    if isinstance(div, SeparableField):
+        return float(np.abs(div).max())
+    blocks = _divergence_blocks(*div)
     return float(np.max([np.abs(block, out=block).max() for block in blocks]))

@@ -200,5 +200,6 @@ def test_package_namespace_is_the_module_lists():
     for name in modules:
         module = getattr(kgbound, name)
         assert sys.modules[f"kgbound.{name}"] is module
+        assert module.__name__ == f"kgbound.{name}"  # the lookup runs a deferred module
         assert type(module) is types.ModuleType, name
 

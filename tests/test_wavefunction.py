@@ -457,6 +457,15 @@ def _slab_divergence(J, grid):
     ])
 
 
+# Grid shapes with interior angle columns 1, 8, 100, 129 (two of them),
+# 185, 257 and 430: a lone column, a 1-column remainder after 128 and
+# other widths
+_BLOCK_SHAPES = [
+    (5, 3, 1), (6, 3, 8), (37, 12, 10), (9, 3, 129), (20, 5, 43), (13, 7, 37),
+    (30, 3, 257), (400, 12, 43),
+]
+
+
 class TestFactoredCurrent:
     """The factored current and divergence against dense differences."""
 
@@ -473,6 +482,7 @@ class TestFactoredCurrent:
         if m == 0:
             assert not any(c.any() for c in factored + dense)
             return
+        assert not factored[0].angular.any()  # Im(conj(Y) Y) = 0 exactly
         # The Nyquist mode's J_phi is rounding noise on both paths, so the
         # tolerance is set by the current one unit of m would carry.
         scale = _unit_current_scale(psi, grid, p, m_sys)
@@ -503,21 +513,15 @@ class TestFactoredCurrent:
         assert div_f.shape == div_d.shape == (26, 8, 15)
         assert np.abs(div_f - div_d).max() <= 1e-12 * np.abs(div_d).max()
 
-    # interior angle columns 1, 8, 100, 129 (two of them), 185, 257 and
-    # 430: a lone column, a 1-column remainder after 128 and other widths
-    @pytest.mark.parametrize("shape", [
-        (5, 3, 1), (6, 3, 8), (37, 12, 10), (9, 3, 129), (20, 5, 43), (13, 7, 37),
-        (30, 3, 257), (400, 12, 43),
-    ])
+    @pytest.mark.parametrize("shape", _BLOCK_SHAPES)
     def test_blocks_match_the_radial_slabs_bit_for_bit(self, shape):
+        # currents of rank 2 and 3; an eigenstate's is rank 1 (see below)
         R = build_radial(P_03, 2, 1)
         grid = current_check_grid(R, *shape)
         rng = np.random.default_rng(shape[0] * shape[2])
         with_nan = rng.standard_normal(shape[1:])
         with_nan[1, 0] = np.nan
         currents = [
-            probability_current(sample_state(P_03, R, 1, grid), grid, P_03,
-                                system_mass(P_03, 2, 1)),
             tuple(SeparableField(rng.standard_normal(shape[0]), rng.standard_normal(shape[1:]))
                   for _ in range(3)),
             (SeparableField(R.evaluate(grid.r), with_nan),
@@ -591,25 +595,58 @@ class TestFactoredCurrent:
         return calls
 
     @staticmethod
-    def _assert_check_is_the_max(J, grid, calls, slab_passes):
-        """continuity_check, through slab_passes block passes, is max|divergence_field| bit for bit."""
+    def _assert_check_is_the_max(J, grid, calls, expected):
+        """continuity_check, making the expected calls, is max|divergence_field| bit for bit."""
         del calls[:]
         with np.errstate(divide="ignore", invalid="ignore"):
             check = continuity_check(J, grid)
-            assert calls == ["_divergence_terms", "_divergence_blocks"] * slab_passes
+            assert calls == expected
             want = float(np.abs(divergence_field(J, grid)).max())
         assert struct.pack("<d", check) == struct.pack("<d", want)
         return check
 
-    @pytest.mark.parametrize("shape", [(100, 32, 32), (200, 64, 64), (400, 128, 128)])
-    def test_zero_current_skips_the_slabs(self, monkeypatch, shape):
-        # an all-zeros J returns before the terms of div J are built
+    @pytest.mark.parametrize("shape, radii", [
+        ((100, 32, 32), None), ((200, 64, 64), None), ((400, 128, 128), None),
+        # r^2 or the difference weights leave the float range on these
+        ((12, 8, 6), (1e-200, 1e-199)), ((12, 8, 6), (1e160, 1e161)),
+    ])
+    def test_zero_current_skips_the_slabs(self, monkeypatch, shape, radii):
+        # an all-zeros J returns zeros before the terms of div J are built
         calls = self._counting_slabs(monkeypatch)
         R = build_radial(P_03, 2, 1)
         grid = current_check_grid(R, *shape)
+        if radii is not None:
+            grid = SphericalGrid3D(np.geomspace(*radii, shape[0]), grid.theta,
+                                   grid.theta_weights, grid.phi)
         J = probability_current(sample_state(P_03, R, 0, grid), grid, P_03,
                                 system_mass(P_03, 2, 1))
-        assert self._assert_check_is_the_max(J, grid, calls, 0) == 0.0
+        assert self._assert_check_is_the_max(J, grid, calls, []) == 0.0
+        assert not divergence_field(J, grid).any()
+
+    @pytest.mark.parametrize("shape", [(100, 32, 32), (200, 64, 64), (400, 128, 128)]
+                             + [s for s in _BLOCK_SHAPES if s[2] > 1])
+    def test_stationary_divergence_is_one_outer_product(self, monkeypatch, shape):
+        # J_r's angular factor is exact zeros and J_theta, J_phi share their
+        # radial factor, so div J has rank 1 and no block is reduced (on one
+        # azimuth, phi = 0, every psi here is real and its current zero)
+        calls = self._counting_slabs(monkeypatch)
+        R = build_radial(P_03, 2, 1)
+        m_sys = system_mass(P_03, 2, 1)
+        grid = current_check_grid(R, *shape)
+        control = SeparableField(
+            R.evaluate(grid.r),
+            np.sin(grid.theta)[:, None] * np.exp(1j * np.sin(grid.phi))[None, :])
+        for psi in (sample_state(P_03, R, 1, grid), sample_state(P_03, R, -1, grid), control):
+            J = probability_current(psi, grid, P_03, m_sys)
+            assert not J[0].angular.any() and np.array_equal(J[1].radial, J[2].radial)
+            check = self._assert_check_is_the_max(J, grid, calls, ["_divergence_terms"])
+            scale = np.abs(J[2]).max()
+            if psi is not control and shape[0] >= 100:
+                assert 0.0 < check < 1e-12 * scale
+            with np.errstate(invalid="ignore"):
+                diff = _slab_divergence(J, grid)
+            diff -= divergence_field(J, grid)
+            assert np.abs(diff, out=diff).max() <= 1e-12 * scale
 
     def test_degenerate_grids_raise_at_construction(self):
         # A repeated radius would make the radial difference 0/0 and an
@@ -669,7 +706,8 @@ class TestFactoredCurrent:
             SeparableField(np.exp(-2.0 * s), np.sin(2.0 * th) * np.cos(ph)),
             SeparableField(s ** 2 * np.exp(-s), np.sin(th) * np.sin(2.0 * ph)),
         )
-        assert self._assert_check_is_the_max(J, grid, calls, 1) > 0.0
+        expected = ["_divergence_terms", "_divergence_blocks"]
+        assert self._assert_check_is_the_max(J, grid, calls, expected) > 0.0
 
 
 class TestSeparableField:
