@@ -329,11 +329,15 @@ def _checked_pair(
 ) -> tuple[float, np.ndarray]:
     """Polish a candidate eigenvector of the node_target-node bound state.
 
-    Raises StateNotFound unless u has node_target interior nodes and a
-    negative Rayleigh quotient; otherwise returns (E', u) with u normalized
-    to sum(u^2) = 1 and its first significant entry positive.
+    Raises NoConvergence when u has no significant entry (LAPACK's
+    dstein returns NaNs when its arithmetic leaves the float range), and
+    StateNotFound unless u has node_target interior nodes and a negative
+    Rayleigh quotient; otherwise returns (E', u) with u normalized to
+    sum(u^2) = 1 and its first significant entry positive.
     """
     signs = _significant_signs(u)
+    if signs.size == 0:
+        raise NoConvergence(f"eigenvector {node_target} has no significant entry")
     nodes = int(np.count_nonzero(signs[1:] != signs[:-1]))
     if nodes != node_target:
         raise StateNotFound(f"eigenpair {node_target} has {nodes} nodes, not {node_target}")
@@ -442,7 +446,7 @@ def _sweep(
         return None
     try:
         return _checked_pair(op, x[:, 0] / norm, node_target)
-    except StateNotFound:
+    except (StateNotFound, NoConvergence):
         return None
 
 
@@ -516,7 +520,7 @@ def _coarse_start(
     box_scale = -float(coarse_op.offdiag[0]) / (coarse_op.grid.n_points + 1) ** 2
     try:
         e, u = _pair_by_index(coarse_op, node_target, box_scale)
-    except (StateNotFound, np.linalg.LinAlgError):
+    except (StateNotFound, NoConvergence, np.linalg.LinAlgError):
         return None
     u = np.interp(op.grid.points, coarse_op.grid.points, u)
     return _refine_eigenpair(op, node_target, u, e, _COARSE_SWEEPS)

@@ -43,12 +43,12 @@ works on the 1-D radial and 2-D angular factors and returns factored
 components.  J_r's angular factor is exact zeros and J_theta and J_phi
 share their radial factor, so div J of every sampled state is one outer
 product a(r) (x) (B_theta + B_phi): continuity_check takes its max from
-the two factors and divergence_field builds the product.  A hand-built
-current of rank 2 or more goes through blocks of 128 interior
-(theta, phi) columns over every interior radius; the current diagnostics
-allocate no array of the full grid's size.
+the two factors and divergence_field builds the product.  For sampled
+states the current diagnostics never build the full grid; only a
+hand-built current of rank 2 or more has its dense div J built.
 They take SeparableFields only: a plain array, or a slice or arithmetic
-result of a field (a dense ndarray), raises TypeError.  A separable
+result of a field (a dense ndarray), raises TypeError, and so does a
+current component with a complex angular factor.  A separable
 field built by hand goes through SeparableField(radial, angular).  For
 the (2,1,+-1) states the continuity floor max|div J|/max|J_phi| is
 3.4e-13 on grids up to 400x128x128.  An m = 0 current is exact zeros,
@@ -538,28 +538,6 @@ def probability_current(
     )
 
 
-# Interior angle columns per block of div J (see _divergence_blocks), which
-# only a current of rank 2 or more reaches: every stationary state's div J
-# has rank 1 (see _reduced_divergence).  Measured with OpenBLAS on a 2-vCPU
-# VM, continuity_check at widths 64/128/256 took 0.43/0.36/0.40 ms at
-# 100x32x32, 1.13/1.01/1.21 ms at 200x64x64 and 5.6/5.2/6.9 ms at
-# 400x128x128 on a rank-3 current: 128 is the fastest at all three (4-row
-# radial slabs took 0.39, 1.08 and 7.5 ms).
-_BLOCK_COLS = 128
-
-
-def _current_factors(
-    J: tuple[SeparableField, SeparableField, SeparableField], grid: SphericalGrid3D
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (radial, angular) factors of J_r, J_theta and J_phi on a grid with an interior."""
-    n_r, n_theta, n_phi = grid.shape
-    if n_r < 5 or n_theta < 3 or n_phi < 1:
-        raise ValueError(
-            f"div J needs n_r >= 5, n_theta >= 3 and n_phi >= 1; the grid is {grid.shape}"
-        )
-    return [_factors_on(grid, c) for c in J]
-
-
 def _divergence_terms(
     factors: list[tuple[np.ndarray, np.ndarray]], grid: SphericalGrid3D
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -583,45 +561,37 @@ def _divergence_terms(
     return radial, angular
 
 
-def _reduced_divergence(
+def _divergence(
     J: tuple[SeparableField, SeparableField, SeparableField], grid: SphericalGrid3D
-) -> SeparableField | tuple[np.ndarray, np.ndarray]:
-    """div J on the grid interior as one SeparableField when its rank is 0 or 1.
+) -> SeparableField | np.ndarray:
+    """div J on the grid interior: a SeparableField when its rank is 0 or 1,
+    else the dense samples.
 
     A term of div J whose factor of J is all zeros is zero and dropped,
     and terms with equal radial columns are merged into one.  That leaves
     rank 1 for every stationary state (J_r's angular factor is zeros, and
     J_theta and J_phi share their radial factor), returned as the field
     radial (x) summed angular, and rank 0 for every m = 0 current, whose
-    zeros come back before the terms are built.  A current of rank 2 or
-    more comes back as the (radial, angular) pair of _divergence_terms,
-    all three terms, for _divergence_blocks.
+    zeros come back before the terms are built.  Only a hand-built current
+    of rank 2 or more comes back dense, all three terms summed by one
+    product of the _divergence_terms factors.
     """
-    factors = _current_factors(J, grid)
+    n_r, n_theta, n_phi = grid.shape
+    if n_r < 5 or n_theta < 3 or n_phi < 1:
+        raise ValueError(
+            f"div J needs n_r >= 5, n_theta >= 3 and n_phi >= 1; the grid is {grid.shape}"
+        )
+    factors = [_factors_on(grid, c) for c in J]
+    if any(np.iscomplexobj(b) for _, b in factors):
+        raise TypeError("a current component must be real")
     live = [k for k, (a, b) in enumerate(factors) if a.any() and b.any()]
     if not live:
-        n_r, n_theta, n_phi = grid.shape
         return SeparableField(np.zeros(n_r - 4), np.zeros((n_theta - 2, n_phi)))
     radial, angular = _divergence_terms(factors, grid)
     column = radial[:, live[0]]
     if all(np.array_equal(radial[:, k], column) for k in live[1:]):
         return SeparableField(column, angular[live].sum(axis=0))
-    return radial, angular
-
-
-def _divergence_blocks(radial: np.ndarray, angular: np.ndarray):
-    """Yield div J from its _divergence_terms, in blocks of flattened angle columns.
-
-    A block is one (n_r - 4, 3) @ (3, columns) product over every
-    interior radius and _BLOCK_COLS interior (theta, phi) columns, taken
-    in order.  A lone last column joins the block before it: BLAS rounds
-    a one-column product through another kernel.
-    """
-    flat = angular.reshape(3, -1)
-    cols = flat.shape[1]
-    starts = list(range(0, max(cols - 1, 1), _BLOCK_COLS))  # the last block has 2+ columns
-    for lo, hi in zip(starts, starts[1:] + [cols]):
-        yield radial @ flat[:, lo:hi]
+    return np.tensordot(radial, angular, 1)
 
 
 def divergence_field(
@@ -635,36 +605,25 @@ def divergence_field(
     periodic, so every phi sample survives.  Grids smaller than
     5 x 3 x 1 have no interior and raise ValueError.
 
-    Each component must be a SeparableField, as probability_current
+    Each component must be a real SeparableField, as probability_current
     returns; anything else raises TypeError.  A div J of rank 0 or 1
     (every current of probability_current) is the outer product of its
-    two factors, zeros for an all-zeros current; one of higher rank joins
-    the column blocks that continuity_check reduces.
+    two factors, zeros for an all-zeros current.
     """
-    div = _reduced_divergence(J, grid)
-    if isinstance(div, SeparableField):
-        return np.asarray(div)
-    radial, angular = div
-    blocks = np.concatenate(list(_divergence_blocks(radial, angular)), axis=1)
-    return blocks.reshape(len(radial), *angular.shape[1:])
+    return np.asarray(_divergence(J, grid))
 
 
 def continuity_check(
     J: tuple[SeparableField, SeparableField, SeparableField], grid: SphericalGrid3D
 ) -> float:
-    """max |div J| over the grid interior, without building div J.
+    """max |div J| over the grid interior: np.abs(divergence_field(J, grid)).max().
 
     For a stationary state the probability density is time-independent, so
     conservation demands div J = 0; the returned number is the numerical
-    residual of that statement.  It equals np.abs(divergence_field(J,
-    grid)).max() bit for bit.  A div J of rank 0 or 1 (every current of
+    residual of that statement.  A div J of rank 0 or 1 (every current of
     probability_current) takes it from the corner products of its two
-    factors, since rounding is monotone, and gives 0.0 for an all-zeros
-    current; one of higher rank is reduced one block of angle columns at
-    a time.
+    factors, since rounding is monotone, without building div J, and
+    gives 0.0 for an all-zeros current.  Only a hand-built current of rank
+    2 or more builds the dense div J.
     """
-    div = _reduced_divergence(J, grid)
-    if isinstance(div, SeparableField):
-        return float(np.abs(div).max())
-    blocks = _divergence_blocks(*div)
-    return float(np.max([np.abs(block, out=block).max() for block in blocks]))
+    return float(np.abs(_divergence(J, grid)).max())

@@ -373,6 +373,8 @@ class TestOverflowExits:
         # N^s overflows in the stencil correction (s ~ l + 1)
         (("solve", "--n", "80", "--l", "79"), ["NoConvergence"]),
         (("solve", "--n", "151", "--l", "150", "--grid-n", "400"), ["NoConvergence"]),
+        # LAPACK's dstein returns a NaN eigenvector: its arithmetic leaves the float range
+        (("solve", "--rest-mass", "1e150"), ["NoConvergence"]),
         # no grid: the step r_max/(N+1) rounds to 0, or 1/lambda makes r_max inf
         (("solve", "--rmax", "1e-320"), ["OverflowError"]),
         (("solve", "--potential", "hulthen", "--lambda", "1e-320"), ["OverflowError"]),
@@ -396,6 +398,11 @@ class TestOverflowExits:
         (("lorentz", "--e", "1e308", "--beta", "0.9999"), "OverflowError"),
         (("convergence", "--rest-mass", "1e-300", "--sizes", "16,32,64", "--rmax", "0.05"),
          "NoConvergence"),
+        # LAPACK's dstein returns a NaN eigenvector
+        (("compare", "--rest-mass", "1e150", "--n-max", "2"),
+         "NoConvergence: eigenvector 0 has no significant entry"),
+        (("convergence", "--rest-mass", "1e150"),
+         "NoConvergence: eigenvector 0 has no significant entry"),
         # rho_scale**3 underflows, so the amplitude comes out 0
         (("wavefunction", "--rest-mass", "1e-300", "--samples", "3"), "OverflowError"),
         (("wavefunction", "--rest-mass", "1e-120", "--samples", "3"), "OverflowError"),
@@ -597,6 +604,7 @@ def fuzz_argv(draw):
 @example(["convergence", "--rmax", "1e-320"])
 @example(["wavefunction", "--rmax", "5e-324", "--samples", "3"])
 @example(["solve", "--potential", "hulthen", "--lambda", "1e-320"])
+@example(["solve", "--rest-mass", "1e150"])
 def test_argv_fuzz_exits_with_a_documented_code(argv):
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):

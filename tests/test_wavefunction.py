@@ -449,7 +449,7 @@ _FACTORED_CASES = (
 
 def _slab_divergence(J, grid):
     """divergence_field by 4-row radial slabs, (rows, 3) @ (3, interior angles): the reference."""
-    radial, angular = wavefunction._divergence_terms(wavefunction._current_factors(J, grid), grid)
+    radial, angular = wavefunction._divergence_terms([(c.radial, c.angular) for c in J], grid)
     flat = angular.reshape(3, -1)
     return np.concatenate([
         (rows @ flat).reshape(-1, *angular.shape[1:])
@@ -458,9 +458,8 @@ def _slab_divergence(J, grid):
 
 
 # Grid shapes with interior angle columns 1, 8, 100, 129 (two of them),
-# 185, 257 and 430: a lone column, a 1-column remainder after 128 and
-# other widths
-_BLOCK_SHAPES = [
+# 185, 257 and 430, and interior radii 1 to 396
+_SMALL_SHAPES = [
     (5, 3, 1), (6, 3, 8), (37, 12, 10), (9, 3, 129), (20, 5, 43), (13, 7, 37),
     (30, 3, 257), (400, 12, 43),
 ]
@@ -513,9 +512,9 @@ class TestFactoredCurrent:
         assert div_f.shape == div_d.shape == (26, 8, 15)
         assert np.abs(div_f - div_d).max() <= 1e-12 * np.abs(div_d).max()
 
-    @pytest.mark.parametrize("shape", _BLOCK_SHAPES)
-    def test_blocks_match_the_radial_slabs_bit_for_bit(self, shape):
-        # currents of rank 2 and 3; an eigenstate's is rank 1 (see below)
+    @pytest.mark.parametrize("shape", _SMALL_SHAPES)
+    def test_rank_two_and_three_match_the_radial_slabs_bit_for_bit(self, shape):
+        # an eigenstate's div J is rank 1 (see below)
         R = build_radial(P_03, 2, 1)
         grid = current_check_grid(R, *shape)
         rng = np.random.default_rng(shape[0] * shape[2])
@@ -554,6 +553,13 @@ class TestFactoredCurrent:
                 divergence_field(bad, grid)
             with pytest.raises(TypeError, match="sample_state or SeparableField"):
                 continuity_check(bad, grid)
+        # a real current has no use for a complex angular factor
+        twisted = SeparableField(
+            R.evaluate(grid.r), np.sin(grid.theta)[:, None] * np.exp(2j * grid.phi)[None, :])
+        zeros = SeparableField(np.zeros(30), np.zeros((10, 16)))
+        for diagnostic in (divergence_field, continuity_check):
+            with pytest.raises(TypeError, match="a current component must be real"):
+                diagnostic((zeros, zeros, twisted), grid)
 
     def test_tiny_grids_raise_value_error(self):
         R = build_radial(P_03, 2, 1)
@@ -584,14 +590,14 @@ class TestFactoredCurrent:
 
     @staticmethod
     def _counting_slabs(monkeypatch):
-        """Record, in order, the name of every _divergence_terms and _divergence_blocks call."""
+        """Record the name of every _divergence_terms call."""
         calls = []
-        for name in ("_divergence_terms", "_divergence_blocks"):
-            def counting(*args, _name=name, _f=getattr(wavefunction, name)):
-                calls.append(_name)
-                return _f(*args)
 
-            monkeypatch.setattr(wavefunction, name, counting)
+        def counting(*args, _f=wavefunction._divergence_terms):
+            calls.append("_divergence_terms")
+            return _f(*args)
+
+        monkeypatch.setattr(wavefunction, "_divergence_terms", counting)
         return calls
 
     @staticmethod
@@ -624,10 +630,10 @@ class TestFactoredCurrent:
         assert not divergence_field(J, grid).any()
 
     @pytest.mark.parametrize("shape", [(100, 32, 32), (200, 64, 64), (400, 128, 128)]
-                             + [s for s in _BLOCK_SHAPES if s[2] > 1])
+                             + [s for s in _SMALL_SHAPES if s[2] > 1])
     def test_stationary_divergence_is_one_outer_product(self, monkeypatch, shape):
         # J_r's angular factor is exact zeros and J_theta, J_phi share their
-        # radial factor, so div J has rank 1 and no block is reduced (on one
+        # radial factor, so div J has rank 1 and stays factored (on one
         # azimuth, phi = 0, every psi here is real and its current zero)
         calls = self._counting_slabs(monkeypatch)
         R = build_radial(P_03, 2, 1)
@@ -639,6 +645,7 @@ class TestFactoredCurrent:
         for psi in (sample_state(P_03, R, 1, grid), sample_state(P_03, R, -1, grid), control):
             J = probability_current(psi, grid, P_03, m_sys)
             assert not J[0].angular.any() and np.array_equal(J[1].radial, J[2].radial)
+            assert isinstance(wavefunction._divergence(J, grid), SeparableField)
             check = self._assert_check_is_the_max(J, grid, calls, ["_divergence_terms"])
             scale = np.abs(J[2]).max()
             if psi is not control and shape[0] >= 100:
@@ -695,7 +702,9 @@ class TestFactoredCurrent:
         with np.errstate(invalid="ignore"):  # 0/0 on the dropped polar rows
             assert not divergence_field((zeros,) * 3, grid).any()
 
-    def test_one_zero_term_goes_through_the_slabs(self, monkeypatch):
+    def test_one_zero_term_leaves_rank_two(self, monkeypatch):
+        # J_r's radial factor is zeros, so its term is dropped; the other two
+        # have different radial columns and are summed densely
         calls = self._counting_slabs(monkeypatch)
         R = build_radial(P_03, 2, 1)
         grid = current_check_grid(R, n_r=30, n_theta=10, n_phi=15)
@@ -706,8 +715,8 @@ class TestFactoredCurrent:
             SeparableField(np.exp(-2.0 * s), np.sin(2.0 * th) * np.cos(ph)),
             SeparableField(s ** 2 * np.exp(-s), np.sin(th) * np.sin(2.0 * ph)),
         )
-        expected = ["_divergence_terms", "_divergence_blocks"]
-        assert self._assert_check_is_the_max(J, grid, calls, expected) > 0.0
+        assert self._assert_check_is_the_max(J, grid, calls, ["_divergence_terms"]) > 0.0
+        assert divergence_field(J, grid).tobytes() == _slab_divergence(J, grid).tobytes()
 
 
 class TestSeparableField:
@@ -829,11 +838,16 @@ class TestSeparableField:
         tracemalloc.start()
         try:
             psi = sample_state(P_03, R, 1, grid)
-            continuity_check(probability_current(psi, grid, P_03, m_sys), grid)
+            J = probability_current(psi, grid, P_03, m_sys)
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            continuity_check(J, grid)
+            check_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one dense real component of J is 50 MiB, psi 100 MiB
+        # one dense real component of J is 50 MiB, psi 100 MiB, and the
+        # rank-1 div J 48.7 MiB
         assert peak < 16 * 2 ** 20
+        assert check_peak < 4 * 2 ** 20
         dense = np.asarray(psi)
         assert dense.dtype == complex and dense.shape == (400, 128, 128)
