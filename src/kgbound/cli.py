@@ -48,7 +48,7 @@ from .lorentz import BoostSpec, CharacterState, boost_backward, boost_forward, i
 
 __all__ = ["RunConfig", "build_config", "main"]
 
-# command -> subcommand help
+# command -> subcommand help; command X runs cmd_X
 _COMMANDS = {
     "spectrum": "closed-form level table",
     "wavefunction": "tabulate one radial wavefunction",
@@ -502,20 +502,10 @@ def _write_output(cfg: RunConfig, meta: dict, rows: list[dict]) -> None:
         sys.stdout.write(text)
 
 
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "wavefunction": cmd_wavefunction,
-    "solve": cmd_solve,
-    "compare": cmd_compare,
-    "lorentz": cmd_lorentz,
-    "convergence": cmd_convergence,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(argv)
-        meta, rows = _DISPATCH[cfg.command](cfg)
+        meta, rows = globals()[f"cmd_{cfg.command}"](cfg)
         _write_output(cfg, {**_common_meta(cfg), **meta}, rows)
     except ConfigError as exc:
         print(f"kgbound: config error: {exc}", file=sys.stderr)

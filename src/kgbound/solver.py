@@ -381,8 +381,8 @@ def eigh_tridiagonal(
     scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=..., tol=...)
     with its default driver, call for call: dstebz bisection (to absolute
     tolerance tol, eigenvalues in block order), dstein inverse iteration
-    for the vectors, then sorting by eigenvalue.  Raises
-    np.linalg.LinAlgError when LAPACK reports a failure.
+    for the vectors, then sorting by eigenvalue.  Raises NoConvergence,
+    naming the routine and its info, when LAPACK reports a failure.
     """
     if select != "i":
         raise ValueError(f"only select='i' is supported, got {select!r}")
@@ -390,40 +390,31 @@ def eigh_tridiagonal(
     lo, hi = select_range
     m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "B")
     if info != 0:
-        raise np.linalg.LinAlgError(f"dstebz failed (LAPACK info={info})")
+        raise NoConvergence(f"tridiagonal eigensolve failed: dstebz failed (LAPACK info={info})")
     w = w[:m]
     v, info = lapack.dstein(d, e, w, iblock, isplit)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dstein failed (LAPACK info={info})")
+        raise NoConvergence(f"tridiagonal eigensolve failed: dstein failed (LAPACK info={info})")
     order = np.argsort(w)
     return w[order], v[:, order]
 
 
-def inner_eigensolve(op: DiscretizedOperator, node_target: int) -> tuple[float, np.ndarray]:
+def inner_eigensolve(
+    op: DiscretizedOperator, node_target: int, tol: float = 0.0
+) -> tuple[float, np.ndarray]:
     """Eigenpair of the bound state with node_target interior nodes.
 
     The off-diagonal of the operator is negative, so by Sturm-sequence
     theory eigenpair number node_target (counting from the lowest) is the
     state with node_target nodes; only that pair is computed, by bisection
-    to full precision, and the node count is checked rather than searched
-    for.  Returns (E', u) with u normalized to sum(u^2) = 1 and its first
-    significant entry positive; E' is polished with a difference-form
-    Rayleigh quotient so repeated solves at nearby potentials differ
-    smoothly.  Raises StateNotFound when the grid has no such pair, its
-    node count is off, or it is not bound (E' >= 0), and NoConvergence when
-    LAPACK fails on it.
+    to absolute tolerance tol (0, the default, is full precision), and the
+    node count is checked rather than searched for.  Returns (E', u) with u
+    normalized to sum(u^2) = 1 and its first significant entry positive;
+    E' is polished with a difference-form Rayleigh quotient so repeated
+    solves at nearby potentials differ smoothly.  Raises StateNotFound when
+    the grid has no such pair, its node count is off, or it is not bound
+    (E' >= 0), and NoConvergence when LAPACK fails on it.
     """
-    try:
-        return _pair_by_index(op, node_target, 0.0)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
-
-
-def _pair_by_index(
-    op: DiscretizedOperator, node_target: int, tol: float
-) -> tuple[float, np.ndarray]:
-    """inner_eigensolve with the bisection run to absolute tolerance tol;
-    LAPACK failures propagate as np.linalg.LinAlgError."""
     n = op.diag.size
     if node_target >= n:
         raise StateNotFound(f"a grid of {n} points holds no state with {node_target} nodes")
@@ -465,10 +456,10 @@ def _converged(op: DiscretizedOperator, e: float, u: np.ndarray) -> bool:
 
 
 def _refine_eigenpair(
-    op: DiscretizedOperator, node_target: int, u: np.ndarray, shift: float, sweeps: int = 2
+    op: DiscretizedOperator, node_target: int, u: np.ndarray, shift: float
 ) -> tuple[float, np.ndarray] | None:
-    """At most sweeps sweeps of inverse iteration on T from a nearby
-    eigenvector u.
+    """At most _COARSE_SWEEPS sweeps of inverse iteration on T from a
+    nearby eigenvector u.
 
     The first sweep is shifted by shift, each later one by the E' (the
     Rayleigh quotient) of the last sweep's vector, so the iteration
@@ -477,7 +468,7 @@ def _refine_eigenpair(
     sweep fails (see _sweep) or none is converged; the caller then solves
     from scratch.
     """
-    for _ in range(sweeps):
+    for _ in range(_COARSE_SWEEPS):
         pair = _sweep(op, node_target, u, shift)
         if pair is None:
             return None
@@ -503,27 +494,28 @@ def _coarse_start(
     """First eigenpair of op, started from coarse_op, the same equation on a
     grid _COARSE_FACTOR times coarser over the same box.
 
-    coarse_op is solved by index, so bisection runs on N/8 points instead
-    of N, and only to the kinetic scale of the box, A/r_max^2: the pair
-    only seeds the refinement.  That tolerance does not grow with N, and
-    on the Coulomb boxes default_solver_grid sizes it is at most 5.9e-3 of
-    the spacing to the neighbouring levels (n <= 6, measured), so the
-    bisection cannot stop nearer a neighbour.  The eigenvector, interpolated onto op's grid, is
-    refined by _refine_eigenpair, the first sweep shifted by the coarse E'
-    (a Rayleigh shift from the interpolated vector misses the state more
-    often).  Two sweeps converge every state of the criterion-1 sweep; a
-    shallow state, whose coarse E' can be off by more than the level
-    spacing, may take more.  Returns None when the coarse grid holds no
-    such bound state, LAPACK fails on it or the refinement fails; the
-    caller then solves op from scratch.
+    coarse_op goes through inner_eigensolve, so bisection runs on N/8
+    points instead of N, and only to the kinetic scale of the box,
+    A/r_max^2: the pair only seeds the refinement.  That tolerance does not
+    grow with N, and on the Coulomb boxes default_solver_grid sizes it is
+    at most 5.9e-3 of the spacing to the neighbouring levels (n <= 6,
+    measured), so the bisection cannot stop nearer a neighbour.  The
+    eigenvector, interpolated onto op's grid, is refined by
+    _refine_eigenpair, the first sweep shifted by the coarse E' (a Rayleigh
+    shift from the interpolated vector misses the state more often).  Two
+    sweeps converge every state of the criterion-1 sweep; a shallow state,
+    whose coarse E' can be off by more than the level spacing, may take
+    more.  Returns None when inner_eigensolve raises StateNotFound or
+    NoConvergence on the coarse grid, or the refinement fails; the caller
+    then solves op from scratch.
     """
     box_scale = -float(coarse_op.offdiag[0]) / (coarse_op.grid.n_points + 1) ** 2
     try:
-        e, u = _pair_by_index(coarse_op, node_target, box_scale)
-    except (StateNotFound, NoConvergence, np.linalg.LinAlgError):
+        e, u = inner_eigensolve(coarse_op, node_target, box_scale)
+    except (StateNotFound, NoConvergence):
         return None
     u = np.interp(op.grid.points, coarse_op.grid.points, u)
-    return _refine_eigenpair(op, node_target, u, e, _COARSE_SWEEPS)
+    return _refine_eigenpair(op, node_target, u, e)
 
 
 def default_solver_grid(
@@ -549,7 +541,8 @@ def default_solver_grid(
     unbound estimate (kappa <= 0) falls back to a wide probe grid and lets
     the eigensolver report StateNotFound.  Raises InvalidQuantumNumbers for
     an (n, l) that names no state, before n sizes the box, and OverflowError
-    when the box is inf or its step underflows to 0 (see RadialGrid).
+    when a computed box underflows to 0, or the box is inf or its step
+    underflows to 0 (see RadialGrid).
     """
     QuantumNumbers(n=n, l=l)
     if r_max is None:
@@ -571,6 +564,8 @@ def default_solver_grid(
                 r_max = 120.0 * n / lam_abs
         else:
             r_max = 15.0 * n ** 2 * p.bohr_radius() / p.z_number
+        if not r_max > 0.0:
+            raise OverflowError(f"the box for (n={n}, l={l}) underflows to {r_max!r}")
     return RadialGrid(r_max, n_points)
 
 

@@ -327,7 +327,7 @@ class TestSolve:
     def test_numerical_failure_exits_4(self, capsys, monkeypatch, error):
         def explode(cfg):
             raise error("stalled")
-        monkeypatch.setitem(cli._DISPATCH, "solve", explode)
+        monkeypatch.setattr(cli, "cmd_solve", explode)
         code, _, err = run_cli(capsys, "solve")
         assert code == 4 and err == f"kgbound: {error.__name__}: stalled\n"
 
@@ -338,7 +338,7 @@ class TestSolve:
     def test_physics_failure_exits_3(self, capsys, monkeypatch, error):
         def explode(cfg):
             raise error("no such level")
-        monkeypatch.setitem(cli._DISPATCH, "solve", explode)
+        monkeypatch.setattr(cli, "cmd_solve", explode)
         code, _, err = run_cli(capsys, "solve")
         assert code == 3 and err == f"kgbound: {error.__name__}: no such level\n"
 
@@ -378,6 +378,11 @@ class TestOverflowExits:
         # no grid: the step r_max/(N+1) rounds to 0, or 1/lambda makes r_max inf
         (("solve", "--rmax", "1e-320"), ["OverflowError"]),
         (("solve", "--potential", "hulthen", "--lambda", "1e-320"), ["OverflowError"]),
+        # no grid: the box 15 n^2 a0 / Z, or 120 n / lambda, underflows to 0
+        (("solve", "--alpha", "1e200", "--rest-mass", "1e200", "--grid-n", "100"),
+         ["OverflowError"]),
+        (("solve", "--potential", "hulthen", "--lambda", "1e300", "--rest-mass", "1e100",
+          "--grid-n", "100"), ["OverflowError"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "-".join(v))
     def test_solve_reports_per_row(self, capsys, argv, statuses):
         solver._stencil_terms.cache_clear()  # a cached correction is not recomputed
@@ -418,6 +423,9 @@ class TestOverflowExits:
          "OverflowError: grid step"),
         (("convergence", "--potential", "hulthen", "--lambda", "1e300", "--sizes", "16,32,64"),
          "ZeroDivisionError: grid step"),
+        # no grid: the box 120 n / lambda underflows to 0
+        (("convergence", "--potential", "hulthen", "--lambda", "1e300", "--rest-mass", "1e100",
+          "--sizes", "16,32,64"), "OverflowError: the box for (n=1, l=0) underflows to 0.0"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_exit_4(self, capsys, argv, error):
         # pytest keeps warnings off stderr, so they are recorded here instead
@@ -429,6 +437,18 @@ class TestOverflowExits:
         assert err.startswith(f"kgbound: {name}: {detail}") and err.count("\n") == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_subcritical_box_underflow(self, capsys, tmp_path):
+        # Z alpha is physical, but a0 = hbar^2 / (m0 e_s^2) underflows to 0, so
+        # the box 15 n^2 a0 / Z does too
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[common]\nhbar = 1e-200\nrest_mass = 1e200\n")
+        code, out, err = run_cli(capsys, "solve", "--grid-n", "100", "--config", str(cfg))
+        assert code == 0 and err == ""
+        assert [r["status"] for r in parse_csv(out)[2]] == ["OverflowError"]
+        for argv in (("compare", "--grid-n", "100"), ("convergence", "--sizes", "16,32,64")):
+            code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+            assert code == 4 and out == ""
+            assert err == "kgbound: OverflowError: the box for (n=1, l=0) underflows to 0.0\n"
 
     @pytest.mark.parametrize("n, l", [(100, 99), (75, 54)])
     def test_laguerre_overflow_names_the_state(self, capsys, n, l):
@@ -549,7 +569,10 @@ class TestConvergenceCommand:
 # most one flag a bad value, so most runs get past the config layer
 _BAD = ("nan", "inf", "-1", "0", "1e400", "1e300", "1e-300", "abc", "")
 _SMALL_FLOATS = ("0.05", "0.3", "0.6", "1", "2")
+# valid but far from 1: the float range is reached through the arithmetic
+_MAGNITUDES = _SMALL_FLOATS + ("1e-200", "1e-30", "1e-6", "1e3", "1e30", "1e150", "1e200")
 _FUZZ_VALUES = {
+    **dict.fromkeys(("--z", "--alpha", "--rest-mass", "--lambda", "--rmax"), _MAGNITUDES),
     "--n": ("1", "2", "3"),
     "--l": ("0", "1", "2"),
     "--states": ("1,0", "2,1; 1,0", "3,0; 3,2", "0,0", "2,2", "1", "a,b", "1,0; 1,0"),
@@ -605,6 +628,11 @@ def fuzz_argv(draw):
 @example(["wavefunction", "--rmax", "5e-324", "--samples", "3"])
 @example(["solve", "--potential", "hulthen", "--lambda", "1e-320"])
 @example(["solve", "--rest-mass", "1e150"])
+@example(["solve", "--alpha", "1e200", "--rest-mass", "1e200", "--grid-n", "100"])
+@example(["solve", "--potential", "hulthen", "--lambda", "1e300", "--rest-mass", "1e100",
+          "--grid-n", "100"])
+@example(["convergence", "--potential", "hulthen", "--lambda", "1e300", "--rest-mass", "1e100",
+          "--sizes", "16,32,64"])
 def test_argv_fuzz_exits_with_a_documented_code(argv):
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):

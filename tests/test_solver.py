@@ -1,5 +1,6 @@
 """Discretization, eigensolve, self-consistency, and convergence studies."""
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -362,7 +363,7 @@ class TestInnerEigensolve:
                 SolveRequest(mode=SolveMode.KG_VECTOR, potential=PotentialSpec.coulomb(),
                              n=9, l=0, grid=grid), P_03)
 
-    def test_refinement_rejects_the_wrong_state(self):
+    def test_refinement_rejects_the_wrong_state(self, monkeypatch):
         # inverse iteration shifted onto the ground state cannot pass as the
         # one-node state; the caller then solves from scratch
         grid = RadialGrid(40.0 * P_01.bohr_radius(), 2000)
@@ -375,15 +376,18 @@ class TestInnerEigensolve:
         e, u = _sweep(op, 1, u1, e0)
         assert _count_sign_changes(u) == 1 and abs(e / e1 - 1) > 1e-4
         assert not _converged(op, e, u)
-        assert _refine_eigenpair(op, 1, u1, e0, 1) is None
-        assert _refine_eigenpair(op, 1, u1, e0) is None
+        for sweeps in (1, 2):
+            monkeypatch.setattr(solver, "_COARSE_SWEEPS", sweeps)
+            assert _refine_eigenpair(op, 1, u1, e0) is None
         # later sweeps are shifted by E': given more of them they may steer
         # back onto the one-node state, but never pass off another one
         for sweeps in (3, 6):
-            pair = _refine_eigenpair(op, 1, u1, e0, sweeps)
+            monkeypatch.setattr(solver, "_COARSE_SWEEPS", sweeps)
+            pair = _refine_eigenpair(op, 1, u1, e0)
             if pair is not None:
                 assert _count_sign_changes(pair[1]) == 1
                 assert pair[0] == pytest.approx(e1, rel=1e-12)
+        monkeypatch.setattr(solver, "_COARSE_SWEEPS", 2)
         e, u = _refine_eigenpair(op, 1, u1, e1)
         assert e == pytest.approx(e1, rel=1e-12)
         np.testing.assert_allclose(u, u1, atol=1e-10)
@@ -445,6 +449,14 @@ _EIGEN_OPERATORS = [
 ]
 
 
+# LAPACK routine -> a stand-in that reports failure (info = 1)
+_FAILING_LAPACK = {
+    "dstebz": lambda d, e, *args: (0, np.zeros(d.size), np.zeros(d.size, np.int32),
+                                   np.zeros(d.size, np.int32), 1),
+    "dstein": lambda d, e, w, iblock, isplit: (np.zeros((d.size, w.size)), 1),
+}
+
+
 class TestLapack:
     """solver.eigh_tridiagonal and _lapack against scipy.linalg."""
 
@@ -469,42 +481,45 @@ class TestLapack:
         for name in ("dstebz", "dstein", "dgtsv"):
             assert getattr(solver._lapack(), name) is getattr(lapack, name), name
 
-    def test_lapack_failure_is_no_convergence(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("routine", sorted(_FAILING_LAPACK))
+    def test_lapack_failure_is_no_convergence(self, monkeypatch, capsys, routine):
         from kgbound import cli
 
         real = solver._lapack()
-        stub = SimpleNamespace(
-            dstebz=real.dstebz, dgtsv=real.dgtsv,
-            dstein=lambda d, e, w, iblock, isplit: (np.zeros((d.size, w.size)), 1))
+        stub = SimpleNamespace(dstebz=real.dstebz, dstein=real.dstein, dgtsv=real.dgtsv)
+        setattr(stub, routine, _FAILING_LAPACK[routine])
         monkeypatch.setattr(solver, "_lapack", lambda: stub)
         grid = RadialGrid(40.0 * P_01.bohr_radius(), 400)
         op = discretize_operator(
             SolveMode.SCHRODINGER, PotentialSpec.coulomb(), P_01, P_01.rest_mass, 0, grid)
-        with pytest.raises(NoConvergence, match="tridiagonal eigensolve failed: dstein"):
+        message = f"tridiagonal eigensolve failed: {routine} failed (LAPACK info=1)"
+        with pytest.raises(NoConvergence, match=re.escape(message)):
             inner_eigensolve(op, 0)
         # compare exits on the first failure; solve would report it in a row
         assert cli.main(["compare", "--grid-n", "400"]) == 4
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("kgbound: NoConvergence: tridiagonal eigensolve failed: dstein")
+        assert err == f"kgbound: NoConvergence: {message}\n"
 
-    def test_coarse_lapack_failure_falls_back_to_the_fine_grid(self, monkeypatch):
+    @pytest.mark.parametrize("routine", sorted(_FAILING_LAPACK))
+    def test_coarse_lapack_failure_falls_back_to_the_fine_grid(self, monkeypatch, routine):
         # the coarse pair only seeds the fine grid: when LAPACK fails on it,
         # the solve bisects the fine grid as when the coarse grid binds nothing
         req = coulomb_request(P_03, 2, 0, 2000)
         warm = solve_self_consistent(req, P_03)
         real = solver._lapack()
 
-        def dstein(d, e, w, iblock, isplit):
+        def failing_on_the_coarse_grid(d, *args):
             if d.size == 2000 // 8:
-                return np.zeros((d.size, w.size)), 1
-            return real.dstein(d, e, w, iblock, isplit)
+                return _FAILING_LAPACK[routine](d, *args)
+            return getattr(real, routine)(d, *args)
 
-        proxy = CountingLapack(SimpleNamespace(dstebz=real.dstebz, dgtsv=real.dgtsv,
-                                               dstein=dstein))
+        stub = SimpleNamespace(dstebz=real.dstebz, dstein=real.dstein, dgtsv=real.dgtsv)
+        setattr(stub, routine, failing_on_the_coarse_grid)
+        proxy = CountingLapack(stub)
         monkeypatch.setattr(solver, "_lapack", lambda: proxy)
         state = solve_self_consistent(req, P_03)
-        sizes = [args[0].size for name, args in proxy.calls if name == "dstein"]
+        sizes = [args[0].size for name, args in proxy.calls if name == routine]
         assert sizes == [2000 // 8, 2000]
         assert state.e_prime == pytest.approx(warm.e_prime, rel=1e-12)
         assert state.iterations == warm.iterations

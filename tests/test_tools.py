@@ -94,9 +94,35 @@ def test_traced_solve_fills_every_solver_layer(monkeypatch):
     assert counts["solver.discretize_operator.bytes_computed"] > 0
 
 
+def test_traced_coarse_start_records_its_bisection(monkeypatch):
+    # a 2000-point solve bisects only on its coarse start grid; that
+    # bisection must show in the solver.inner_eigensolve layer too
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no caches in perfbench/
+    tracer = _load_perfbench("tracer").Tracer()
+    import kgbound.cli  # noqa: F401  (the tracer wraps every traced module)
+    from kgbound import solver
+    from kgbound.core import PhysicalParams, PotentialSpec
+
+    p = PhysicalParams(alpha=0.3)
+    grid = solver.default_solver_grid(
+        solver.SolveMode.KG_VECTOR, PotentialSpec.coulomb(), p, 2, 0, n_points=2000)
+    req = solver.SolveRequest(mode=solver.SolveMode.KG_VECTOR,
+                              potential=PotentialSpec.coulomb(), n=2, l=0, grid=grid)
+    tracer.install()
+    try:
+        solver.solve_self_consistent(req, p)
+    finally:
+        tracer.uninstall()
+    spans, counts = tracer.take()
+    names = [span[1] for span in spans]
+    assert names.count("solver.inner_eigensolve") == 1
+    assert counts["solver.eigh_tridiagonal.pairs_requested"] == 1
+
+
 def test_traced_cli_fills_every_cli_layer(monkeypatch, capsys):
-    # the cli.cmd.* layers are found through cli._DISPATCH and cli.output_s is
-    # read off the cli.main span; a command that bypassed either would read 0
+    # the cli.cmd.* layers are found through the cmd_* attributes of cli, which
+    # main looks up by name, and cli.output_s is read off the cli.main span; a
+    # command that bypassed either would read 0
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no caches in perfbench/
     run = _load_perfbench("run")
     tracer = _load_perfbench("tracer").Tracer()
