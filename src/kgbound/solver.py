@@ -11,22 +11,23 @@ from m = m0, take one plain step m <- m0 + E'(m)/c^2, then secant steps
 built from the last two iterates until the mass stops moving.  Each step
 builds the operator at the current mass and costs one eigenpair.  The
 first is found by index (the state with k nodes is eigenpair k of the
-tridiagonal operator), on grids of 2000 points or more by way of the
-operator on a grid eight times coarser, whose eigenvector is refined on
-the fine grid by inverse iteration until its residual is as small as
-bisection's (see _coarse_start).  One mass step changes the operator only
+tridiagonal operator), bisected only to the kinetic scale of the box; on
+grids of 2000 points or more that is done on a grid eight times coarser,
+whose eigenvector then takes one sweep of inverse iteration on the fine
+grid (see _coarse_start).  One mass step changes the operator only
 slightly, so each later step is one sweep of inverse iteration from the
 previous eigenvector, shifted by that vector's Rayleigh quotient on the
-new operator: one tridiagonal solve per step.  That sweep steers the
-mass and need not converge; the pair a solve returns must, and is found
-by bisection when it has not.  discretize_operator is the one builder:
-it takes the mode, the potential, the parameters, the mass, l and the
-grid, and makes every operator of a solve, coarse and fine.  Its
-diagonal carries an origin correction for r^s exp(a1 r), the first two
-Frobenius terms of the regular solution, wherever s < 1 (l = 0 with a
-squared vector 1/r channel); that keeps the eigenvalue error O(h^2)
-there.  The correction depends on that operator alone: a1 at its own
-mass, its own step.
+new operator: one tridiagonal solve per step.  These pairs seed and steer
+the mass and need not converge; the pair a solve returns must, and is
+refined, or at last bisected to full precision, when it has not.  Where a
+seed fails, full-precision bisection decides the status.
+discretize_operator is the one builder: it takes the mode, the potential,
+the parameters, the mass, l and the grid, and makes every operator of a
+solve, coarse and fine.  Its diagonal carries an origin correction for
+r^s exp(a1 r), the first two Frobenius terms of the regular solution,
+wherever s < 1 (l = 0 with a squared vector 1/r channel); that keeps the
+eigenvalue error O(h^2) there.  The correction depends on that operator
+alone: a1 at its own mass, its own step.
 
 Mode dictionary, writing msum = m0 + m, U for the vector part and S for
 the scalar part:
@@ -223,7 +224,8 @@ def discretize_operator(
     solve or a study cannot differ in how they are discretized.  An entry
     that overflows, the correction included (from l = 79 at N = 8000, where
     N^s passes the float64 range), raises NoConvergence (see
-    DiscretizedOperator) without numpy warnings.
+    DiscretizedOperator) without numpy warnings.  An h^2 or an A/h^2 out of
+    the float range raises OverflowError (ZeroDivisionError for h^2 = 0).
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         A, v_eff = effective_radial_equation(mode, potential, p, m_sys, l)
@@ -234,6 +236,8 @@ def discretize_operator(
         except (OverflowError, ZeroDivisionError) as exc:  # h^2 overflows, or underflows to 0
             message = f"grid step {h!r} (r_max = {grid.r_max!r}) squared leaves the float range"
             raise type(exc)(message) from None
+        if abs(kin) < sys.float_info.min:  # the kinetic term would vanish from the operator
+            raise OverflowError(f"kinetic coefficient A/h^2 = {A!r}/{h!r}^2 underflows")
         diag = 2.0 * kin + v_eff(grid.points) + kin * _stencil_error(s, grid.n_points, a1 * h)
     return DiscretizedOperator(diag=diag, offdiag=np.full(grid.n_points - 1, -kin), grid=grid)
 
@@ -452,23 +456,23 @@ def _converged(op: DiscretizedOperator, e: float, u: np.ndarray) -> bool:
     r[:-1] += op.offdiag * u[1:]
     r[1:] += op.offdiag * u[:-1]
     kin = -float(op.offdiag[0])
-    return float(np.linalg.norm(r)) / kin <= np.finfo(float).eps * math.sqrt(u.size)
+    return float(np.linalg.norm(r)) <= np.finfo(float).eps * math.sqrt(u.size) * kin
 
 
 def _refine_eigenpair(
     op: DiscretizedOperator, node_target: int, u: np.ndarray, shift: float
 ) -> tuple[float, np.ndarray] | None:
-    """At most _COARSE_SWEEPS sweeps of inverse iteration on T from a
+    """At most _REFINE_SWEEPS sweeps of inverse iteration on T from a
     nearby eigenvector u.
 
     The first sweep is shifted by shift, each later one by the E' (the
     Rayleigh quotient) of the last sweep's vector, so the iteration
     converges cubically once the vector is close.  Returns the first pair
     that is _converged, as inner_eigensolve would give it, or None when a
-    sweep fails (see _sweep) or none is converged; the caller then solves
-    from scratch.
+    sweep fails (see _sweep) or none is converged; the caller then
+    bisects to full precision (see _returned_pair).
     """
-    for _ in range(_COARSE_SWEEPS):
+    for _ in range(_REFINE_SWEEPS):
         pair = _sweep(op, node_target, u, shift)
         if pair is None:
             return None
@@ -478,14 +482,40 @@ def _refine_eigenpair(
     return None
 
 
-# Fine grids of at least this many points take their first eigenpair from a
-# grid _COARSE_FACTOR times coarser (see _coarse_start), refined by at most
-# _COARSE_SWEEPS sweeps.  A relativistic solve raises NoConvergence after
-# _MAX_SC_ITERS mass steps.
+def _returned_pair(
+    op: DiscretizedOperator, node_target: int, e: float, u: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(e, u) if _converged, else its _refine_eigenpair, else op's full bisection."""
+    if _converged(op, e, u):
+        return e, u
+    return _refine_eigenpair(op, node_target, u, e) or inner_eigensolve(op, node_target)
+
+
+# Fine grids of at least this many points seed their first eigenpair on a
+# grid _COARSE_FACTOR times coarser (see _coarse_start).  A pair that misses
+# the residual floor gets at most _REFINE_SWEEPS sweeps.  A relativistic
+# solve raises NoConvergence after _MAX_SC_ITERS mass steps.
 _COARSE_START_POINTS = 2000
 _COARSE_FACTOR = 8
-_COARSE_SWEEPS = 6
+_REFINE_SWEEPS = 6
 _MAX_SC_ITERS = 200
+
+
+def _seed(op: DiscretizedOperator, node_target: int) -> tuple[float, np.ndarray] | None:
+    """inner_eigensolve's pair bisected only to the kinetic scale of the box,
+    A/r_max^2, or None when it raises StateNotFound or NoConvergence (the
+    caller's full-precision bisection then decides the status).
+
+    The pair only starts the mass loop, whose sweeps converge it; after the
+    Rayleigh polish its E' is ~1e-14 relative from full precision.  On the
+    Coulomb boxes of default_solver_grid the tolerance is at most 5.9e-3 of
+    the level spacing (n <= 6, measured), so no neighbour is picked up.
+    """
+    box_scale = -float(op.offdiag[0]) / (op.grid.n_points + 1) ** 2
+    try:
+        return inner_eigensolve(op, node_target, box_scale)
+    except (StateNotFound, NoConvergence):
+        return None
 
 
 def _coarse_start(
@@ -494,28 +524,18 @@ def _coarse_start(
     """First eigenpair of op, started from coarse_op, the same equation on a
     grid _COARSE_FACTOR times coarser over the same box.
 
-    coarse_op goes through inner_eigensolve, so bisection runs on N/8
-    points instead of N, and only to the kinetic scale of the box,
-    A/r_max^2: the pair only seeds the refinement.  That tolerance does not
-    grow with N, and on the Coulomb boxes default_solver_grid sizes it is
-    at most 5.9e-3 of the spacing to the neighbouring levels (n <= 6,
-    measured), so the bisection cannot stop nearer a neighbour.  The
-    eigenvector, interpolated onto op's grid, is refined by
-    _refine_eigenpair, the first sweep shifted by the coarse E' (a Rayleigh
-    shift from the interpolated vector misses the state more often).  Two
-    sweeps converge every state of the criterion-1 sweep; a shallow state,
-    whose coarse E' can be off by more than the level spacing, may take
-    more.  Returns None when inner_eigensolve raises StateNotFound or
-    NoConvergence on the coarse grid, or the refinement fails; the caller
-    then solves op from scratch.
+    coarse_op is bisected by _seed, on N/8 points instead of N.  Its
+    eigenvector, interpolated onto op's grid, takes one _sweep shifted by
+    the coarse E' (a Rayleigh shift from the interpolated vector misses the
+    state more often), unconverged: the mass moves after the first step
+    and later sweeps converge the vector.  Returns None when the seed or
+    the sweep fails; the caller then bisects op to full precision.
     """
-    box_scale = -float(coarse_op.offdiag[0]) / (coarse_op.grid.n_points + 1) ** 2
-    try:
-        e, u = inner_eigensolve(coarse_op, node_target, box_scale)
-    except (StateNotFound, NoConvergence):
+    pair = _seed(coarse_op, node_target)
+    if pair is None:
         return None
-    u = np.interp(op.grid.points, coarse_op.grid.points, u)
-    return _refine_eigenpair(op, node_target, u, e)
+    e, u = pair
+    return _sweep(op, node_target, np.interp(op.grid.points, coarse_op.grid.points, u), e)
 
 
 def default_solver_grid(
@@ -575,24 +595,25 @@ def solve_self_consistent(
     """Solve the requested state, iterating the system mass to a fixed point.
 
     The Schrodinger mode has no mass feedback and returns after a single
-    inner solve with residual 0.  Relativistic modes look for the root of
+    pass with residual 0.  Relativistic modes look for the root of
     g(m) = m0 + E'(m)/c^2 - m from m = m0: a plain step m <- m + g(m)
     first, then secant steps through the last two iterates.  A secant step
     is replaced by the plain step when the previous step did not shrink
     |g| or when it would leave m0 + m <= 0.  The iteration stops once
     |g|/m0 < sc_tolerance, or raises NoConvergence (reporting the last
     residuals) after _MAX_SC_ITERS steps.  discretize_operator makes every
-    operator of the solve.  The first eigenpair comes from a coarser grid
-    when the grid is large (see _coarse_start).  From the second iteration
-    on it is one _sweep of inverse iteration from the previous
-    eigenvector, shifted by its Rayleigh quotient on the new operator.
-    Either falls back to inner_eigensolve when it fails.  A sweep's pair
-    need not be converged (the first mass step of a strongly bound state
-    leaves up to ~1e5 times the residual floor), so the pair that meets
-    the tolerance is checked (_converged) and, if it is not, replaced by
-    inner_eigensolve's on the same operator before the test.  With
-    with_trace=True the per-iteration residual history |g|/m0 is returned
-    alongside the state.
+    operator of the solve.  The first eigenpair is a seed, bisected only to
+    the box scale (see _seed), on a grid eight times coarser when the grid
+    is large (see _coarse_start).  From the second iteration on it is one
+    _sweep from the previous eigenvector, shifted by its Rayleigh quotient
+    on the new operator.  Either falls back to full-precision
+    inner_eigensolve, which then decides the status.  Neither need be
+    converged (a strongly bound state's first mass step leaves up to ~1e5
+    times the residual floor): only the pair that meets the mass tolerance,
+    or the Schrodinger mode's one pair, must be, and is refined or bisected
+    on the same operator before the test when it is not (_returned_pair).
+    With with_trace=True the per-iteration residual history |g|/m0 is
+    returned alongside the state.
     """
     qn = QuantumNumbers(n=req.n, l=req.l)
     _check_combination(req.mode, req.potential)
@@ -611,20 +632,25 @@ def solve_self_consistent(
             pair = _sweep(op, node_target, u, _rayleigh_quotient(op, u))
         elif grid.n_points >= _COARSE_START_POINTS:
             coarse = RadialGrid(grid.r_max, grid.n_points // _COARSE_FACTOR)
-            coarse_op = discretize_operator(req.mode, req.potential, p, m, req.l, coarse)
-            pair = _coarse_start(coarse_op, op, node_target)
+            try:  # a coarser step can leave the float range where op's does not
+                coarse_op = discretize_operator(req.mode, req.potential, p, m, req.l, coarse)
+            except OverflowError:
+                pair = None
+            else:
+                pair = _coarse_start(coarse_op, op, node_target)
         else:
-            pair = None
+            pair = _seed(op, node_target)
         e, u = pair if pair is not None else inner_eigensolve(op, node_target)
         if req.mode is SolveMode.SCHRODINGER:
+            e, u = _returned_pair(op, node_target, e, u)
             residual = 0.0
             break
         g = p.rest_mass + e / p.c ** 2 - m
         residual = abs(g) / p.rest_mass
-        if residual < req.sc_tolerance and not _converged(op, e, u):
-            # a mass step's one sweep need not converge, but the pair a
-            # solve returns must be as converged as bisection's
-            e, u = inner_eigensolve(op, node_target)
+        if residual < req.sc_tolerance:
+            # a seed or a mass step's one sweep need not converge, but the
+            # pair a solve returns must be as converged as bisection's
+            e, u = _returned_pair(op, node_target, e, u)
             g = p.rest_mass + e / p.c ** 2 - m
             residual = abs(g) / p.rest_mass
         trace.append(residual)

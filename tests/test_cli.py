@@ -383,6 +383,13 @@ class TestOverflowExits:
          ["OverflowError"]),
         (("solve", "--potential", "hulthen", "--lambda", "1e300", "--rest-mass", "1e100",
           "--grid-n", "100"), ["OverflowError"]),
+        # the kinetic coefficient A/h^2 underflows, which would drop the kinetic term
+        (("solve", "--mode", "schrodinger", "--rest-mass", "1e150", "--rmax", "1e150",
+          "--grid-n", "16"), ["OverflowError"]),
+        (("solve", "--mode", "kg-vector", "--rest-mass", "1e150", "--rmax", "1e150",
+          "--grid-n", "16"), ["OverflowError"]),
+        (("solve", "--mode", "kg-equal", "--potential", "equal-coulomb", "--rest-mass", "1e150",
+          "--rmax", "1e150", "--grid-n", "16"), ["OverflowError"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "-".join(v))
     def test_solve_reports_per_row(self, capsys, argv, statuses):
         solver._stencil_terms.cache_clear()  # a cached correction is not recomputed

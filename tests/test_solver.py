@@ -377,17 +377,17 @@ class TestInnerEigensolve:
         assert _count_sign_changes(u) == 1 and abs(e / e1 - 1) > 1e-4
         assert not _converged(op, e, u)
         for sweeps in (1, 2):
-            monkeypatch.setattr(solver, "_COARSE_SWEEPS", sweeps)
+            monkeypatch.setattr(solver, "_REFINE_SWEEPS", sweeps)
             assert _refine_eigenpair(op, 1, u1, e0) is None
         # later sweeps are shifted by E': given more of them they may steer
         # back onto the one-node state, but never pass off another one
         for sweeps in (3, 6):
-            monkeypatch.setattr(solver, "_COARSE_SWEEPS", sweeps)
+            monkeypatch.setattr(solver, "_REFINE_SWEEPS", sweeps)
             pair = _refine_eigenpair(op, 1, u1, e0)
             if pair is not None:
                 assert _count_sign_changes(pair[1]) == 1
                 assert pair[0] == pytest.approx(e1, rel=1e-12)
-        monkeypatch.setattr(solver, "_COARSE_SWEEPS", 2)
+        monkeypatch.setattr(solver, "_REFINE_SWEEPS", 2)
         e, u = _refine_eigenpair(op, 1, u1, e1)
         assert e == pytest.approx(e1, rel=1e-12)
         np.testing.assert_allclose(u, u1, atol=1e-10)
@@ -557,6 +557,43 @@ class TestSolveSelfConsistent:
         assert state.residual == 0.0
         assert trace == []  # no mass feedback, nothing to record
 
+    @pytest.mark.parametrize("n_points", [2000, 8000])
+    @pytest.mark.parametrize("n, l", [(1, 0), (3, 0), (4, 3)])
+    def test_schrodinger_returns_a_converged_pair(self, n_points, n, l):
+        # the coarse start's one sweep only seeds; the one pair the mode
+        # returns must still sit at the residual floor, as bisection's does
+        potential = PotentialSpec.coulomb()
+        grid = default_solver_grid(SolveMode.SCHRODINGER, potential, P_03, n, l,
+                                   n_points=n_points)
+        state = solve_self_consistent(
+            SolveRequest(mode=SolveMode.SCHRODINGER, potential=potential, n=n, l=l, grid=grid),
+            P_03)
+        op = discretize_operator(
+            SolveMode.SCHRODINGER, potential, P_03, P_03.rest_mass, l, grid)
+        assert _converged(op, state.e_prime, state.radial_samples[1] * math.sqrt(grid.step))
+        assert state.e_prime == pytest.approx(inner_eigensolve(op, n - l - 1)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("rest_mass, r_max", [(1e150, 5e81), (1e-300, 2e157)])
+    def test_coarse_grid_out_of_float_range_leaves_the_status_to_the_fine_grid(
+            self, rest_mass, r_max):
+        # the coarse step is eight times the fine one, so A/h^2 can underflow
+        # (first case) or h^2 overflow (second) on the coarse grid alone
+        p = PhysicalParams(rest_mass=rest_mass)
+        potential = PotentialSpec.coulomb()
+        grid = RadialGrid(r_max, 2000)
+        with pytest.raises(OverflowError):
+            discretize_operator(SolveMode.SCHRODINGER, potential, p, rest_mass, 0,
+                                RadialGrid(r_max, 2000 // 8))
+        op = discretize_operator(SolveMode.SCHRODINGER, potential, p, rest_mass, 0, grid)
+        req = SolveRequest(mode=SolveMode.SCHRODINGER, potential=potential, n=1, l=0, grid=grid)
+        try:
+            e_direct = inner_eigensolve(op, 0)[0]
+        except StateNotFound:
+            with pytest.raises(StateNotFound):
+                solve_self_consistent(req, p)
+        else:
+            assert solve_self_consistent(req, p).e_prime == pytest.approx(e_direct, rel=1e-12)
+
     def test_trace_monotone_after_second_iteration(self):
         state, trace = solve_self_consistent(
             coulomb_request(P_03, 1, 0, 2000), P_03, with_trace=True)
@@ -603,17 +640,17 @@ class TestSolveSelfConsistent:
 
     def test_lapack_work_per_solve(self, monkeypatch):
         # criterion 1's states: the coarse start bisects N // 8 points to a
-        # loose tolerance and refines with two tridiagonal solves, and
-        # every later mass step costs one solve; without the coarse start
-        # the fine grid is bisected to full precision.  The coarse
-        # tolerance, A/r_max^2, does not grow with N, so on 200000 points
-        # the fine grid is still never bisected
+        # loose tolerance and takes one tridiagonal solve, every later mass
+        # step costs one solve, and the returned pair needs no more; without
+        # the coarse start the fine grid is bisected to full precision.  The
+        # coarse tolerance, A/r_max^2, does not grow with N, so on 200000
+        # points the fine grid is still never bisected
         proxy = CountingLapack(solver._lapack())
         monkeypatch.setattr(solver, "_lapack", lambda: proxy)
         states = [(za, n, l, n_points) for za in (0.05, 0.1, 0.2, 0.3)
                   for n in range(1, 5) for l in range(n) for n_points in (4000, 8000)]
         states += [(za, n, l, 200000) for za in (0.05, 0.3) for n, l in ((1, 0), (2, 1))]
-        for coarse_start, grid_factor, extra_solves in ((True, 8, 1), (False, 1, -1)):
+        for coarse_start, grid_factor, extra_solves in ((True, 8, 0), (False, 1, -1)):
             if not coarse_start:
                 monkeypatch.setattr(solver, "_coarse_start", lambda *args: None)
             for za, n, l, n_points in states:
@@ -632,27 +669,48 @@ class TestSolveSelfConsistent:
                 abstol = bisection[7]
                 assert abstol > 0.0 if coarse_start else abstol == 0.0, case
 
-    def test_an_unconverged_last_mass_step_is_not_returned(self, monkeypatch):
+    @pytest.mark.parametrize("noisy_refinement", [False, True])
+    def test_an_unconverged_last_mass_step_is_not_returned(self, monkeypatch, noisy_refinement):
         # a mass step is one sweep, which need not converge; the pair that
-        # meets the mass tolerance must, or the solve bisects its operator.
-        # Noise on every sweep's vector (its E' left exact) keeps the coarse
-        # start and the last mass step off the residual floor
+        # meets the mass tolerance must.  Noise on every mass step's vector
+        # (its E' left exact) keeps that pair off the residual floor, so the
+        # solve refines it first, and bisects the fine grid only when the
+        # refinement's sweeps carry the noise too
         req = coulomb_request(P_03, 2, 0, 2000)
         warm = solve_self_consistent(req, P_03)
-        sweep = solver._sweep
+        sweep, refine = solver._sweep, solver._refine_eigenpair
         noise = 1e-7 * np.random.default_rng(1).standard_normal(2000)
+        refining = []
 
         def noisy(*args):
             pair = sweep(*args)
-            return None if pair is None else (pair[0], pair[1] + noise)
+            if pair is None or (refining and not noisy_refinement):
+                return pair
+            return pair[0], pair[1] + noise
+
+        def recording(*args):
+            proxy.calls.append(("refine", args))
+            refining.append(True)
+            try:
+                return refine(*args)
+            finally:
+                refining.pop()
 
         proxy = CountingLapack(solver._lapack())
         monkeypatch.setattr(solver, "_lapack", lambda: proxy)
         monkeypatch.setattr(solver, "_sweep", noisy)
+        monkeypatch.setattr(solver, "_refine_eigenpair", recording)
         state = solve_self_consistent(req, P_03)
-        bisected = [args[0].size for name, args in proxy.calls if name == "dstebz"]
-        # the coarse grid, then the fine grid at the first and the last mass step
-        assert bisected == [2000 // 8, 2000, 2000]
+        steps = [args[0].size if name == "dstebz" else name
+                 for name, args in proxy.calls if name in ("dstebz", "dgtsv", "refine")]
+        # the coarse grid is bisected once, each mass step is one sweep, and
+        # only the last one's pair is refined
+        last = steps.index("refine")
+        assert steps[:last] == [2000 // 8] + ["dgtsv"] * state.iterations
+        if noisy_refinement:
+            assert steps[last:] == ["refine"] + ["dgtsv"] * solver._REFINE_SWEEPS + [2000]
+        else:
+            assert steps[last:] == ["refine", "dgtsv"]
         assert state.e_prime == pytest.approx(warm.e_prime, rel=1e-12)
         assert state.iterations == warm.iterations
         h = state.radial_samples[0][0]

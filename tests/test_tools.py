@@ -1,10 +1,12 @@
-"""tools/cli_parity.py end to end: this checkout compared with itself.
+"""tools/cli_parity.py and tools/ab_bench.py end to end: this checkout
+compared with itself; and the perfbench tracer on the solver and the CLI.
 
-The tool reads the cli-cold argvs from perfbench/workloads.py and the
+cli_parity reads the cli-cold argvs from perfbench/workloads.py and the
 TestBadValuesExit2 and fuzz_argv names from tests/test_cli.py, so a rename
 on either side breaks it; this run makes that break show.
 """
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -148,3 +150,37 @@ def test_traced_cli_fills_every_cli_layer(monkeypatch, capsys):
     layers = [name for name in run.SELF_TIMED if name.startswith("cli.")] + ["cli.main"]
     assert len(layers) == 8
     assert [name for name in layers if name not in seen] == []
+
+
+def test_ab_bench_writes_one_paired_entry(tmp_path):
+    # one pair of this checkout against itself on the cheapest workload,
+    # appended to a trail that already holds an entry
+    out = tmp_path / "bench.json"
+    out.write_text('{"entries": [{"earlier": true}]}')
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_bench.py"), ROOT,
+         "--workload", "current-field", "--pairs", "1", "--seconds", "0.1",
+         "--seed", "3", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},  # no caches in perfbench/
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    with open(out, encoding="utf-8") as fh:
+        earlier, entry = json.load(fh)["entries"]
+    assert earlier == {"earlier": True}
+    assert {"workload", "metric", "pairs", "seconds", "seeds", "first_in_pair",
+            "parent", "change", "median_gap", "parent_iqr", "gain_gate"} <= entry.keys()
+    assert (entry["workload"], entry["metric"]) == (
+        "current-field", "ops_per_s")
+    assert entry["seeds"] == [3] and entry["first_in_pair"] == ["parent"]
+    for side in ("parent", "change"):
+        record = entry[side]
+        assert {"median", "quartiles", "values", "pairs_won", "metrics", "all_correct",
+                "provenance", "src_lines", "src_sha1"} <= record.keys()
+        assert record["all_correct"] and record["provenance"]["seed"] == 3
+        assert len(record["values"]) == 1 and record["median"] > 0
+        assert record["quartiles"] == [record["median"]] * 2
+        assert {"setup_s", "wall_s", "op_ms_p50", "ops_per_s", "peak_rss_mb"} <= \
+            record["metrics"].keys()
+    assert entry["parent"]["src_sha1"] == entry["change"]["src_sha1"]
+    assert entry["parent"]["pairs_won"] + entry["change"]["pairs_won"] <= 1
