@@ -7,14 +7,16 @@ Every mode solves an equation of the fixed shape
 on a uniform grid, where A and V_eff depend on the mode and, for the
 relativistic modes, on the system mass m = m0 + E'/c^2.  That circular
 dependence is resolved by root finding on g(m) = m0 + E'(m)/c^2 - m: start
-from m = m0, take one plain step m <- m0 + E'(m)/c^2, then secant steps
-built from the last two iterates until the mass stops moving.  Each step
-builds the operator at the current mass and costs one eigenpair.  The
-first is found by index (the state with k nodes is eigenpair k of the
-tridiagonal operator), bisected only to the kinetic scale of the box; on
-grids of 2000 points or more that is done on a grid eight times coarser,
-whose eigenvector then takes one sweep of inverse iteration on the fine
-grid (see _coarse_start).  One mass step changes the operator only
+from m = m0, take one Newton step, whose slope dE'/dm = (2<U> - E')/msum
+is Hellmann-Feynman's on the discrete operator, then secant steps built
+from the last two iterates until the mass stops moving.  Each step builds
+the operator at the current mass and costs one eigenpair.  The first is
+found by index (the state with k nodes is eigenpair k of the tridiagonal
+operator), bisected only to the kinetic scale of the box; on grids of
+1000 points or more that is done on a grid eight times coarser, itself
+started the same way from 1000 points up (8000 -> 1000 -> 125), and each
+finer grid's vector takes one sweep of inverse iteration from the one
+below (see _coarse_start).  One mass step changes the operator only
 slightly, so each later step is one sweep of inverse iteration from the
 previous eigenvector, shifted by that vector's Rayleigh quotient on the
 new operator: one tridiagonal solve per step.  These pairs seed and steer
@@ -94,7 +96,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolveRequest:
-    """One eigensolve: which equation, which channel content, which state."""
+    """One eigensolve: which equation, which channel content, which state.
+
+    sc_tolerance bounds the mass residual |g|/m0 at which a relativistic
+    solve stops, g = m0 + E'/c^2 - m, not the error in E': a solve that
+    stops at residual r leaves E' about (dE'/dm)/(1 - dE'/dm/c^2) r m0
+    from the fixed point, some 1.5 r |E'| for Coulomb states, so two solves
+    of one state that stop on different paths can differ in E' by more
+    than sc_tolerance relative.
+    """
 
     mode: SolveMode
     potential: PotentialSpec
@@ -276,8 +286,8 @@ def _stencil_terms(s: float, n: int) -> tuple[np.ndarray, ...]:
     """The x-free parts of _stencil_error on indices 1..n: E0, from one
     power per index shared by its neighbours, and for s < 1 also Q+ and
     Q-, from expm1 and log1p without cancellation.  They depend only on
-    (s, n), so they are cached (a solve builds its grid's and its coarse
-    start's once each) and read-only.
+    (s, n), so they are cached (a solve builds those of its grid and of
+    each grid of its start once each) and read-only.
     """
     powers = np.arange(n + 2, dtype=float) ** s  # i^s for i = 0..n+1
     i = np.arange(1, n + 1, dtype=float)
@@ -333,19 +343,20 @@ def _checked_pair(
 ) -> tuple[float, np.ndarray]:
     """Polish a candidate eigenvector of the node_target-node bound state.
 
-    Raises NoConvergence when u has no significant entry (LAPACK's
-    dstein returns NaNs when its arithmetic leaves the float range), and
+    Raises NoConvergence when u has no significant entry or its norm
+    leaves the float range (LAPACK's dstein returns NaNs when its
+    arithmetic does, and a sweep's solve can overflow), and
     StateNotFound unless u has node_target interior nodes and a negative
     Rayleigh quotient; otherwise returns (E', u) with u normalized to
     sum(u^2) = 1 and its first significant entry positive.
     """
     signs = _significant_signs(u)
-    if signs.size == 0:
+    scale = math.sqrt(float(u @ u))
+    if signs.size == 0 or not 0.0 < scale < math.inf:
         raise NoConvergence(f"eigenvector {node_target} has no significant entry")
     nodes = int(np.count_nonzero(signs[1:] != signs[:-1]))
     if nodes != node_target:
         raise StateNotFound(f"eigenpair {node_target} has {nodes} nodes, not {node_target}")
-    scale = math.sqrt(float(u @ u))
     u = u / (-scale if signs[0] < 0 else scale)
     e = _rayleigh_quotient(op, u)
     if e >= 0.0:
@@ -433,14 +444,16 @@ def _sweep(
 ) -> tuple[float, np.ndarray] | None:
     """One sweep of inverse iteration: (T - shift) x = u, then x checked and
     normalized by _checked_pair.  Returns None when the tridiagonal solve
-    is singular or x fails one of _checked_pair's checks.
+    is singular or x fails one of _checked_pair's checks.  u is left as it
+    is; dgtsv overwrites only the shifted diagonal built here.
     """
-    _, _, _, x, info = _lapack().dgtsv(op.offdiag, op.diag - shift, op.offdiag, u[:, None])
-    norm = float(np.linalg.norm(x))
-    if info != 0 or not math.isfinite(norm):
+    _, _, _, x, info = _lapack().dgtsv(
+        op.offdiag, op.diag - shift, op.offdiag, u[:, None], overwrite_d=1
+    )
+    if info != 0:
         return None
     try:
-        return _checked_pair(op, x[:, 0] / norm, node_target)
+        return _checked_pair(op, x[:, 0], node_target)
     except (StateNotFound, NoConvergence):
         return None
 
@@ -491,11 +504,18 @@ def _returned_pair(
     return _refine_eigenpair(op, node_target, u, e) or inner_eigensolve(op, node_target)
 
 
-# Fine grids of at least this many points seed their first eigenpair on a
-# grid _COARSE_FACTOR times coarser (see _coarse_start).  A pair that misses
-# the residual floor gets at most _REFINE_SWEEPS sweeps.  A relativistic
-# solve raises NoConvergence after _MAX_SC_ITERS mass steps.
-_COARSE_START_POINTS = 2000
+# Grids of at least _COARSE_START_POINTS start from the pair of a grid
+# _COARSE_FACTOR times coarser (see _coarse_start).  When that start fails, a
+# solve's own grid of _FULL_BISECTION_POINTS or more falls back to
+# full-precision bisection at once, so a state bound on no grid pays no
+# loose bisection of a fine grid before the full-precision one that decides
+# its status; a smaller grid seeds itself first, which spares bound
+# n >= 5, l = 0 states whose one sweep from 125 points fails the
+# full-precision bisection.  A pair that misses the residual floor gets at
+# most _REFINE_SWEEPS sweeps.  A relativistic solve raises NoConvergence
+# after _MAX_SC_ITERS mass steps.
+_COARSE_START_POINTS = 1000
+_FULL_BISECTION_POINTS = 2000
 _COARSE_FACTOR = 8
 _REFINE_SWEEPS = 6
 _MAX_SC_ITERS = 200
@@ -519,23 +539,59 @@ def _seed(op: DiscretizedOperator, node_target: int) -> tuple[float, np.ndarray]
 
 
 def _coarse_start(
-    coarse_op: DiscretizedOperator, op: DiscretizedOperator, node_target: int
+    build: Callable[[RadialGrid], DiscretizedOperator], op: DiscretizedOperator,
+    node_target: int,
 ) -> tuple[float, np.ndarray] | None:
-    """First eigenpair of op, started from coarse_op, the same equation on a
-    grid _COARSE_FACTOR times coarser over the same box.
+    """First eigenpair of op, started from the same equation on a grid
+    _COARSE_FACTOR times coarser over the same box, built by build.
 
-    coarse_op is bisected by _seed, on N/8 points instead of N.  Its
-    eigenvector, interpolated onto op's grid, takes one _sweep shifted by
-    the coarse E' (a Rayleigh shift from the interpolated vector misses the
-    state more often), unconverged: the mass moves after the first step
-    and later sweeps converge the vector.  Returns None when the seed or
-    the sweep fails; the caller then bisects op to full precision.
+    The coarse pair comes from a coarse start of its own when the coarse
+    grid has _COARSE_START_POINTS or more (8000 -> 1000 -> 125 points,
+    16000 -> 2000 -> 250), so only the coarsest grid of the chain is
+    bisected, and only by _seed.  A coarse level whose own start fails,
+    because its sweep fails or the grid below it holds no such state,
+    seeds itself with _seed.  The coarse eigenvector, interpolated onto
+    op's grid, takes one _sweep shifted by the coarse E' (a Rayleigh shift
+    from the interpolated vector misses the state more often), unconverged:
+    the mass moves after the first step and later sweeps converge the
+    vector.  Returns None when op's grid is below _COARSE_START_POINTS,
+    the coarse operator leaves the float range (a coarser step can where
+    op's does not), the coarse grid yields no pair or the sweep fails; the
+    caller then seeds op, or bisects it to full precision.
     """
-    pair = _seed(coarse_op, node_target)
+    n_points = op.grid.n_points
+    if n_points < _COARSE_START_POINTS:
+        return None
+    try:
+        coarse_op = build(RadialGrid(op.grid.r_max, n_points // _COARSE_FACTOR))
+    except OverflowError:
+        return None
+    pair = _coarse_start(build, coarse_op, node_target) or _seed(coarse_op, node_target)
     if pair is None:
         return None
     e, u = pair
     return _sweep(op, node_target, np.interp(op.grid.points, coarse_op.grid.points, u), e)
+
+
+def _energy_slope(
+    potential: PotentialSpec, p: PhysicalParams, grid: RadialGrid, m: float, e: float,
+    u: np.ndarray,
+) -> float:
+    """dE'/dm at mass m for the eigenpair (E', u), sum(u^2) = 1, by
+    Hellmann-Feynman on the discrete operator.
+
+    In kg-vector and kg-scalar-vector T(m) is (1/msum)[kinetic +
+    centrifugal + 2mU - U^2/c^2 + terms free of m], in kg-equal
+    (1/msum)[kinetic + centrifugal] + 2U; either way dT/dm = (2U - T)/msum,
+    so dE'/dm = (2<U> - E')/msum with <U> = sum(U u^2) (0 without a vector
+    part).  It leaves out the origin correction's a1(m) h term (l = 0 with
+    a vector 1/r part).
+    """
+    u_mean = 0.0
+    if potential.vector_part is not None:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u_mean = float(potential.vector_part.evaluate(grid.points, p) @ (u * u))
+    return (2.0 * u_mean - e) / (p.rest_mass + m)
 
 
 def default_solver_grid(
@@ -596,24 +652,29 @@ def solve_self_consistent(
 
     The Schrodinger mode has no mass feedback and returns after a single
     pass with residual 0.  Relativistic modes look for the root of
-    g(m) = m0 + E'(m)/c^2 - m from m = m0: a plain step m <- m + g(m)
-    first, then secant steps through the last two iterates.  A secant step
-    is replaced by the plain step when the previous step did not shrink
-    |g| or when it would leave m0 + m <= 0.  The iteration stops once
-    |g|/m0 < sc_tolerance, or raises NoConvergence (reporting the last
-    residuals) after _MAX_SC_ITERS steps.  discretize_operator makes every
-    operator of the solve.  The first eigenpair is a seed, bisected only to
-    the box scale (see _seed), on a grid eight times coarser when the grid
-    is large (see _coarse_start).  From the second iteration on it is one
+    g(m) = m0 + E'(m)/c^2 - m from m = m0.  The first step is Newton's,
+    m <- m - g/g' with g' = (dE'/dm)/c^2 - 1 and dE'/dm from _energy_slope;
+    it falls back to the plain step m <- m + g when g' >= 0 or the step
+    would leave m0 + m <= 0.  Then come secant steps through the last two
+    iterates.  A secant step is replaced by the plain step when the
+    previous step did not shrink |g| or when it would leave m0 + m <= 0.
+    The iteration stops once |g|/m0 < sc_tolerance, or raises
+    NoConvergence (reporting the last residuals) after _MAX_SC_ITERS steps.
+    discretize_operator makes every operator of the solve.  The first
+    eigenpair is a seed, bisected only to the box scale (see _seed), on a
+    grid eight times coarser from 1000 points, and 64 times coarser from
+    8000 (see _coarse_start).  From the second iteration on it is one
     _sweep from the previous eigenvector, shifted by its Rayleigh quotient
-    on the new operator.  Either falls back to full-precision
-    inner_eigensolve, which then decides the status.  Neither need be
-    converged (a strongly bound state's first mass step leaves up to ~1e5
-    times the residual floor): only the pair that meets the mass tolerance,
-    or the Schrodinger mode's one pair, must be, and is refined or bisected
-    on the same operator before the test when it is not (_returned_pair).
-    With with_trace=True the per-iteration residual history |g|/m0 is
-    returned alongside the state.
+    on the new operator.  When the start fails, a grid below 2000 points
+    seeds itself, and then, as a grid of 2000 points or more does at once,
+    falls back to full-precision inner_eigensolve, which decides the
+    status.  Neither the start nor a sweep need be converged (a strongly
+    bound state's first mass step leaves up to ~1e5 times the residual
+    floor): only the pair that meets the mass tolerance, or the
+    Schrodinger mode's one pair, must be, and is refined or bisected on the
+    same operator before the test when it is not (_returned_pair).  With
+    with_trace=True the per-iteration residual history |g|/m0 is returned
+    alongside the state.
     """
     qn = QuantumNumbers(n=req.n, l=req.l)
     _check_combination(req.mode, req.potential)
@@ -630,16 +691,11 @@ def solve_self_consistent(
         op = discretize_operator(req.mode, req.potential, p, m, req.l, grid)
         if u is not None:
             pair = _sweep(op, node_target, u, _rayleigh_quotient(op, u))
-        elif grid.n_points >= _COARSE_START_POINTS:
-            coarse = RadialGrid(grid.r_max, grid.n_points // _COARSE_FACTOR)
-            try:  # a coarser step can leave the float range where op's does not
-                coarse_op = discretize_operator(req.mode, req.potential, p, m, req.l, coarse)
-            except OverflowError:
-                pair = None
-            else:
-                pair = _coarse_start(coarse_op, op, node_target)
         else:
-            pair = _seed(op, node_target)
+            build = functools.partial(discretize_operator, req.mode, req.potential, p, m, req.l)
+            pair = _coarse_start(build, op, node_target)
+            if pair is None and grid.n_points < _FULL_BISECTION_POINTS:
+                pair = _seed(op, node_target)
         e, u = pair if pair is not None else inner_eigensolve(op, node_target)
         if req.mode is SolveMode.SCHRODINGER:
             e, u = _returned_pair(op, node_target, e, u)
@@ -657,7 +713,12 @@ def solve_self_consistent(
         if residual < req.sc_tolerance:
             break
         step = g
-        if g_prev is not None and abs(g) < abs(g_prev):
+        if g_prev is None:
+            # Newton's step; g' leaves out the a1(m) term, so only the first
+            g_prime = _energy_slope(req.potential, p, grid, m, e, u) / p.c ** 2 - 1.0
+            if g_prime < 0.0 and p.rest_mass + m - g / g_prime > 0.0:
+                step = -g / g_prime
+        elif abs(g) < abs(g_prev):
             secant = -g * (m - m_prev) / (g - g_prev)
             if p.rest_mass + m + secant > 0.0:
                 step = secant

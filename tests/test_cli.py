@@ -374,7 +374,9 @@ class TestOverflowExits:
         (("solve", "--n", "80", "--l", "79"), ["NoConvergence"]),
         (("solve", "--n", "151", "--l", "150", "--grid-n", "400"), ["NoConvergence"]),
         # LAPACK's dstein returns a NaN eigenvector: its arithmetic leaves the float range
-        (("solve", "--rest-mass", "1e150"), ["NoConvergence"]),
+        (("solve", "--rest-mass", "1e154"), ["NoConvergence"]),
+        # the 125-point grid the solve is bisected on keeps dstein in range
+        (("solve", "--rest-mass", "1e150"), ["ok"]),
         # no grid: the step r_max/(N+1) rounds to 0, or 1/lambda makes r_max inf
         (("solve", "--rmax", "1e-320"), ["OverflowError"]),
         (("solve", "--potential", "hulthen", "--lambda", "1e-320"), ["OverflowError"]),
@@ -410,10 +412,10 @@ class TestOverflowExits:
         (("lorentz", "--e", "1e308", "--beta", "0.9999"), "OverflowError"),
         (("convergence", "--rest-mass", "1e-300", "--sizes", "16,32,64", "--rmax", "0.05"),
          "NoConvergence"),
-        # LAPACK's dstein returns a NaN eigenvector
-        (("compare", "--rest-mass", "1e150", "--n-max", "2"),
-         "NoConvergence: eigenvector 0 has no significant entry"),
-        (("convergence", "--rest-mass", "1e150"),
+        # LAPACK's dstebz fails, or dstein returns a NaN eigenvector
+        (("compare", "--rest-mass", "1e154", "--n-max", "2"),
+         "NoConvergence: tridiagonal eigensolve failed: dstebz failed (LAPACK info=4)"),
+        (("convergence", "--rest-mass", "1e154"),
          "NoConvergence: eigenvector 0 has no significant entry"),
         # rho_scale**3 underflows, so the amplitude comes out 0
         (("wavefunction", "--rest-mass", "1e-300", "--samples", "3"), "OverflowError"),
@@ -443,6 +445,18 @@ class TestOverflowExits:
         name, _, detail = error.partition(": ")
         assert err.startswith(f"kgbound: {name}: {detail}") and err.count("\n") == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_a_huge_rest_mass_solves(self, capsys):
+        # E' scales with m0 c^2: the ground state sits near -alpha^2/2 m0 c^2
+        code, out, err = run_cli(capsys, "solve", "--rest-mass", "1e150")
+        assert code == 0 and err == ""
+        (row,) = parse_csv(out)[2]
+        alpha = PhysicalParams().alpha
+        assert row["status"] == "ok"
+        assert float(row["e_prime"]) == pytest.approx(-0.5 * alpha ** 2 * 1e150, rel=1e-4)
+        for argv in (("compare", "--n-max", "2"), ("convergence",)):
+            code, out, err = run_cli(capsys, *argv, "--rest-mass", "1e150")
+            assert code == 0 and err == "" and parse_csv(out)[2]
 
     def test_subcritical_box_underflow(self, capsys, tmp_path):
         # Z alpha is physical, but a0 = hbar^2 / (m0 e_s^2) underflows to 0, so

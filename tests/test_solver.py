@@ -1,6 +1,7 @@
 """Discretization, eigensolve, self-consistency, and convergence studies."""
 import math
 import re
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -47,9 +48,9 @@ class CountingLapack:
     def __getattr__(self, name):
         routine = getattr(self.lapack, name)
 
-        def call(*args):
+        def call(*args, **kwargs):
             self.calls.append((name, args))
-            return routine(*args)
+            return routine(*args, **kwargs)
 
         return call
 
@@ -410,12 +411,12 @@ class TestInnerEigensolve:
         assert len(calls) == 1
         assert calls[0][1]["select"] == "i" and calls[0][1]["select_range"] == (1, 1)
 
-        # a solve bisects once, on the coarse start grid of N // 8 points;
-        # every later eigenpair is refined on the fine grid
-        for n_points in (2000, 8000):
+        # a solve bisects once, on the coarsest grid of its start: N // 8
+        # points, N // 64 from 8000 points; every later eigenpair is refined
+        for n_points, coarsest in ((2000, 250), (8000, 125)):
             calls.clear()
             solve_self_consistent(coulomb_request(P_03, 1, 0, n_points), P_03)
-            assert [call[0][0].size for call in calls] == [n_points // 8]
+            assert [call[0][0].size for call in calls] == [coarsest]
 
     @pytest.mark.parametrize("field, value", [
         ("diag", np.inf), ("diag", np.nan), ("offdiag", np.nan), ("offdiag", np.inf),
@@ -501,16 +502,21 @@ class TestLapack:
         assert out == ""
         assert err == f"kgbound: NoConvergence: {message}\n"
 
+    @pytest.mark.parametrize("n_points, sizes", [(2000, [250, 2000]), (8000, [125, 1000])],
+                             ids=["N2000", "N8000"])
     @pytest.mark.parametrize("routine", sorted(_FAILING_LAPACK))
-    def test_coarse_lapack_failure_falls_back_to_the_fine_grid(self, monkeypatch, routine):
-        # the coarse pair only seeds the fine grid: when LAPACK fails on it,
-        # the solve bisects the fine grid as when the coarse grid binds nothing
-        req = coulomb_request(P_03, 2, 0, 2000)
+    def test_coarse_lapack_failure_falls_back_to_the_fine_grid(self, monkeypatch, routine,
+                                                               n_points, sizes):
+        # the coarse pair only seeds the next grid: when LAPACK fails on it,
+        # the solve bisects its own grid as when the coarse grid binds
+        # nothing, to full precision on 2000 points, and an intermediate
+        # grid of the start (1000 points for 8000) seeds itself
+        req = coulomb_request(P_03, 2, 0, n_points)
         warm = solve_self_consistent(req, P_03)
         real = solver._lapack()
 
         def failing_on_the_coarse_grid(d, *args):
-            if d.size == 2000 // 8:
+            if d.size == sizes[0]:
                 return _FAILING_LAPACK[routine](d, *args)
             return getattr(real, routine)(d, *args)
 
@@ -519,8 +525,9 @@ class TestLapack:
         proxy = CountingLapack(stub)
         monkeypatch.setattr(solver, "_lapack", lambda: proxy)
         state = solve_self_consistent(req, P_03)
-        sizes = [args[0].size for name, args in proxy.calls if name == routine]
-        assert sizes == [2000 // 8, 2000]
+        assert [args[0].size for name, args in proxy.calls if name == routine] == sizes
+        abstol = [args[7] for name, args in proxy.calls if name == "dstebz"][-1]
+        assert abstol == 0.0 if n_points == 2000 else abstol > 0.0
         assert state.e_prime == pytest.approx(warm.e_prime, rel=1e-12)
         assert state.iterations == warm.iterations
 
@@ -639,18 +646,23 @@ class TestSolveSelfConsistent:
         assert warm.iterations == cold.iterations
 
     def test_lapack_work_per_solve(self, monkeypatch):
-        # criterion 1's states: the coarse start bisects N // 8 points to a
-        # loose tolerance and takes one tridiagonal solve, every later mass
-        # step costs one solve, and the returned pair needs no more; without
-        # the coarse start the fine grid is bisected to full precision.  The
-        # coarse tolerance, A/r_max^2, does not grow with N, so on 200000
-        # points the fine grid is still never bisected
+        # criterion 1's states: a solve bisects only the coarsest grid of its
+        # start, to a loose tolerance, and takes one tridiagonal solve onto
+        # each finer grid of the start; every mass step costs one solve, and
+        # the returned pair needs no more.  Without the coarse start the fine
+        # grid is bisected to full precision.  The coarse tolerance,
+        # A/r_max^2, does not grow with N, so on 200000 points the fine grid
+        # is still never bisected
         proxy = CountingLapack(solver._lapack())
         monkeypatch.setattr(solver, "_lapack", lambda: proxy)
         states = [(za, n, l, n_points) for za in (0.05, 0.1, 0.2, 0.3)
                   for n in range(1, 5) for l in range(n) for n_points in (4000, 8000)]
         states += [(za, n, l, 200000) for za in (0.05, 0.3) for n, l in ((1, 0), (2, 1))]
-        for coarse_start, grid_factor, extra_solves in ((True, 8, 0), (False, 1, -1)):
+        chains = {4000: [500], 8000: [125, 1000], 200000: [390, 3125, 25000]}
+        # the one-sweep pair from 125 points fails the node check on 1000
+        # points, so that grid re-seeds itself
+        reseeded = {(0.05, 4, 0, 8000)}
+        for coarse_start in (True, False):
             if not coarse_start:
                 monkeypatch.setattr(solver, "_coarse_start", lambda *args: None)
             for za, n, l, n_points in states:
@@ -658,16 +670,18 @@ class TestSolveSelfConsistent:
                 proxy.calls.clear()
                 state = solve_self_consistent(coulomb_request(p, n, l, n_points), p)
                 case = (za, n, l, n_points, coarse_start)
-                solves = [args for name, args in proxy.calls if name == "dgtsv"]
-                if coarse_start and n_points > 8000:
-                    # the floor grows with kin = A/h^2: one sweep may reach it
-                    assert len(solves) <= state.iterations + extra_solves, case
+                solves = [args[1].size for name, args in proxy.calls if name == "dgtsv"]
+                bisections = [(args[0].size, args[7]) for name, args in proxy.calls
+                              if name == "dstebz"]
+                if coarse_start:
+                    chain = chains[n_points]
+                    assert solves == chain[1:] + [n_points] * state.iterations, case
+                    seeded = chain[:2] if (za, n, l, n_points) in reseeded else chain[:1]
+                    assert [size for size, _ in bisections] == seeded, case
+                    assert all(abstol > 0.0 for _, abstol in bisections), case
                 else:
-                    assert len(solves) == state.iterations + extra_solves, case
-                (bisection,) = [args for name, args in proxy.calls if name == "dstebz"]
-                assert bisection[0].size == n_points // grid_factor, case
-                abstol = bisection[7]
-                assert abstol > 0.0 if coarse_start else abstol == 0.0, case
+                    assert solves == [n_points] * (state.iterations - 1), case
+                    assert bisections == [(n_points, 0.0)], case
 
     @pytest.mark.parametrize("noisy_refinement", [False, True])
     def test_an_unconverged_last_mass_step_is_not_returned(self, monkeypatch, noisy_refinement):
@@ -717,6 +731,56 @@ class TestSolveSelfConsistent:
         np.testing.assert_allclose(state.radial_samples[1] * math.sqrt(h),
                                    warm.radial_samples[1] * math.sqrt(h), atol=1e-9)
 
+    @pytest.mark.parametrize("mode, potential, p", [
+        (SolveMode.KG_VECTOR, PotentialSpec.coulomb(), P_03),
+        (SolveMode.KG_SCALAR_VECTOR, PotentialSpec(CoulombPart(), HulthenPart(0.2)), P_03),
+        (SolveMode.KG_EQUAL, PotentialSpec.equal_hulthen(0.2), P_01),
+        (SolveMode.KG_EQUAL, PotentialSpec.equal_coulomb(), P_01),
+    ], ids=["kg-vector-coulomb", "kg-scalar-vector-coulomb-hulthen", "kg-equal-hulthen",
+            "kg-equal-coulomb"])
+    @pytest.mark.parametrize("n, l", [(2, 1), (3, 2)])
+    @pytest.mark.parametrize("mass", [1.0, 0.99])
+    def test_energy_slope_is_the_discrete_derivative(self, mode, potential, p, n, l, mass):
+        # Hellmann-Feynman on the discrete operator, against a central
+        # difference of E'(m) at +-1e-6 m0; with l >= 1 there is no a1(m)
+        # term, so the slope is exact
+        grid = default_solver_grid(mode, potential, p, n, l, n_points=2000)
+        m, dm = mass * p.rest_mass, 1e-6 * p.rest_mass
+
+        def pair(m):
+            return inner_eigensolve(discretize_operator(mode, potential, p, m, l, grid), n - l - 1)
+
+        e, u = pair(m)
+        slope = solver._energy_slope(potential, p, grid, m, e, u)
+        difference = (pair(m + dm)[0] - pair(m - dm)[0]) / (2.0 * dm)
+        assert slope == pytest.approx(difference, rel=1e-7)
+
+    @pytest.mark.parametrize("mode, potential, za", [
+        pytest.param(mode, pot(lam), 0.1, id=f"{mode.value}-hulthen-lam{lam}")
+        for mode, pot in ((SolveMode.SCHRODINGER, PotentialSpec.hulthen),
+                          (SolveMode.KG_VECTOR, PotentialSpec.hulthen),
+                          (SolveMode.KG_SCALAR_VECTOR, PotentialSpec.equal_hulthen),
+                          (SolveMode.KG_EQUAL, PotentialSpec.equal_hulthen))
+        for lam in (0.2, 1.0, 1.8, 1.9)
+    ] + [pytest.param(SolveMode.KG_VECTOR, PotentialSpec.coulomb(), za, id=f"kg-vector-za{za}")
+         for za in (0.1, 0.3, 0.45, 0.499)])
+    def test_a_solve_raises_no_numpy_warning(self, mode, potential, za):
+        # the box of a shallow Hulthen state can reach lam r > 709, where
+        # expm1 overflows in the vector part, in the operator and in the
+        # first mass step's slope ((1,0) at lam 1.9 in kg-vector and
+        # kg-scalar-vector); neither may warn
+        p = PhysicalParams(alpha=za)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, l in ((1, 0), (2, 0), (2, 1)):
+                for n_points in (500, 1000, 2000, 8000):
+                    grid = default_solver_grid(mode, potential, p, n, l, n_points=n_points)
+                    req = SolveRequest(mode=mode, potential=potential, n=n, l=l, grid=grid)
+                    try:
+                        solve_self_consistent(req, p)
+                    except StateNotFound:
+                        pass
+
     def test_overtight_tolerance_converges_or_raises(self):
         req = coulomb_request(P_03, 1, 0, 2000, sc_tolerance=1e-15)
         try:
@@ -752,9 +816,10 @@ class TestSolveSelfConsistent:
 ], ids=["kg-vector-coulomb-2000", "kg-vector-coulomb-8000", "kg-equal-hulthen-2000"])
 def test_solve_operators_match_discretize_operator(monkeypatch, mode, potential, p, n, l,
                                                    n_points):
-    # every operator a solve builds, on the coarse grid and the fine one,
-    # is what a fresh discretize_operator call gives, bit for bit: the
+    # every operator a solve builds, on the grids of its start and the fine
+    # one, is what a fresh discretize_operator call gives, bit for bit: the
     # cached parts of the origin correction are the ones it would compute
+    sizes = {2000: {2000, 250}, 8000: {8000, 1000, 125}}[n_points]
     grid = default_solver_grid(mode, potential, p, n, l, n_points=n_points)
     built = []
     original = solver.discretize_operator
@@ -768,11 +833,11 @@ def test_solve_operators_match_discretize_operator(monkeypatch, mode, potential,
     solver._stencil_terms.cache_clear()
     state = solve_self_consistent(
         SolveRequest(mode=mode, potential=potential, n=n, l=l, grid=grid), p)
-    assert {op.grid.n_points for _, op in built} == {n_points, n_points // 8}
-    assert len(built) == state.iterations + 1
+    assert {op.grid.n_points for _, op in built} == sizes
+    assert len(built) == state.iterations + len(sizes) - 1
     # the ratio arrays are built once per grid, not once per mass step
     cache = solver._stencil_terms.cache_info()
-    assert (cache.misses, cache.hits) == (2, len(built) - 2)
+    assert (cache.misses, cache.hits) == (len(sizes), len(built) - len(sizes))
     s, _ = origin_series(mode, potential, p, p.rest_mass, l)
     for array in solver._stencil_terms(s, n_points):
         with pytest.raises(ValueError, match="read-only"):

@@ -9,12 +9,15 @@ inverse iteration and updates the mass by secant steps; both must land on
 the same state with the same status, including near the supercritical
 bound, near Hulthen unbinding and at large n.
 
-On grids of 2000 points or more the first eigenpair comes from a grid
-eight times coarser, bisected to the box scale and swept once on the fine
-grid; over the same cases at N = 4000 that start must give what a direct
-first eigensolve gives, and a state the coarse grid does not bind must
-still be found on the fine one.
+On grids of 1000 points or more the first eigenpair comes from a grid
+eight times coarser, itself started that way from 1000 points up, so only
+the coarsest grid is bisected, to the box scale, and each finer one takes
+one sweep; over the same cases at N = 4000 that start must give what a
+direct first eigensolve gives, a state the coarse grid does not bind must
+still be found on the fine one, and a state bound on no grid must cost no
+more bisections of the fine grids than before.
 """
+import collections
 import math
 from dataclasses import replace
 
@@ -160,15 +163,13 @@ def test_matches_reference_path(mode, pot, lam, za, n, l):
 
 
 COARSE_START_N = 4000
-# The coarse start gives one sweep's pair, not a converged one, so the mass
-# step from it may land further from the fixed point: these cases take one
-# iteration more than the direct first solve, every other case as many.
-# Their last step ends nearer the fixed point than the direct solve's, whose
-# mass residual in the two Hulthen cases (9.5e-13 and 4.5e-13) leaves its E'
-# 1.4e-12 and 1.0e-12 from it, so there the coarse start is held to a solve
-# converged to 1e-15 instead.
+# The coarse start gives one sweep's pair, not a converged one, so the
+# Newton first mass step from it may land further from the fixed point:
+# these cases take one iteration more than the direct first solve, every
+# other case as many.
 ONE_MORE_ITERATION = {
-    (SolveMode.KG_VECTOR, "coulomb", 0.2, 0.3, 8, 0),
+    (SolveMode.KG_VECTOR, "coulomb", 0.2, 0.1, 8, 7),
+    (SolveMode.KG_SCALAR_VECTOR, "equal-hulthen", 0.2, 0.3, 3, 1),
     (SolveMode.KG_SCALAR_VECTOR, "equal-hulthen", 0.45, 0.1, 2, 1),
     (SolveMode.KG_SCALAR_VECTOR, "equal-hulthen", 0.55, 0.1, 2, 1),
 }
@@ -187,9 +188,10 @@ def test_coarse_start_matches_direct_first_solve(monkeypatch, mode, pot, lam, za
     accepted = []
     coarse_start = solver._coarse_start
 
-    def recording(*args):
-        pair = coarse_start(*args)
-        accepted.append(pair is not None)
+    def recording(build, op, node_target):
+        pair = coarse_start(build, op, node_target)
+        if op.grid.n_points == COARSE_START_N:  # not the 500-point level below
+            accepted.append(pair is not None)
         return pair
 
     monkeypatch.setattr(solver, "_coarse_start", recording)
@@ -201,11 +203,7 @@ def test_coarse_start_matches_direct_first_solve(monkeypatch, mode, pot, lam, za
         return
     extra = (mode, pot, lam, za, n, l) in ONE_MORE_ITERATION
     assert got.iterations == ref.iterations + extra
-    if extra:
-        tight = solve_self_consistent(replace(req, sc_tolerance=1e-15), p).e_prime
-        assert abs(got.e_prime - tight) <= min(1e-12 * abs(tight), abs(ref.e_prime - tight))
-    else:
-        assert abs(got.e_prime - ref.e_prime) <= 1e-12 * abs(ref.e_prime)
+    assert abs(got.e_prime - ref.e_prime) <= 1e-12 * abs(ref.e_prime)
     if pot.endswith("coulomb"):
         # only shallow Hulthen states may fall back to the direct solve
         assert accepted == [True]
@@ -235,17 +233,18 @@ def test_state_bound_only_on_the_fine_grid(monkeypatch, mode, pot, lam, za, n, l
     potential = build(pot, lam)
     grid = default_solver_grid(mode, potential, p, n, l, n_points=2000)
     req = SolveRequest(mode=mode, potential=potential, n=n, l=l, grid=grid)
-    coarse_ops = []
+    ops = []
     coarse_start = solver._coarse_start
 
-    def recording(coarse_op, *args):
-        coarse_ops.append(coarse_op)
-        return coarse_start(coarse_op, *args)
+    def recording(build, op, node_target):
+        ops.append(op)
+        return coarse_start(build, op, node_target)
 
     monkeypatch.setattr(solver, "_coarse_start", recording)
     got = solve_self_consistent(req, p)
-    (coarse_op,) = coarse_ops
-    assert coarse_op.grid.n_points == 250
+    # the 2000-point start asks the 250-point level, too small to start itself
+    fine_op, coarse_op = ops
+    assert (fine_op.grid.n_points, coarse_op.grid.n_points) == (2000, 250)
     ref_op = discretize_operator(mode, potential, p, p.rest_mass, l, coarse_op.grid)
     assert np.array_equal(coarse_op.diag, ref_op.diag)
     assert np.array_equal(coarse_op.offdiag, ref_op.offdiag)
@@ -258,13 +257,56 @@ def test_state_bound_only_on_the_fine_grid(monkeypatch, mode, pot, lam, za, n, l
     assert got.e_prime == pytest.approx(e_prime, rel=5e-5)
 
 
-# A solve starts from a seed, bisected only to the box scale (on the grid
-# eight times coarser from 2000 points), and converges only the pair it
-# returns.  The full-precision path starts from the fine grid bisected to
-# full precision instead.  Both must give the same status and E' at the
-# edges: Zalpha close to the l = 0 bound 1/2, kg-equal Hulthen states near
+def test_unbound_states_bisect_the_fine_grids_no_more(monkeypatch):
+    # kg-equal equal-Hulthen n = 3 and 4 are bound on no grid at lam = 0.9.
+    # Each solve ends in one full-precision bisection of its own grid, which
+    # decides the status; on the way the coarsest grid of its start fails
+    # its seed, and so does every intermediate grid and a 1000-point grid
+    # that seeds itself, so the 125-point seeds are the only extra work
+    bisections = collections.Counter()
+    original = solver.eigh_tridiagonal
+
+    def counting(d, e, **kwargs):
+        bisections[d.size, "full" if kwargs["tol"] == 0.0 else "seed"] += 1
+        return original(d, e, **kwargs)
+
+    monkeypatch.setattr(solver, "eigh_tridiagonal", counting)
+    p = PhysicalParams(alpha=0.1)
+    potential = PotentialSpec.equal_hulthen(0.9)
+    for n_points in (1000, 2000, 8000):
+        for n in (3, 4):
+            for l in range(n):
+                grid = default_solver_grid(SolveMode.KG_EQUAL, potential, p, n, l,
+                                           n_points=n_points)
+                req = SolveRequest(mode=SolveMode.KG_EQUAL, potential=potential, n=n, l=l,
+                                   grid=grid)
+                with pytest.raises(StateNotFound):
+                    solve_self_consistent(req, p)
+    assert bisections == {
+        (1000, "full"): 7, (2000, "full"): 7, (8000, "full"): 7,
+        (1000, "seed"): 14, (250, "seed"): 7, (125, "seed"): 14,
+    }
+
+
+# A solve starts from a seed, bisected only to the box scale (on the
+# coarsest grid of its start from 1000 points: 125 points for 1000 and
+# 8000, 250 for 2000 and 16000), and converges only the pair it returns.
+# The full-precision path starts from the fine grid bisected to full
+# precision instead.  Both must give the same status and E' at the edges:
+# Zalpha close to the l = 0 bound 1/2, kg-equal Hulthen states near
 # unbinding (n = 3 unbinds at lam = 4/9, n = 2 at lam = 1) and large n.
-EDGE_SIZES = (500, 2000, 8000)
+EDGE_SIZES = (500, 1000, 2000, 8000, 16000)
+# sc_tolerance bounds the mass residual |g|/m0, not E': a solve that stops
+# at residual r leaves E' about 1.5 r |E'| from the fixed point, so two
+# solves that stop near 1e-12 on different paths can sit more than 1e-12
+# apart.  In these cases the two E' differ by 1.2e-12 to 1.8e-12 relative,
+# and the seeded E' must instead be within 1e-12 of a solve converged to
+# 1e-14 and nearer to it than the full-precision start's.
+OFF_PATH = {
+    (SolveMode.KG_VECTOR, "coulomb", 0.2, 0.3, 3, 0, 1000),
+    (SolveMode.KG_VECTOR, "coulomb", 0.2, 0.499, 2, 0, 1000),
+    (SolveMode.KG_VECTOR, "coulomb", 0.2, 0.4999, 2, 0, 1000),
+}
 
 
 def edge_cases():
@@ -279,13 +321,26 @@ def edge_cases():
             yield mode, "coulomb", 0.2, None, n, n - 1
 
 
-EDGE_CASES = [case + (size,) for case in edge_cases() for size in EDGE_SIZES]
+# The origin correction for s = l + 1 = 36 puts 1.2e6 on the first
+# diagonal entry of the 16000-point operator, so bisection to full
+# precision, whose error scales with ||T||, misses (36, 35)'s E' by 2e-11
+# (1e-3 relative; dstemr agrees with the seeded solve), and dstein's vector
+# from that E' has 27 spurious sign changes above 1e-9 of its peak: the
+# full-precision reference reports StateNotFound for a bound state.
+REFERENCE_MISSES = {(mode, 36, 16000) for mode in (SolveMode.KG_VECTOR, SolveMode.SCHRODINGER)}
+EDGE_CASES = [
+    pytest.param(*case, size, marks=pytest.mark.xfail(
+        strict=True, reason="full-precision bisection misses the state"))
+    if (case[0], case[4], size) in REFERENCE_MISSES else case + (size,)
+    for case in edge_cases() for size in EDGE_SIZES
+]
 
 
 @pytest.mark.parametrize(
     "mode,pot,lam,za,n,l,n_points",
     EDGE_CASES,
-    ids=[f"{c[0].value}-{c[1]}-lam{c[2]}-za{c[3]}-{c[4]}{c[5]}-N{c[6]}" for c in EDGE_CASES],
+    ids=[f"{c[0].value}-{c[1]}-lam{c[2]}-za{c[3]}-{c[4]}{c[5]}-N{c[6]}"
+         for c in (getattr(case, "values", case) for case in EDGE_CASES)],
 )
 def test_seeded_solve_matches_full_precision_at_the_edges(monkeypatch, mode, pot, lam, za,
                                                           n, l, n_points):
@@ -297,5 +352,10 @@ def test_seeded_solve_matches_full_precision_at_the_edges(monkeypatch, mode, pot
     monkeypatch.setattr(solver, "_seed", lambda *args: None)  # full-precision start
     ref_status, ref = outcome(lambda: solve_self_consistent(req, p))
     assert status == ref_status
-    if status == "ok":
+    if status != "ok":
+        return
+    if (mode, pot, lam, za, n, l, n_points) in OFF_PATH:
+        tight = solve_self_consistent(replace(req, sc_tolerance=1e-14), p).e_prime
+        assert abs(got.e_prime - tight) <= min(1e-12 * abs(tight), abs(ref.e_prime - tight))
+    else:
         assert abs(got.e_prime - ref.e_prime) <= 1e-12 * abs(ref.e_prime)
